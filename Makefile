@@ -37,7 +37,9 @@ FUZZTIME ?= 10s
 # deterministic bnb search with per-root checkpointing on may cost at most
 # CKPT_GATE x the search with it off (BenchmarkCheckpointOverhead on/off in
 # ns/op), or the per-root bookkeeping has grown onto the walker's hot path.
-BENCH_REGRESSION = BenchmarkPeriodStrict|BenchmarkPeriodOverlapPoly|BenchmarkPeriodBackends|BenchmarkSpectralBackends|BenchmarkEngines|BenchmarkEngineBatch|BenchmarkEngineMemoization|BenchmarkBnBSearch|BenchmarkBnBLeafRate|BenchmarkServeHitPath|BenchmarkRouterHitPath|BenchmarkJobSubmitPollOverhead|BenchmarkCheckpointOverhead
+# BenchmarkRat records the rational kernel's int64 path next to math/big on
+# the same operands (and a forced big fallback); it carries no gate.
+BENCH_REGRESSION = BenchmarkPeriodStrict|BenchmarkPeriodOverlapPoly|BenchmarkPeriodBackends|BenchmarkSpectralBackends|BenchmarkEngines|BenchmarkEngineBatch|BenchmarkEngineMemoization|BenchmarkBnBSearch|BenchmarkBnBLeafRate|BenchmarkServeHitPath|BenchmarkRouterHitPath|BenchmarkJobSubmitPollOverhead|BenchmarkCheckpointOverhead|BenchmarkRat
 ALLOC_GATE = 12
 LEAF_GATE = 5
 HITALLOC_GATE = 32
@@ -100,7 +102,7 @@ bench:
 # JOBALLOC_GATE allocs/op, or checkpointing costs the walker more than
 # CKPT_GATE x the same search without it.
 bench-regression:
-	@status=0; $(GO) test -run xxx -bench '$(BENCH_REGRESSION)' -benchtime 100x -benchmem . ./internal/bnb ./internal/service ./internal/cluster ./internal/checkpoint > bench_regression.txt || status=$$?; \
+	@status=0; $(GO) test -run xxx -bench '$(BENCH_REGRESSION)' -benchtime 100x -benchmem . ./internal/bnb ./internal/service ./internal/cluster ./internal/checkpoint ./internal/rat > bench_regression.txt || status=$$?; \
 	cat bench_regression.txt; \
 	if [ "$$status" != "0" ]; then echo "bench-regression: go test failed ($$status)"; exit $$status; fi
 	awk -v gate=$(ALLOC_GATE) -v leafgate=$(LEAF_GATE) -v hitgate=$(HITALLOC_GATE) -v speedupgate=$(SPEEDUP_GATE) -v routergate=$(ROUTER_GATE) -v joballocgate=$(JOBALLOC_GATE) -v ckptgate=$(CKPT_GATE) -f scripts/benchjson.awk bench_regression.txt > BENCH_10.json
@@ -132,6 +134,7 @@ cover:
 # `go test` runs).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzPeriodBackends -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run xxx -fuzz FuzzRatArith -fuzztime $(FUZZTIME) ./internal/rat
 
 fmt:
 	gofmt -l -w .

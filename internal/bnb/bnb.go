@@ -250,14 +250,16 @@ func Search(ctx context.Context, eng *engine.Engine, pipe *pipeline.Pipeline, pl
 	// widens the warm period on purpose).
 	results := make([]SubResult, len(frontier))
 	if !interrupted && len(frontier) > 0 {
+		// The internal local executor shares pr, runs the frontier nodes and
+		// the warm period as they are (their wire forms are not parsed back)
+		// and streams progress deltas per engine batch; custom executors and
+		// replays contribute one delta per completed root instead.
+		var local *LocalExecutor
 		exec := opts.Executor
 		if exec == nil {
-			exec = &LocalExecutor{pr: pr, eng: eng}
+			local = &LocalExecutor{pr: pr, eng: eng}
+			exec = local
 		}
-		// The internal local executor shares pr and streams progress deltas
-		// per engine batch; custom executors and replays contribute one delta
-		// per completed root instead.
-		streams := opts.Executor == nil
 		roots := make([]Root, len(frontier))
 		for i, nd := range frontier {
 			roots[i] = rootOf(nd, i, depth)
@@ -309,13 +311,28 @@ func Search(ctx context.Context, eng *engine.Engine, pipe *pipeline.Pipeline, pl
 						}
 						continue
 					}
-					warm := warm0
-					if opts.Racing {
-						raceMu.Lock()
-						warm = raceStr
-						raceMu.Unlock()
+					var res SubResult
+					var err error
+					if local != nil {
+						ref, hasRef := rat.Rat{}, pr.warm != nil
+						if hasRef {
+							ref = pr.warm.period
+						}
+						if opts.Racing {
+							raceMu.Lock()
+							ref, hasRef = raceBest, raceHas
+							raceMu.Unlock()
+						}
+						res = local.run(ctx, frontier[i], depth, ref, hasRef)
+					} else {
+						warm := warm0
+						if opts.Racing {
+							raceMu.Lock()
+							warm = raceStr
+							raceMu.Unlock()
+						}
+						res, err = exec.RunRoot(ctx, roots[i], warm)
 					}
-					res, err := exec.RunRoot(ctx, roots[i], warm)
 					if err != nil {
 						// The root was not explored (lost worker, malformed
 						// descriptor). The search stays anytime: everything
@@ -323,7 +340,7 @@ func Search(ctx context.Context, eng *engine.Engine, pipe *pipeline.Pipeline, pl
 						res = SubResult{}
 					}
 					results[i] = res
-					if !streams && pr.onProgress != nil && res.Stats != (Stats{}) {
+					if local == nil && pr.onProgress != nil && res.Stats != (Stats{}) {
 						pr.onProgress(res.Stats)
 					}
 					if opts.Racing && res.BestPeriod != "" {
@@ -465,15 +482,17 @@ func (w *walker) choose(stage, c, taken int, slowest int64, parentLB rat.Rat) er
 			return nil
 		}
 		w.st.Nodes++
-		stageLB := rat.New(w.pr.work(stage), int64(taken)).DivInt(slowest)
-		lb := rat.Max(parentLB, stageLB)
-		bound := lb
-		if remaining := w.pr.n - stage - 1; remaining > 0 {
-			bound = rat.Max(bound, w.remainingBound(stage+1, remaining))
-		}
-		if w.hasRef && !bound.Less(w.ref) {
+		// The stage's bound work/(taken·slowest) stays an integer fraction:
+		// it is compared by cross-multiplication, and a Rat is formed only
+		// when it becomes the lb handed down.
+		work := w.pr.work(stage)
+		if w.hasRef && w.prunes(stage, work, int64(taken), slowest, parentLB) {
 			w.st.Pruned++
 			return nil
+		}
+		lb := parentLB
+		if parentLB.CmpFrac(work, int64(taken), slowest) < 0 {
+			lb = rat.New(work, int64(taken)).DivInt(slowest)
 		}
 		return w.dfs(stage+1, lb)
 	}
@@ -514,36 +533,46 @@ func (w *walker) choose(stage, c, taken int, slowest int64, parentLB rat.Rat) er
 	return nil
 }
 
+// prunes reports whether a node's bound, the largest of parentLB, the
+// stage's work/(taken·slowest) and the open stages' remainingBound, meets
+// the pruning reference.
+func (w *walker) prunes(stage int, work, taken, slowest int64, parentLB rat.Rat) bool {
+	if w.ref.CmpFrac(work, taken, slowest) <= 0 || !parentLB.Less(w.ref) {
+		return true
+	}
+	if remaining := w.pr.n - stage - 1; remaining > 0 {
+		return w.ref.CmpFrac(w.remainingBound(stage+1, remaining)) <= 0
+	}
+	return false
+}
+
 // remainingBound is the optimistic completion bound for the open stages
-// firstOpen..n-1: the heaviest of them runs on the largest replica set it
-// could still receive, every member as fast as the fastest free processor.
-func (w *walker) remainingBound(firstOpen, remaining int) rat.Rat {
-	var fastest int64
+// firstOpen..n-1, as the fraction work/(mMax·fastest): the heaviest of them
+// runs on the largest replica set it could still receive, every member as
+// fast as the fastest free processor.
+func (w *walker) remainingBound(firstOpen, remaining int) (work, mMax, fastest int64) {
 	for c := range w.pr.classes {
 		if len(w.pr.classes[c].members)-w.used[c] > 0 {
 			fastest = w.pr.classes[c].speed
 			break // classes are sorted by decreasing speed
 		}
 	}
-	mMax := w.free - (remaining - 1)
-	return rat.New(w.pr.maxWork[firstOpen], int64(mMax)).DivInt(fastest)
+	return w.pr.maxWork[firstOpen], int64(w.free - (remaining - 1)), fastest
 }
 
 // leaf queues the complete assignment for evaluation.
 func (w *walker) leaf() error {
 	reps := make([][]int, w.pr.n)
+	procs := make([]int, 0, w.pr.plat.NumProcs()-w.free) // one backing array for all stages
 	for i, r := range w.replicas {
-		reps[i] = append([]int(nil), r...)
+		start := len(procs)
+		procs = append(procs, r...)
+		reps[i] = procs[start:len(procs):len(procs)]
 		sort.Ints(reps[i]) // round-robin order is ascending processor id
 	}
-	m, err := mapping.New(reps, w.pr.plat.NumProcs())
-	if err != nil {
-		// Unreachable by construction (sets are non-empty and disjoint);
-		// counted rather than trusted.
-		w.st.Infeasible++
-		return nil
-	}
-	w.chunk = append(w.chunk, m)
+	// Sets are non-empty and disjoint by construction; flush validates the
+	// mapping anyway (model.FromMapped) and counts a failure as Infeasible.
+	w.chunk = append(w.chunk, &mapping.Mapping{Replicas: reps})
 	if len(w.chunk) >= w.pr.chunkSize {
 		return w.flush()
 	}

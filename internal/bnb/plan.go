@@ -156,8 +156,15 @@ func (e *LocalExecutor) RunRoot(ctx context.Context, root Root, warm string) (Su
 		}
 		hasRef = true
 	}
-	w := newWalker(e.pr, ctx, e.eng, nd, root.Depth, e.pr.n, nil, ref, hasRef)
-	runErr := w.dfs(root.Depth, nd.lb)
+	return e.run(ctx, nd, root.Depth, ref, hasRef), nil
+}
+
+// run explores the subtree below nd, whose stages < depth are assigned,
+// against the pruning reference ref (none when hasRef is false). nd is
+// read, never modified.
+func (e *LocalExecutor) run(ctx context.Context, nd *node, depth int, ref rat.Rat, hasRef bool) SubResult {
+	w := newWalker(e.pr, ctx, e.eng, nd, depth, e.pr.n, nil, ref, hasRef)
+	runErr := w.dfs(depth, nd.lb)
 	if runErr == nil {
 		runErr = w.flush()
 	}
@@ -167,7 +174,7 @@ func (e *LocalExecutor) RunRoot(ctx context.Context, root Root, warm string) (Su
 		res.BestReplicas = w.best.mapp.Replicas
 		res.BestPeriod = w.best.period.String()
 	}
-	return res, nil
+	return res
 }
 
 // incumbentOf reconstructs the merge-layer incumbent from a wire result.

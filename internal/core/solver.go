@@ -47,6 +47,12 @@ type Solver struct {
 	builder tpn.Builder
 	ws      cycles.Workspace
 	sys     cycles.System
+
+	// Float-sweep plans per unfolded-net shape (see floatPlan).
+	plans       map[string]*cycles.FloatPlan
+	planSize    int
+	planKey     []byte
+	scratchPlan cycles.FloatPlan
 }
 
 // NewSolver returns a ready Solver with the default row cap. The zero value

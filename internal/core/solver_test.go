@@ -148,3 +148,30 @@ func TestSolverReuseCutsAllocations(t *testing.T) {
 		t.Fatalf("reused solver allocates %.0f/op vs fresh %.0f/op: less than 10x improvement", reused, fresh)
 	}
 }
+
+// TestFloatPlanCacheMatchesFreshSolver runs the TPN float sweep for many
+// instances on one solver, whose plan cache then serves most of them from
+// plans compiled for other instances of the same replication vector, and
+// requires every enclosure to equal, bit for bit, the one a fresh solver
+// computes by compiling the instance's own plan.
+func TestFloatPlanCacheMatchesFreshSolver(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	vectors := [][]int{{1, 2}, {2, 3, 1}, {3, 2, 3}, {2, 2, 2}, {4, 1, 3}}
+	cached := NewSolver()
+	for trial := 0; trial < 120; trial++ {
+		inst := randomInstanceWithReps(rng, vectors[rng.Intn(len(vectors))], 1, 200)
+		for _, cm := range model.Models() {
+			got, gerr := cached.periodTPNApprox(inst, cm)
+			want, werr := NewSolver().periodTPNApprox(inst, cm)
+			if gerr != nil || werr != nil {
+				t.Fatalf("trial %d %v: errors %v / %v", trial, cm, gerr, werr)
+			}
+			if got != want {
+				t.Fatalf("trial %d %v: cached plan gives %+v, fresh solver %+v", trial, cm, got, want)
+			}
+		}
+	}
+	if n := len(cached.plans); n != 2*len(vectors) {
+		t.Fatalf("plan cache holds %d plans, want one per model and vector (%d)", n, 2*len(vectors))
+	}
+}

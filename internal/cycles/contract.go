@@ -31,17 +31,15 @@ func (s *System) MaxRatio() (Result, error) {
 // iteration orders, so results — ratio and witness cycle — are
 // bit-identical; only the allocation behaviour differs. s is not mutated.
 func (ws *Workspace) MaxRatio(s *System) (Result, error) {
-	for i, c := range s.Cost {
-		if c.Sign() < 0 {
-			return Result{}, fmt.Errorf("cycles: edge %d has negative cost %v", i, c)
-		}
+	if err := negativeCost(s); err != nil {
+		return Result{}, err
 	}
 	if !ws.acyclic(s, true) {
 		return Result{}, ErrDeadlock
 	}
-	if ws.acyclic(s, false) {
-		return Result{}, ErrNoCycle
-	}
+	// No separate whole-graph acyclicity pass: an acyclic graph has only
+	// trivial components, none of which holds a token edge, so the loop
+	// below finds no cycle and reports ErrNoCycle.
 	comp, ncomp := ws.scc(s)
 	best := Result{}
 	found := false
@@ -103,7 +101,7 @@ func (ws *Workspace) maxRatioSCC(s *System, comp []int, c int) (Result, bool, er
 		}
 		ws.has[head] = true
 		ws.dist[head] = rat.Zero()
-		for _, u := range ws.order {
+		for _, u := range ws.order[ws.orderPos[head]:] {
 			if !ws.has[u] {
 				continue
 			}
@@ -245,6 +243,12 @@ func (ws *Workspace) contractScaffold(s *System, comp []int, c int) (n int, ok b
 	}
 	if ws.kahn(n, ws.zeroStart, ws.zeroSucc) != n {
 		return 0, false, ErrDeadlock
+	}
+	// A DP from a token edge's head only reaches vertices after the head in
+	// this order, so both sweeps start their DAG pass at the head's position.
+	ws.orderPos = growInts(ws.orderPos, n)
+	for k, v := range ws.order {
+		ws.orderPos[v] = k
 	}
 
 	// Tails of token edges, for quick "is this vertex a contraction target".

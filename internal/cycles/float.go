@@ -1,7 +1,6 @@
 package cycles
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/rat"
@@ -105,7 +104,27 @@ func (r FloatResult) Contains(x rat.Rat) bool {
 // cannot strictly improve it, so skipping its exact evaluation provably
 // leaves the search result unchanged. A non-finite result returns false: a
 // poisoned screen can never discard a candidate.
+//
+// The comparison is decided in float64 whenever the gap between the two
+// sides clears 2^-40 of their magnitude, far above what rounding can move
+// them: lo = fl(Ratio−Err) is within u|lo| of the true endpoint (exact if
+// it underflows) and x.Float64() of an int64 x within 3u(1+8u)|x| of x
+// (see rat.Rat.Float64), so a wider gap has the sign of the exact one.
+// Only a near tie, or a big x, forms the exact endpoint.
 func (r FloatResult) AtLeast(x rat.Rat) bool {
+	if !r.Finite() {
+		return false
+	}
+	if !x.IsBig() {
+		lo, xf := r.Ratio-r.Err, x.Float64()
+		gap, tol := lo-xf, 0x1p-40*(math.Abs(lo)+math.Abs(xf))
+		if gap > tol {
+			return true
+		}
+		if -gap > tol {
+			return false
+		}
+	}
 	lo, _, ok := r.Enclosure()
 	return ok && !lo.Less(x)
 }
@@ -176,27 +195,231 @@ func (s *System) ApproxMaxRatio() (FloatResult, error) {
 // exact MaxRatio/MaxRatioHoward ratio; structural failures (ErrNoCycle,
 // ErrDeadlock, negative costs) are reported exactly as the exact engines
 // report them, so a screened caller sees errors if and only if an exact
-// caller would.
+// caller would. It compiles s's FloatPlan into workspace scratch and
+// evaluates it; callers that meet the same structure repeatedly keep the
+// plan (CompileFloat) and call ApproxMaxRatioPlan.
 func (ws *Workspace) ApproxMaxRatio(s *System) (FloatResult, error) {
-	for i, c := range s.Cost {
-		if c.Sign() < 0 {
-			return FloatResult{}, fmt.Errorf("cycles: edge %d has negative cost %v", i, c)
+	ws.CompileFloat(s, &ws.fplan)
+	return ws.ApproxMaxRatioPlan(&ws.fplan, s)
+}
+
+// FloatPlan is the value-independent half of the float sweep for one system
+// structure — its edge list with endpoints, order and token counts. It
+// holds the outcome of the liveness check, the SCCs, every component's
+// contraction scaffold, the zero-token reachability of every token edge
+// (which contracted edges exist) and the SCCs of the contracted Karp graph.
+// Evaluating a plan (ApproxMaxRatioPlan) runs only the arithmetic, in the
+// same order as a fresh sweep, so the enclosure is bit-identical to
+// ApproxMaxRatio on the same system. A plan is read-only once compiled and
+// may be shared by workspaces.
+type FloatPlan struct {
+	err   error // structural failure (ErrDeadlock), reported by every evaluation
+	comps []floatComp
+	size  int
+}
+
+// floatComp is one strongly connected component carrying a cycle.
+type floatComp struct {
+	n          int   // local vertices
+	tokenEdges []int // system edge per token edge; its position is the contracted vertex
+	heads      []int // local head vertex per token edge
+	// Zero-token DAG over local vertices: CSR with successors and the system
+	// edge of each item, its topological order and each vertex's position.
+	zeroStart, zeroSucc, zeroEdge []int
+	order, orderPos               []int
+	// Contracted edges in emission order; those leaving token edge pos are
+	// cedges[cstart[pos]:cstart[pos+1]].
+	cstart []int
+	cedges []floatPlanCEdge
+	karp   []floatKarpComp
+}
+
+// floatPlanCEdge is a contracted edge: token edge from, then a longest
+// zero-token path to local vertex v, the tail of token edge to.
+type floatPlanCEdge struct{ from, to, v int }
+
+// floatKarpComp is one SCC of the token-expanded contracted graph, in local
+// ids; ce is the contracted edge whose cost an edge carries (-1 for the
+// zero-cost hops of a multi-token edge).
+type floatKarpComp struct {
+	n     int
+	edges []floatKarpEdge
+}
+
+type floatKarpEdge struct{ from, to, ce int }
+
+// Size is the number of int table entries the plan holds, for callers that
+// bound a cache of plans.
+func (p *FloatPlan) Size() int { return p.size }
+
+// CompileFloat compiles the float sweep's structure for s into p, reusing
+// p's storage. s's costs are not read.
+func (ws *Workspace) CompileFloat(s *System, p *FloatPlan) {
+	p.err = nil
+	p.comps = p.comps[:0]
+	p.size = 0
+	if !ws.acyclic(s, true) {
+		p.err = ErrDeadlock
+		return
+	}
+	// No separate whole-graph acyclicity pass: an acyclic graph has only
+	// trivial components, none of which holds a token edge, so the plan has
+	// no component and evaluation reports ErrNoCycle.
+	comp, ncomp := ws.scc(s)
+	for c := 0; c < ncomp; c++ {
+		n, ok, err := ws.contractScaffold(s, comp, c)
+		if err != nil {
+			p.err = err
+			return
+		}
+		if !ok {
+			continue
+		}
+		if len(p.comps) == cap(p.comps) {
+			p.comps = append(p.comps, floatComp{})
+		} else {
+			p.comps = p.comps[:len(p.comps)+1]
+		}
+		fc := &p.comps[len(p.comps)-1]
+		if !ws.compileComp(s, n, fc) {
+			p.comps = p.comps[:len(p.comps)-1]
+			continue
+		}
+		p.size += 2*len(fc.tokenEdges) + len(fc.cstart) + len(fc.zeroStart) + 2*len(fc.zeroSucc) + 2*n + 3*len(fc.cedges)
+		for _, kc := range fc.karp {
+			p.size += 3 * len(kc.edges)
 		}
 	}
-	if !ws.acyclic(s, true) {
-		return FloatResult{}, ErrDeadlock
+}
+
+// compileComp snapshots the scaffold contractScaffold just built, with the
+// contracted edges and the Karp SCCs it induces. ok is false when no token
+// edge reaches another's tail (no contracted edge, no cycle).
+func (ws *Workspace) compileComp(s *System, n int, fc *floatComp) bool {
+	nt, nz := len(ws.tokenEdges), len(ws.zeroEdges)
+	fc.n = n
+	fc.tokenEdges = append(fc.tokenEdges[:0], ws.tokenEdges...)
+	fc.heads = growInts(fc.heads, nt)
+	for pos, ei := range ws.tokenEdges {
+		fc.heads[pos] = ws.localID[s.G.Edges[ei].To]
 	}
-	if ws.acyclic(s, false) {
-		return FloatResult{}, ErrNoCycle
+	fc.zeroStart = append(fc.zeroStart[:0], ws.zeroStart[:n+1]...)
+	fc.zeroSucc = append(fc.zeroSucc[:0], ws.zeroSucc[:nz]...)
+	fc.zeroEdge = growInts(fc.zeroEdge, nz)
+	for t := 0; t < nz; t++ {
+		fc.zeroEdge[t] = ws.zeroEdges[ws.zeroItems[t]]
 	}
-	comp, ncomp := ws.scc(s)
+	fc.order = append(fc.order[:0], ws.order[:n]...)
+	fc.orderPos = append(fc.orderPos[:0], ws.orderPos[:n]...)
+
+	// Which tails each token edge's zero-token paths reach: the vertices the
+	// value DP will have touched, in the order it emits contracted edges.
+	ws.has = growBools(ws.has, n)
+	fc.cstart = growInts(fc.cstart, nt+1)
+	fc.cedges = fc.cedges[:0]
+	for pos, head := range fc.heads {
+		clear(ws.has[:n])
+		ws.has[head] = true
+		for _, u := range fc.order[fc.orderPos[head]:] {
+			if !ws.has[u] {
+				continue
+			}
+			for t := fc.zeroStart[u]; t < fc.zeroStart[u+1]; t++ {
+				ws.has[fc.zeroSucc[t]] = true
+			}
+		}
+		fc.cstart[pos] = len(fc.cedges)
+		for v := 0; v < n; v++ {
+			if !ws.has[v] {
+				continue
+			}
+			for t := ws.tailStart[v]; t < ws.tailStart[v+1]; t++ {
+				fc.cedges = append(fc.cedges, floatPlanCEdge{from: pos, to: ws.tailItems[t], v: v})
+			}
+		}
+	}
+	fc.cstart[nt] = len(fc.cedges)
+	if len(fc.cedges) == 0 {
+		return false
+	}
+
+	// Token expansion: a contracted edge with k > 1 tokens becomes k unit
+	// edges through fresh vertices, its cost on the first hop.
+	hops := ws.hops[:0]
+	nv := nt
+	for k, ce := range fc.cedges {
+		tokens := s.Tokens[fc.tokenEdges[ce.from]]
+		prev := ce.from
+		for h := 0; h < tokens; h++ {
+			to := ce.to
+			if h < tokens-1 {
+				to = nv
+				nv++
+			}
+			src := -1
+			if h == 0 {
+				src = k
+			}
+			hops = append(hops, floatKarpEdge{prev, to, src})
+			prev = to
+		}
+	}
+	ws.hops = hops
+	m := len(hops)
+	ws.karpStart = growInts(ws.karpStart, nv+1)
+	ws.karpSucc = growInts(ws.karpSucc, m)
+	ws.keyTmp = growInts(ws.keyTmp, m)
+	ws.valTmp = growInts(ws.valTmp, m)
+	for j, e := range hops {
+		ws.keyTmp[j], ws.valTmp[j] = e.from, e.to
+	}
+	ws.fillCSR(ws.karpStart, ws.karpSucc, nv, ws.keyTmp[:m], ws.valTmp[:m])
+	kcomp, nkc := ws.sccKarp.run(nv, ws.karpStart, ws.karpSucc)
+	ws.karpID = growInts(ws.karpID, nv)
+	fc.karp = fc.karp[:0]
+	for c := 0; c < nkc; c++ {
+		local := 0
+		for v := 0; v < nv; v++ {
+			ws.karpID[v] = -1
+			if kcomp[v] == c {
+				ws.karpID[v] = local
+				local++
+			}
+		}
+		if len(fc.karp) == cap(fc.karp) {
+			fc.karp = append(fc.karp, floatKarpComp{})
+		} else {
+			fc.karp = fc.karp[:len(fc.karp)+1]
+		}
+		kc := &fc.karp[len(fc.karp)-1]
+		kc.n = local
+		kc.edges = kc.edges[:0]
+		for _, e := range hops {
+			if kcomp[e.from] == c && kcomp[e.to] == c {
+				kc.edges = append(kc.edges, floatKarpEdge{ws.karpID[e.from], ws.karpID[e.to], e.ce})
+			}
+		}
+		if len(kc.edges) == 0 {
+			fc.karp = fc.karp[:len(fc.karp)-1] // trivial SCC without self loop
+		}
+	}
+	return true
+}
+
+// ApproxMaxRatioPlan evaluates p, compiled from a system with s's structure,
+// on s's costs: the enclosure ApproxMaxRatio(s) returns, bit for bit, and
+// its errors. Only the value arithmetic runs.
+func (ws *Workspace) ApproxMaxRatioPlan(p *FloatPlan, s *System) (FloatResult, error) {
+	if err := negativeCost(s); err != nil {
+		return FloatResult{}, err
+	}
+	if p.err != nil {
+		return FloatResult{}, p.err
+	}
 	var best FloatResult
 	found := false
-	for c := 0; c < ncomp; c++ {
-		r, ok, err := ws.approxRatioSCC(s, comp, c)
-		if err != nil {
-			return FloatResult{}, err
-		}
+	for i := range p.comps {
+		r, ok := ws.approxComp(s, &p.comps[i])
 		if !ok {
 			continue
 		}
@@ -215,41 +438,25 @@ func (ws *Workspace) ApproxMaxRatio(s *System) (FloatResult, error) {
 	return best, nil
 }
 
-// floatCEdge is a contracted edge of the float sweep: a token edge plus a
-// longest zero-token path, with the running error bound of its cost.
-type floatCEdge struct {
-	from, to  int
-	cost, err float64
-	tokens    int64
-}
-
-// floatMeanEdge is a unit-token edge for the float Karp stage.
-type floatMeanEdge struct {
-	from, to  int
-	cost, err float64
-}
-
-// approxRatioSCC is maxRatioSCC in float64: identical structure (shared
-// scaffold), float tables, running error bounds, no witness reconstruction.
-func (ws *Workspace) approxRatioSCC(s *System, comp []int, c int) (FloatResult, bool, error) {
-	n, ok, err := ws.contractScaffold(s, comp, c)
-	if !ok || err != nil {
-		return FloatResult{}, false, err
-	}
-	nt := len(ws.tokenEdges)
+// approxComp is maxRatioSCC in float64 over a compiled component: identical
+// structure and iteration orders, float tables, running error bounds, no
+// witness reconstruction.
+func (ws *Workspace) approxComp(s *System, fc *floatComp) (FloatResult, bool) {
+	n, nt, nz := fc.n, len(fc.tokenEdges), len(fc.zeroEdge)
 
 	// Convert the component's edge costs once; the DAG DP reads each zero
-	// edge up to nt times. Edges belong to exactly one component, so the
-	// per-edge tables never need clearing between components.
-	ws.fcost = growFloats(ws.fcost, len(s.Cost))
-	ws.fcerr = growFloats(ws.fcerr, len(s.Cost))
-	for _, ei := range ws.tokenEdges {
+	// edge up to nt times, from arrays parallel to the CSR items.
+	ws.fcost = growFloats(ws.fcost, nt)
+	ws.fcerr = growFloats(ws.fcerr, nt)
+	for pos, ei := range fc.tokenEdges {
 		f := s.Cost[ei].Float64()
-		ws.fcost[ei], ws.fcerr[ei] = f, convErr(f)
+		ws.fcost[pos], ws.fcerr[pos] = f, convErr(f)
 	}
-	for _, ei := range ws.zeroEdges {
+	ws.fzc = growFloats(ws.fzc, nz)
+	ws.fze = growFloats(ws.fze, nz)
+	for t, ei := range fc.zeroEdge {
 		f := s.Cost[ei].Float64()
-		ws.fcost[ei], ws.fcerr[ei] = f, convErr(f)
+		ws.fzc[t], ws.fze[t] = f, convErr(f)
 	}
 
 	// Longest zero-token path DP per token edge, mirroring the exact sweep.
@@ -258,23 +465,20 @@ func (ws *Workspace) approxRatioSCC(s *System, comp []int, c int) (FloatResult, 
 	ws.fdist = growFloats(ws.fdist, n)
 	ws.fderr = growFloats(ws.fderr, n)
 	ws.has = growBools(ws.has, n)
-	ws.fcedges = ws.fcedges[:0]
-	for pos, ei := range ws.tokenEdges {
-		head := ws.localID[s.G.Edges[ei].To]
-		for i := 0; i < n; i++ {
-			ws.has[i] = false
-		}
+	ws.fce = growFloats(ws.fce, len(fc.cedges))
+	ws.fceErr = growFloats(ws.fceErr, len(fc.cedges))
+	for pos, head := range fc.heads {
+		clear(ws.has[:n])
 		ws.has[head] = true
 		ws.fdist[head], ws.fderr[head] = 0, 0
-		for _, u := range ws.order {
+		for _, u := range fc.order[fc.orderPos[head]:] {
 			if !ws.has[u] {
 				continue
 			}
-			for t := ws.zeroStart[u]; t < ws.zeroStart[u+1]; t++ {
-				zei := ws.zeroEdges[ws.zeroItems[t]]
-				to := ws.localID[s.G.Edges[zei].To]
-				cand := ws.fdist[u] + ws.fcost[zei]
-				cerr := propagate(ws.fderr[u], ws.fcerr[zei], cand)
+			for t := fc.zeroStart[u]; t < fc.zeroStart[u+1]; t++ {
+				to := fc.zeroSucc[t]
+				cand := ws.fdist[u] + ws.fzc[t]
+				cerr := propagate(ws.fderr[u], ws.fze[t], cand)
 				if !ws.has[to] {
 					ws.fdist[to], ws.fderr[to] = cand, cerr
 					ws.has[to] = true
@@ -291,75 +495,26 @@ func (ws *Workspace) approxRatioSCC(s *System, comp []int, c int) (FloatResult, 
 				}
 			}
 		}
-		for v := 0; v < n; v++ {
-			if !ws.has[v] {
-				continue
-			}
-			for t := ws.tailStart[v]; t < ws.tailStart[v+1]; t++ {
-				cost := ws.fcost[ei] + ws.fdist[v]
-				ws.fcedges = append(ws.fcedges, floatCEdge{
-					from:   pos,
-					to:     ws.tailItems[t],
-					cost:   cost,
-					err:    propagate(ws.fcerr[ei], ws.fderr[v], cost),
-					tokens: int64(s.Tokens[ei]),
-				})
-			}
+		for k := fc.cstart[pos]; k < fc.cstart[pos+1]; k++ {
+			v := fc.cedges[k].v
+			cost := ws.fcost[pos] + ws.fdist[v]
+			ws.fce[k], ws.fceErr[k] = cost, propagate(ws.fcerr[pos], ws.fderr[v], cost)
 		}
 	}
-	if len(ws.fcedges) == 0 {
-		return FloatResult{}, false, nil
-	}
-	r, ok := ws.floatKarpMaxMean(ws.expandFloatTokens(nt))
-	return r, ok, nil
-}
 
-// expandFloatTokens is expandTokens for the float sweep: contracted edges
-// with k>1 tokens become k unit edges through fresh vertices, cost (and its
-// bound) on the first hop, exact zeros on the rest.
-func (ws *Workspace) expandFloatTokens(n int) int {
-	ws.fmedges = ws.fmedges[:0]
-	for _, ce := range ws.fcedges {
-		if ce.tokens == 1 {
-			ws.fmedges = append(ws.fmedges, floatMeanEdge{ce.from, ce.to, ce.cost, ce.err})
-			continue
-		}
-		prev := ce.from
-		for k := int64(0); k < ce.tokens; k++ {
-			to := ce.to
-			if k < ce.tokens-1 {
-				to = n
-				n++
-			}
-			cost, errB := 0.0, 0.0
-			if k == 0 {
-				cost, errB = ce.cost, ce.err
-			}
-			ws.fmedges = append(ws.fmedges, floatMeanEdge{prev, to, cost, errB})
-			prev = to
-		}
-	}
-	return n
-}
-
-// floatKarpMaxMean is karpMaxMean in float64: per-SCC Karp with error
-// tracking, merged with MaxFloat.
-func (ws *Workspace) floatKarpMaxMean(n int) (FloatResult, bool) {
-	m := len(ws.fmedges)
-	ws.karpStart = growInts(ws.karpStart, n+1)
-	ws.karpSucc = growInts(ws.karpSucc, m)
-	ws.keyTmp = growInts(ws.keyTmp, m)
-	ws.valTmp = growInts(ws.valTmp, m)
-	for j := range ws.fmedges {
-		ws.keyTmp[j] = ws.fmedges[j].from
-		ws.valTmp[j] = ws.fmedges[j].to
-	}
-	ws.fillCSR(ws.karpStart, ws.karpSucc, n, ws.keyTmp[:m], ws.valTmp[:m])
-	comp, ncomp := ws.sccKarp.run(n, ws.karpStart, ws.karpSucc)
 	var best FloatResult
 	found := false
-	for c := 0; c < ncomp; c++ {
-		r, ok := ws.floatKarpSCC(comp, c, n)
+	for i := range fc.karp {
+		kc := &fc.karp[i]
+		ws.fkEdges = ws.fkEdges[:0]
+		for _, e := range kc.edges {
+			cost, errB := 0.0, 0.0
+			if e.ce >= 0 {
+				cost, errB = ws.fce[e.ce], ws.fceErr[e.ce]
+			}
+			ws.fkEdges = append(ws.fkEdges, floatMeanEdge{e.from, e.to, cost, errB})
+		}
+		r, ok := ws.floatKarp(kc.n)
 		if !ok {
 			continue
 		}
@@ -372,46 +527,31 @@ func (ws *Workspace) floatKarpMaxMean(n int) (FloatResult, bool) {
 	return best, found
 }
 
-// floatKarpSCC runs Karp's recurrence on one SCC of the expanded contracted
-// graph in float64. The reachability structure (kHas) is value-independent,
-// so the candidate set of the λ formula matches the exact sweep's exactly;
-// only the arithmetic differs. Non-finite candidates — the one place Inf-Inf
-// can manufacture a NaN — poison the component.
-func (ws *Workspace) floatKarpSCC(comp []int, c, nverts int) (FloatResult, bool) {
-	ws.karpVerts = ws.karpVerts[:0]
-	ws.karpID = growInts(ws.karpID, nverts)
-	for v := 0; v < nverts; v++ {
-		ws.karpID[v] = -1
-		if comp[v] == c {
-			ws.karpID[v] = len(ws.karpVerts)
-			ws.karpVerts = append(ws.karpVerts, v)
-		}
-	}
-	ws.karpWithin = ws.karpWithin[:0]
-	for i, e := range ws.fmedges {
-		if comp[e.from] == c && comp[e.to] == c {
-			ws.karpWithin = append(ws.karpWithin, i)
-		}
-	}
-	if len(ws.karpWithin) == 0 {
-		return FloatResult{}, false // trivial SCC without self loop
-	}
-	n := len(ws.karpVerts)
+// floatMeanEdge is a unit-token edge for the float Karp stage.
+type floatMeanEdge struct {
+	from, to  int
+	cost, err float64
+}
 
+// floatKarp runs Karp's recurrence in float64 on one SCC of the expanded
+// contracted graph: n local vertices, edges in ws.fkEdges. The reachability
+// structure (kHas) is value-independent, so the candidate set of the λ
+// formula matches the exact sweep's exactly; only the arithmetic differs.
+// Non-finite candidates — the one place Inf-Inf can manufacture a NaN —
+// poison the component.
+func (ws *Workspace) floatKarp(n int) (FloatResult, bool) {
 	size := (n + 1) * n
 	ws.fkD = growFloats(ws.fkD, size)
 	ws.fkErr = growFloats(ws.fkErr, size)
 	ws.kHas = growBools(ws.kHas, size)
-	for i := 0; i < size; i++ {
-		ws.kHas[i] = false
-	}
+	clear(ws.kHas[:size])
 	ws.kHas[0] = true
 	ws.fkD[0], ws.fkErr[0] = 0, 0
 	for k := 1; k <= n; k++ {
 		row, prev := k*n, (k-1)*n
-		for _, mi := range ws.karpWithin {
-			me := &ws.fmedges[mi]
-			u, v := ws.karpID[me.from], ws.karpID[me.to]
+		for i := range ws.fkEdges {
+			me := &ws.fkEdges[i]
+			u, v := me.from, me.to
 			if !ws.kHas[prev+u] {
 				continue
 			}

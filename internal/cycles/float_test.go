@@ -247,3 +247,84 @@ func TestFloatScreenBackendResolvesExact(t *testing.T) {
 		}
 	}
 }
+
+// TestAtLeastMatchesExactEndpoint checks AtLeast's float decision against
+// the exact lower endpoint on random enclosures, many of them near ties
+// with x (Ratio − Err within a few ulps of x) or straddling zero, and that
+// a clear decision does not allocate.
+func TestAtLeastMatchesExactEndpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 50000; i++ {
+		x := rat.New(rng.Int63n(1<<40)-1<<38, rng.Int63n(1<<30)+1)
+		if i%5 == 0 {
+			x = rat.New(rng.Int63()-1<<62, rng.Int63()+1) // beyond 2^53: Float64 rounds three times
+		}
+		xf := x.Float64()
+		err := math.Abs(xf) * math.Ldexp(rng.Float64(), -rng.Intn(60))
+		ratio := xf + err
+		switch i % 4 {
+		case 0: // near tie: nudge the lower endpoint by a few ulps
+			ratio = math.Nextafter(ratio, math.Inf(rng.Intn(2)*2-1))
+		case 1:
+			ratio = xf + err*(rng.Float64()*4-2)
+		case 2:
+			ratio = rng.NormFloat64() * math.Abs(xf)
+		}
+		r := FloatResult{Ratio: ratio, Err: err}
+		lo, _, ok := r.Enclosure()
+		if want := ok && !lo.Less(x); r.AtLeast(x) != want {
+			t.Fatalf("FloatResult{%v, %v}.AtLeast(%v) = %v, exact endpoint says %v", ratio, err, x, !want, want)
+		}
+	}
+	r, x := FloatResult{Ratio: 7.9, Err: 1e-14}, rat.New(47, 6)
+	if n := testing.AllocsPerRun(100, func() { _ = r.AtLeast(x) }); n != 0 {
+		t.Errorf("AtLeast with a clear gap: %v allocs/op, want 0", n)
+	}
+}
+
+// TestFloatPlanReuse evaluates a plan compiled from one system on a
+// sibling with the same edges and tokens but other costs, with the
+// workspace's scratch clobbered in between: the enclosure must be the one a
+// fresh sweep of the sibling returns, bit for bit, and structural errors
+// must carry over.
+func TestFloatPlanReuse(t *testing.T) {
+	var ws Workspace
+	var plan FloatPlan
+	for seed := int64(0); seed < 500; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := randomLiveSystem(rng, 2+rng.Intn(10))
+		ws.CompileFloat(s, &plan)
+		sib := NewSystem(s.G.N)
+		for i, e := range s.G.Edges {
+			sib.AddEdge(e.From, e.To, rat.New(int64(rng.Intn(50)), int64(1+rng.Intn(7))), s.Tokens[i])
+		}
+		if _, err := ws.ApproxMaxRatio(randomLiveSystem(rng, 3+rng.Intn(10))); err != nil {
+			t.Fatal(err)
+		}
+		got, gerr := ws.ApproxMaxRatioPlan(&plan, sib)
+		var fresh Workspace
+		want, werr := fresh.ApproxMaxRatio(sib)
+		if (gerr == nil) != (werr == nil) || math.Float64bits(got.Ratio) != math.Float64bits(want.Ratio) ||
+			math.Float64bits(got.Err) != math.Float64bits(want.Err) {
+			t.Fatalf("seed %d: plan gives %v (%v), fresh sweep %v (%v)", seed, got, gerr, want, werr)
+		}
+		if plan.Size() <= 0 {
+			t.Fatalf("seed %d: compiled plan reports size %d", seed, plan.Size())
+		}
+	}
+
+	deadlock := NewSystem(2)
+	deadlock.AddEdge(0, 1, rat.One(), 0)
+	deadlock.AddEdge(1, 0, rat.One(), 0)
+	ws.CompileFloat(deadlock, &plan)
+	if _, err := ws.ApproxMaxRatioPlan(&plan, deadlock); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("deadlocked plan: err = %v, want ErrDeadlock", err)
+	}
+	negative := NewSystem(2)
+	negative.AddEdge(0, 1, rat.FromInt(-1), 0)
+	negative.AddEdge(1, 0, rat.One(), 1)
+	ws.CompileFloat(negative, &plan)
+	if _, err := ws.ApproxMaxRatioPlan(&plan, negative); err == nil {
+		t.Fatal("negative cost accepted by a plan evaluation")
+	}
+}

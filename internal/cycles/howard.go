@@ -56,10 +56,8 @@ type howardScratch struct {
 // achieves the ratio but may traverse a different critical cycle when
 // several exist. s is not mutated.
 func (ws *Workspace) MaxRatioHoward(s *System) (Result, error) {
-	for i, c := range s.Cost {
-		if c.Sign() < 0 {
-			return Result{}, fmt.Errorf("cycles: edge %d has negative cost %v", i, c)
-		}
+	if err := negativeCost(s); err != nil {
+		return Result{}, err
 	}
 	if !ws.acyclic(s, true) {
 		return Result{}, ErrDeadlock

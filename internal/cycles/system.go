@@ -89,13 +89,22 @@ var ErrNoCycle = errors.New("cycles: graph has no directed cycle")
 // cycle.
 var ErrDeadlock = errors.New("cycles: zero-token cycle (event graph deadlock)")
 
-// Validate checks structural sanity: costs must be non-negative and no
-// zero-token cycle may exist.
-func (s *System) Validate() error {
+// negativeCost reports the first negative edge cost, the one value check
+// every engine makes before any structural one.
+func negativeCost(s *System) error {
 	for i, c := range s.Cost {
 		if c.Sign() < 0 {
 			return fmt.Errorf("cycles: edge %d has negative cost %v", i, c)
 		}
+	}
+	return nil
+}
+
+// Validate checks structural sanity: costs must be non-negative and no
+// zero-token cycle may exist.
+func (s *System) Validate() error {
+	if err := negativeCost(s); err != nil {
+		return err
 	}
 	zero := s.G.Subgraph(func(e graph.Edge) bool { return s.Tokens[e.ID] == 0 })
 	if !zero.IsAcyclic() {

@@ -58,6 +58,7 @@ type Workspace struct {
 	// token-edge tails per local vertex (positions into tokenEdges).
 	zeroStart, zeroItems, zeroSucc []int
 	tailStart, tailItems           []int
+	orderPos                       []int // local vertex -> position in the DAG order
 
 	// Longest-path DP over the zero-token DAG, reset per token edge.
 	dist []rat.Rat
@@ -90,17 +91,20 @@ type Workspace struct {
 	// howardScratch).
 	howard howardScratch
 
-	// Float-screening scratch (see float.go): per-edge float costs with
+	// Float-screening scratch (see float.go): float costs with
 	// conversion-error bounds, the float DAG/Karp value+error tables, and
-	// the float contracted/mean edge lists. The structural scratch (SCC,
-	// CSR, orders, has/kHas) is shared with the exact sweep — the two never
+	// the Karp edge list. Plans are compiled on the structural scratch
+	// (SCC, CSR, orders, has) shared with the exact sweep — the two never
 	// run interleaved within one call, and sharing it keeps their iteration
 	// structures identical by construction.
-	fcost, fcerr []float64
+	fplan        FloatPlan       // ApproxMaxRatio's per-call plan
+	hops         []floatKarpEdge // token-expanded contracted edges (compilation)
+	fcost, fcerr []float64       // token-edge costs and bounds, by position
+	fzc, fze     []float64       // zero-edge costs and bounds, parallel to the CSR items
 	fdist, fderr []float64
+	fce, fceErr  []float64 // contracted-edge costs and bounds
 	fkD, fkErr   []float64
-	fcedges      []floatCEdge
-	fmedges      []floatMeanEdge
+	fkEdges      []floatMeanEdge // one Karp component's edges in local ids
 }
 
 // growInts returns s with length n, reusing capacity when possible. New

@@ -49,6 +49,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cycles"
 	"repro/internal/model"
+	"repro/internal/rat"
 )
 
 // Options configures an Engine.
@@ -451,14 +452,24 @@ const (
 // in one pass, so the cache never has to re-hash a multi-KB key at lookup
 // time.
 type keyHasher struct {
-	b strings.Builder
-	h uint64
+	b   strings.Builder
+	h   uint64
+	tmp [48]byte // scratch for formatting one rational
 }
 
 func (k *keyHasher) writeString(s string) {
 	k.b.WriteString(s)
 	for i := 0; i < len(s); i++ {
 		k.h = (k.h ^ uint64(s[i])) * fnvPrime64
+	}
+}
+
+// writeRat appends r in its String form without allocating a string.
+func (k *keyHasher) writeRat(r rat.Rat) {
+	s := r.AppendTo(k.tmp[:0])
+	k.b.Write(s)
+	for _, c := range s {
+		k.h = (k.h ^ uint64(c)) * fnvPrime64
 	}
 }
 
@@ -491,7 +502,7 @@ func writeInstanceKey(k *keyHasher, inst *model.Instance) {
 	for i := 0; i < n; i++ {
 		k.writeByte('|')
 		for a := 0; a < inst.Replication(i); a++ {
-			k.writeString(inst.CompTime(i, a).String())
+			k.writeRat(inst.CompTime(i, a))
 			k.writeByte(',')
 		}
 	}
@@ -499,7 +510,7 @@ func writeInstanceKey(k *keyHasher, inst *model.Instance) {
 		k.writeByte('/')
 		for a := 0; a < inst.Replication(i); a++ {
 			for bb := 0; bb < inst.Replication(i+1); bb++ {
-				k.writeString(inst.CommTime(i, a, bb).String())
+				k.writeRat(inst.CommTime(i, a, bb))
 				k.writeByte(',')
 			}
 		}

@@ -66,7 +66,7 @@ func (m *Mapping) Validate(numProcs int) error {
 	if len(m.Replicas) == 0 {
 		return fmt.Errorf("mapping: no stages")
 	}
-	used := make(map[int]int) // proc -> stage
+	used := make([]int, max(numProcs, 0)) // proc -> stage+1, 0 when unused
 	for i, procs := range m.Replicas {
 		if len(procs) == 0 {
 			return fmt.Errorf("mapping: stage %d has no processors", i)
@@ -75,13 +75,12 @@ func (m *Mapping) Validate(numProcs int) error {
 			if u < 0 || u >= numProcs {
 				return fmt.Errorf("mapping: stage %d uses invalid processor %d (platform has %d)", i, u, numProcs)
 			}
-			if prev, ok := used[u]; ok {
-				if prev == i {
-					return fmt.Errorf("mapping: processor %d listed twice for stage %d", u, i)
-				}
+			if prev := used[u] - 1; prev == i {
+				return fmt.Errorf("mapping: processor %d listed twice for stage %d", u, i)
+			} else if prev >= 0 {
 				return fmt.Errorf("mapping: processor %d assigned to both stage %d and stage %d", u, prev, i)
 			}
-			used[u] = i
+			used[u] = i + 1
 		}
 	}
 	return nil

@@ -62,62 +62,88 @@ func (r Resource) Cexec(m CommModel) rat.Rat {
 // Over a macro-period of m = lcm(m_i) data sets, replica a of stage i
 // handles the data sets j ≡ a (mod m_i); its ports see the corresponding
 // round-robin senders/receivers. Dividing the macro-period busy time by m
-// yields the per-data-set occupation.
+// yields the per-data-set occupation. The sender of data set j is replica
+// j mod m_{i-1}, so the input port's sequence of senders repeats every
+// L = lcm(m_i, m_{i-1}) data sets, and the macro-period holds m/L such
+// periods: the occupation is the sum over one period divided by L (the
+// output port likewise with m_{i+1}). The cost per port is L/m_i terms,
+// not m/m_i.
 func (in *Instance) Resources() []Resource {
-	m := in.PathCount()
-	var out []Resource
+	total := 0
+	for _, mi := range in.m {
+		total += mi
+	}
+	out := make([]Resource, 0, total)
 	for i := 0; i < in.n; i++ {
-		mi := int64(in.m[i])
 		for a := 0; a < in.m[i]; a++ {
-			r := Resource{
-				Stage:   i,
-				Replica: a,
-				Proc:    in.proc[i][a],
-				Name:    in.name[i][a],
-			}
-			// Compute: (m/m_i) executions of comp[i][a] per macro-period.
-			r.Ccomp = in.comp[i][a].MulInt(m / mi).DivInt(m)
-			// Input port: for each handled data set, the sender is the
-			// round-robin replica of stage i-1.
-			if i > 0 {
-				sum := rat.Zero()
-				for j := int64(a); j < m; j += mi {
-					s := int(j % int64(in.m[i-1]))
-					sum = sum.Add(in.comm[i-1][s][a])
-				}
-				r.Cin = sum.DivInt(m)
-			}
-			// Output port: receivers are round-robin replicas of stage i+1.
-			if i < in.n-1 {
-				sum := rat.Zero()
-				for j := int64(a); j < m; j += mi {
-					d := int(j % int64(in.m[i+1]))
-					sum = sum.Add(in.comm[i][a][d])
-				}
-				r.Cout = sum.DivInt(m)
-			}
-			r.CexecOverlap = rat.Max(r.Cin, rat.Max(r.Ccomp, r.Cout))
-			r.CexecStrict = r.Cin.Add(r.Ccomp).Add(r.Cout)
+			r := in.resource(i, a)
+			r.Name = in.ProcName(i, a)
 			out = append(out, r)
 		}
 	}
 	return out
 }
 
+// resource computes the decomposition of replica a of stage i, without
+// its display name (Mct needs only the times).
+func (in *Instance) resource(i, a int) Resource {
+	mi := int64(in.m[i])
+	r := Resource{
+		Stage:   i,
+		Replica: a,
+		Proc:    in.proc[i][a],
+	}
+	// Compute: the replica runs one data set in m_i.
+	r.Ccomp = in.comp[i][a].DivInt(mi)
+	// Input port: for each handled data set, the sender is the round-robin
+	// replica of stage i-1.
+	if i > 0 {
+		mp := int64(in.m[i-1])
+		l := rat.LCMInt(mi, mp)
+		sum := rat.Zero()
+		for j := int64(a); j < l; j += mi {
+			sum = sum.Add(in.comm[i-1][j%mp][a])
+		}
+		r.Cin = sum.DivInt(l)
+	}
+	// Output port: receivers are round-robin replicas of stage i+1.
+	if i < in.n-1 {
+		mn := int64(in.m[i+1])
+		l := rat.LCMInt(mi, mn)
+		sum := rat.Zero()
+		for j := int64(a); j < l; j += mi {
+			sum = sum.Add(in.comm[i][a][j%mn])
+		}
+		r.Cout = sum.DivInt(l)
+	}
+	r.CexecOverlap = rat.Max(r.Cin, rat.Max(r.Ccomp, r.Cout))
+	r.CexecStrict = r.Cin.Add(r.Ccomp).Add(r.Cout)
+	return r
+}
+
 // Mct returns the maximum cycle-time over all resources under the given
 // model. It is a lower bound for the period (Section 2) and equals the
-// period when no stage is replicated.
+// period when no stage is replicated. It is computed on each call, in one
+// pass over the replicas that allocates nothing: an exact evaluation asks
+// for it once, and the float screen, which rules out most leaves of the
+// exact search, never does.
 func (in *Instance) Mct(m CommModel) rat.Rat {
-	if m == Overlap {
-		return in.mct[0]
+	mct := rat.Zero()
+	for i := 0; i < in.n; i++ {
+		for a := 0; a < in.m[i]; a++ {
+			mct = rat.Max(mct, in.resource(i, a).Cexec(m))
+		}
 	}
-	return in.mct[1]
+	return mct
 }
 
 // CriticalResources returns the resources whose cycle-time attains Mct.
 func (in *Instance) CriticalResources(m CommModel) []Resource {
 	res := in.Resources()
-	mct := in.Mct(m)
+	mct := rat.Zero()
+	for _, r := range res {
+		mct = rat.Max(mct, r.Cexec(m))
+	}
 	var out []Resource
 	for _, r := range res {
 		if r.Cexec(m).Equal(mct) {

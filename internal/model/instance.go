@@ -11,6 +11,7 @@ package model
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/mapping"
 	"repro/internal/pipeline"
@@ -66,13 +67,8 @@ type Instance struct {
 	comp [][]rat.Rat   // comp[i][a]: compute time of replica a of stage i
 	comm [][][]rat.Rat // comm[i][a][b]: transfer time of F_i from replica a of S_i to replica b of S_(i+1)
 	proc [][]int       // global processor id per (stage, replica); synthetic ids if built from raw times
-	name [][]string    // display name per (stage, replica)
 
-	// Derived quantities, precomputed at construction: instances are
-	// immutable, and the period-computation hot path asks for these on
-	// every evaluation.
-	pc  int64      // m = lcm(m_i)
-	mct [2]rat.Rat // maximum cycle-time, indexed Overlap/Strict
+	pc int64 // m = lcm(m_i), precomputed at construction: instances are immutable
 }
 
 // finish precomputes the derived quantities; both constructors call it
@@ -86,10 +82,6 @@ func (in *Instance) finish() error {
 		return fmt.Errorf("model: path count lcm(m_0..m_%d) overflows int64", in.n-1)
 	}
 	in.pc = pc
-	for _, r := range in.Resources() {
-		in.mct[0] = rat.Max(in.mct[0], r.CexecOverlap)
-		in.mct[1] = rat.Max(in.mct[1], r.CexecStrict)
-	}
 	return nil
 }
 
@@ -109,31 +101,46 @@ func FromMapped(pipe *pipeline.Pipeline, plat *platform.Platform, mapp *mapping.
 		return nil, fmt.Errorf("model: mapping has %d stages, pipeline has %d", mapp.NumStages(), pipe.NumStages())
 	}
 	n := pipe.NumStages()
+	// The instance's slices are carved out of one backing array per element
+	// type: the exact search builds an instance per leaf, and the replica
+	// count would otherwise set its allocation count.
+	reps, links, senders := 0, 0, 0
+	for i, procs := range mapp.Replicas {
+		reps += len(procs)
+		if i < n-1 {
+			senders += len(procs)
+			links += len(procs) * len(mapp.Replicas[i+1])
+		}
+	}
+	times := make([]rat.Rat, reps+links)
+	ints := make([]int, n+reps)
+	rows := make([][]rat.Rat, n+senders)
 	inst := &Instance{
 		n:    n,
-		m:    make([]int, n),
-		comp: make([][]rat.Rat, n),
+		m:    ints[:n:n],
+		comp: rows[:n:n],
 		comm: make([][][]rat.Rat, n-1),
 		proc: make([][]int, n),
-		name: make([][]string, n),
 	}
+	procBuf, rows := ints[n:], rows[n:]
 	for i := 0; i < n; i++ {
 		procs := mapp.Replicas[i]
-		inst.m[i] = len(procs)
-		inst.comp[i] = make([]rat.Rat, len(procs))
-		inst.proc[i] = append([]int(nil), procs...)
-		inst.name[i] = make([]string, len(procs))
+		k := len(procs)
+		inst.m[i] = k
+		inst.comp[i], times = times[:k:k], times[k:]
+		inst.proc[i], procBuf = procBuf[:k:k], procBuf[k:]
+		copy(inst.proc[i], procs)
 		for a, u := range procs {
 			inst.comp[i][a] = plat.ComputeTime(pipe.Stages[i].Work, u)
-			inst.name[i][a] = fmt.Sprintf("P%d", u)
 		}
 	}
 	for i := 0; i < n-1; i++ {
 		senders := mapp.Replicas[i]
 		receivers := mapp.Replicas[i+1]
-		inst.comm[i] = make([][]rat.Rat, len(senders))
+		inst.comm[i], rows = rows[:len(senders):len(senders)], rows[len(senders):]
 		for a, u := range senders {
-			inst.comm[i][a] = make([]rat.Rat, len(receivers))
+			k := len(receivers)
+			inst.comm[i][a], times = times[:k:k], times[k:]
 			for b, v := range receivers {
 				if !plat.HasLink(u, v) {
 					return nil, fmt.Errorf("model: mapping requires missing link P%d -> P%d for file F%d", u, v, i)
@@ -166,7 +173,6 @@ func FromTimes(comp [][]rat.Rat, comm [][][]rat.Rat) (*Instance, error) {
 		comp: make([][]rat.Rat, n),
 		comm: make([][][]rat.Rat, n-1),
 		proc: make([][]int, n),
-		name: make([][]string, n),
 	}
 	next := 0
 	for i := 0; i < n; i++ {
@@ -176,13 +182,11 @@ func FromTimes(comp [][]rat.Rat, comm [][][]rat.Rat) (*Instance, error) {
 		inst.m[i] = len(comp[i])
 		inst.comp[i] = append([]rat.Rat(nil), comp[i]...)
 		inst.proc[i] = make([]int, len(comp[i]))
-		inst.name[i] = make([]string, len(comp[i]))
 		for a := range comp[i] {
 			if comp[i][a].Sign() < 0 {
 				return nil, fmt.Errorf("model: negative compute time at stage %d replica %d", i, a)
 			}
 			inst.proc[i][a] = next
-			inst.name[i][a] = fmt.Sprintf("P%d", next)
 			next++
 		}
 	}
@@ -237,8 +241,8 @@ func (in *Instance) CommTime(i, a, b int) rat.Rat { return in.comm[i][a][b] }
 // ProcID returns the global processor id of replica a of stage i.
 func (in *Instance) ProcID(i, a int) int { return in.proc[i][a] }
 
-// ProcName returns the display name of replica a of stage i.
-func (in *Instance) ProcName(i, a int) string { return in.name[i][a] }
+// ProcName returns the display name "P<id>" of replica a of stage i.
+func (in *Instance) ProcName(i, a int) string { return "P" + strconv.Itoa(in.proc[i][a]) }
 
 // MaxReplication returns max_i m_i (the duplication factor of §5).
 func (in *Instance) MaxReplication() int {

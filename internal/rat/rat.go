@@ -5,17 +5,30 @@
 // strictly exceeds the maximum resource cycle-time Mct, and floating point
 // noise would corrupt that strict comparison.
 //
-// Values use an int64 numerator/denominator fast path (input quantities are
-// small integers, so this covers almost all arithmetic) and promote
-// transparently to math/big.Rat when an operation would overflow — long
+// Values are kept in lowest terms with an int64 numerator and denominator
+// whenever both fit (input quantities are small integers, so this covers
+// almost all arithmetic), and in a math/big.Rat otherwise — long
 // Karp/Bellman accumulations over mapped platforms can produce denominators
 // exceeding int64.
+//
+// When a value promotes: an operation returns the big representation
+// exactly when its reduced result has a numerator outside int64 or a
+// denominator above math.MaxInt64. Intermediate products and sums are
+// formed in 128 bits (math/bits), so an overflowing cross product alone
+// never promotes, and an int64 operation whose result fits never divides
+// to detect overflow and never touches math/big. A big result that fits
+// int64 again is demoted. The representation is therefore a function of
+// the value alone: String, Equal and IsBig agree on every path that
+// computes it.
 package rat
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
+	"strconv"
 )
 
 // Rat is an exact rational number. The zero value is 0, ready to use.
@@ -40,11 +53,27 @@ func FromInt(n int64) Rat { return Rat{n, 1, nil} }
 // float-screening layer uses it to compare float enclosure endpoints against
 // exact incumbents in exact arithmetic.
 func FromFloat(f float64) (Rat, bool) {
-	br := new(big.Rat).SetFloat64(f)
-	if br == nil {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return Rat{}, false
 	}
-	return fromBig(br), true
+	if f == 0 {
+		return Rat{0, 1, nil}, true
+	}
+	// f = frac·2^exp with 1/2 <= |frac| < 1, so mant = frac·2^53 is an exact
+	// integer and f = mant·2^exp once exp is rebased; stripping mant's
+	// trailing zeros leaves it odd, i.e. coprime to any power of two.
+	frac, exp := math.Frexp(f)
+	mant := int64(frac * (1 << 53))
+	tz := bits.TrailingZeros64(uint64(mant))
+	mant >>= tz
+	exp += tz - 53
+	switch {
+	case exp < 0 && exp > -63:
+		return Rat{mant, 1 << -exp, nil}, true
+	case exp >= 0 && bits.Len64(uabs(mant))+exp < 64:
+		return Rat{mant << exp, 1, nil}, true
+	}
+	return fromBig(new(big.Rat).SetFloat64(f)), true
 }
 
 // Parse converts the String form back into a Rat: "n" or "n/d" with an
@@ -69,18 +98,49 @@ func New(n, d int64) Rat {
 	if d == 0 {
 		panic("rat: zero denominator")
 	}
-	if n == math.MinInt64 || d == math.MinInt64 {
-		return fromBig(new(big.Rat).SetFrac64(n, d))
+	un, ud := uabs(n), uabs(d)
+	if g := gcd(un, ud); g > 1 {
+		un, ud = un/g, ud/g
 	}
-	if d < 0 {
-		n, d = -n, -d
+	return fromParts((n < 0) != (d < 0), un, ud)
+}
+
+// fromParts returns ±n/d for n/d already in lowest terms (d > 0), in the
+// int64 representation when it fits.
+func fromParts(neg bool, n, d uint64) Rat {
+	if n == 0 {
+		return Rat{0, 1, nil}
 	}
-	g := gcd64(abs64(n), d)
-	if g > 1 {
-		n /= g
-		d /= g
+	if d <= math.MaxInt64 {
+		if !neg && n <= math.MaxInt64 {
+			return Rat{int64(n), int64(d), nil}
+		}
+		if neg && n <= 1<<63 {
+			return Rat{-int64(n), int64(d), nil} // n == 1<<63 wraps to MinInt64
+		}
 	}
-	return Rat{n, d, nil}
+	x := new(big.Rat).SetFrac(new(big.Int).SetUint64(n), new(big.Int).SetUint64(d))
+	if neg {
+		x.Neg(x)
+	}
+	return Rat{b: x}
+}
+
+// fromParts128 is fromParts for 128-bit magnitudes nh:nl and dh:dl.
+func fromParts128(neg bool, nh, nl, dh, dl uint64) Rat {
+	if nh == 0 && dh == 0 {
+		return fromParts(neg, nl, dl)
+	}
+	x := new(big.Rat).SetFrac(bigU128(nh, nl), bigU128(dh, dl))
+	if neg {
+		x.Neg(x)
+	}
+	return Rat{b: x}
+}
+
+func bigU128(hi, lo uint64) *big.Int {
+	x := new(big.Int).SetUint64(hi)
+	return x.Lsh(x, 64).Or(x, new(big.Int).SetUint64(lo))
 }
 
 // fromBig wraps a big.Rat, demoting to the int64 representation when it
@@ -92,10 +152,11 @@ func fromBig(x *big.Rat) Rat {
 	return Rat{b: x}
 }
 
-// asBig returns the value as a big.Rat (freshly usable, never aliased into r).
-func (r Rat) asBig() *big.Rat {
+// view returns the value as a big.Rat for reading only: r's own big value
+// when it has one (which must never be mutated), else a fresh conversion.
+func (r Rat) view() *big.Rat {
 	if r.b != nil {
-		return new(big.Rat).Set(r.b)
+		return r.b
 	}
 	return new(big.Rat).SetFrac64(r.n, r.den())
 }
@@ -135,21 +196,45 @@ func (r Rat) Den() int64 {
 }
 
 // Add returns r + s.
+//
+// The int64 path is Knuth's (TAOCP 4.5.1): with g = gcd(d1, d2), coprime
+// denominators (g = 1) give a sum already in lowest terms, and otherwise
+// t = n1·(d2/g) + n2·(d1/g) only shares the factor gcd(t, g) with the
+// denominator. t and the products are formed in 128 bits, so the sum
+// promotes to big only when its reduced value does not fit int64.
 func (r Rat) Add(s Rat) Rat {
-	if r.b == nil && s.b == nil {
-		rd, sd := r.den(), s.den()
-		g := gcd64(rd, sd)
-		if m1, ok := mul64(r.n, sd/g); ok {
-			if m2, ok := mul64(s.n, rd/g); ok {
-				if n, ok := add64(m1, m2); ok {
-					if d, ok := mul64(rd/g, sd); ok {
-						return New(n, d)
-					}
-				}
-			}
+	if r.b != nil || s.b != nil {
+		return fromBig(new(big.Rat).Add(r.view(), s.view()))
+	}
+	d1, d2 := uint64(r.den()), uint64(s.den())
+	if d1 == 1 && d2 == 1 {
+		if v, ok := add64(r.n, s.n); ok {
+			return Rat{v, 1, nil}
 		}
 	}
-	return fromBig(new(big.Rat).Add(r.asBig(), s.asBig()))
+	g := gcd(d1, d2)
+	e1, e2 := d1/g, d2/g
+	p1n, p1h, p1l := smul(r.n, e2)
+	p2n, p2h, p2l := smul(s.n, e1)
+	neg, th, tl := sadd(p1n, p1h, p1l, p2n, p2h, p2l)
+	if g == 1 {
+		dh, dl := bits.Mul64(d1, d2)
+		return fromParts128(neg, th, tl, dh, dl)
+	}
+	var rem uint64
+	if th == 0 {
+		rem = tl % g
+	} else {
+		rem = bits.Rem64(th, tl, g)
+	}
+	g2 := gcd(rem, g)
+	if g2 > 1 {
+		qh := th / g2
+		tl, _ = bits.Div64(th%g2, tl, g2)
+		th = qh
+	}
+	dh, dl := bits.Mul64(e1, d2/g2)
+	return fromParts128(neg, th, tl, dh, dl)
 }
 
 // Sub returns r - s.
@@ -157,29 +242,29 @@ func (r Rat) Sub(s Rat) Rat { return r.Add(s.Neg()) }
 
 // Neg returns -r.
 func (r Rat) Neg() Rat {
-	if r.b == nil {
-		if r.n == math.MinInt64 {
-			return fromBig(new(big.Rat).Neg(r.asBig()))
-		}
+	if r.b == nil && r.n != math.MinInt64 {
 		return Rat{-r.n, r.den(), nil}
 	}
-	return fromBig(new(big.Rat).Neg(r.asBig()))
+	return fromBig(new(big.Rat).Neg(r.view()))
 }
 
-// Mul returns r * s.
+// Mul returns r * s. Operands are cross-reduced first, so the 128-bit
+// products are already in lowest terms.
 func (r Rat) Mul(s Rat) Rat {
-	if r.b == nil && s.b == nil {
-		// Cross-reduce before multiplying to keep intermediates small.
-		rd, sd := r.den(), s.den()
-		g1 := gcd64(abs64(r.n), sd)
-		g2 := gcd64(abs64(s.n), rd)
-		if n, ok := mul64(r.n/g1, s.n/g2); ok {
-			if d, ok := mul64(rd/g2, sd/g1); ok {
-				return Rat{n, d, nil}
-			}
-		}
+	if r.b != nil || s.b != nil {
+		return fromBig(new(big.Rat).Mul(r.view(), s.view()))
 	}
-	return fromBig(new(big.Rat).Mul(r.asBig(), s.asBig()))
+	n1, d1 := uabs(r.n), uint64(r.den())
+	n2, d2 := uabs(s.n), uint64(s.den())
+	if g := gcd(n1, d2); g > 1 {
+		n1, d2 = n1/g, d2/g
+	}
+	if g := gcd(n2, d1); g > 1 {
+		n2, d1 = n2/g, d1/g
+	}
+	nh, nl := bits.Mul64(n1, n2)
+	dh, dl := bits.Mul64(d1, d2)
+	return fromParts128((r.n < 0) != (s.n < 0), nh, nl, dh, dl)
 }
 
 // Div returns r / s. It panics if s is zero.
@@ -187,11 +272,13 @@ func (r Rat) Div(s Rat) Rat {
 	if s.IsZero() {
 		panic("rat: division by zero")
 	}
-	if s.b == nil {
-		inv := New(s.den(), s.n)
-		return r.Mul(inv)
+	if s.b == nil && s.n != math.MinInt64 {
+		if s.n < 0 {
+			return r.Mul(Rat{-s.den(), -s.n, nil})
+		}
+		return r.Mul(Rat{s.den(), s.n, nil})
 	}
-	return fromBig(new(big.Rat).Quo(r.asBig(), s.asBig()))
+	return fromBig(new(big.Rat).Quo(r.view(), s.view()))
 }
 
 // MulInt returns r * k.
@@ -200,23 +287,49 @@ func (r Rat) MulInt(k int64) Rat { return r.Mul(FromInt(k)) }
 // DivInt returns r / k. It panics if k == 0.
 func (r Rat) DivInt(k int64) Rat { return r.Div(FromInt(k)) }
 
-// Cmp compares r and s and returns -1, 0, or +1.
+// Cmp compares r and s and returns -1, 0, or +1. Two int64 values compare
+// by 128-bit cross products, exactly and without allocating.
 func (r Rat) Cmp(s Rat) int {
-	if r.b == nil && s.b == nil {
-		if lhs, ok := mul64(r.n, s.den()); ok {
-			if rhs, ok := mul64(s.n, r.den()); ok {
-				switch {
-				case lhs < rhs:
-					return -1
-				case lhs > rhs:
-					return 1
-				default:
-					return 0
-				}
-			}
-		}
+	if r.b != nil || s.b != nil {
+		return r.view().Cmp(s.view())
 	}
-	return r.asBig().Cmp(s.asBig())
+	rs, ss := cmp.Compare(r.n, 0), cmp.Compare(s.n, 0)
+	if rs != ss || rs == 0 {
+		return cmp.Compare(rs, ss)
+	}
+	h1, l1 := bits.Mul64(uabs(r.n), uint64(s.den()))
+	h2, l2 := bits.Mul64(uabs(s.n), uint64(r.den()))
+	return rs * cmp128(h1, l1, h2, l2)
+}
+
+// CmpFrac compares r with the fraction num/(den1·den2) and returns -1, 0,
+// or +1. den1 and den2 must be positive; the fraction need not be in
+// lowest terms and den1·den2 may exceed int64. When r is int64 the
+// comparison is exact in 192-bit integer arithmetic and never allocates,
+// which lets a caller test a bound of that shape without forming a Rat.
+func (r Rat) CmpFrac(num, den1, den2 int64) int {
+	if den1 <= 0 || den2 <= 0 {
+		panic("rat: CmpFrac with non-positive denominator")
+	}
+	if r.b != nil {
+		d := new(big.Int).Mul(big.NewInt(den1), big.NewInt(den2))
+		return r.b.Cmp(new(big.Rat).SetFrac(big.NewInt(num), d))
+	}
+	rs, fs := cmp.Compare(r.n, 0), cmp.Compare(num, 0)
+	if rs != fs || rs == 0 {
+		return cmp.Compare(rs, fs)
+	}
+	// |r.n|·den1·den2 as x2:x1:x0 against |num|·r.d as y1:y0.
+	h, l := bits.Mul64(uabs(r.n), uint64(den1))
+	c, x0 := bits.Mul64(l, uint64(den2))
+	x2, t := bits.Mul64(h, uint64(den2))
+	x1, carry := bits.Add64(t, c, 0)
+	x2 += carry
+	if x2 != 0 {
+		return rs
+	}
+	y1, y0 := bits.Mul64(uabs(num), uint64(r.den()))
+	return rs * cmp128(x1, x0, y1, y0)
 }
 
 // Less reports whether r < s.
@@ -309,7 +422,14 @@ func (r Rat) Floor() int64 {
 	return q.Int64()
 }
 
-// Float64 returns the nearest float64 to r.
+// Float64 returns a float64 approximation of r. It is the nearest float64
+// when r is big (math/big rounds once) or when |n| and d are both at most
+// 2^53 (both convert exactly and the quotient rounds once). Beyond that the
+// int64 path rounds three times — n, d and the quotient — so the result is
+// within a relative 3u + O(u²) of r, u = 2^-53 the unit roundoff, but not
+// necessarily the nearest float64 (package cycles bounds conversion error
+// by 4u|f| on that guarantee). An int64 value never underflows: |r| is 0
+// or at least 2^-63.
 func (r Rat) Float64() float64 {
 	if r.b != nil {
 		f, _ := r.b.Float64()
@@ -320,36 +440,102 @@ func (r Rat) Float64() float64 {
 
 // String renders r as "n/d", or just "n" when the denominator is 1.
 func (r Rat) String() string {
-	if r.b != nil {
-		if r.b.IsInt() {
-			return r.b.Num().String()
-		}
-		return r.b.RatString()
+	if r.b == nil && r.den() == 1 {
+		return strconv.FormatInt(r.n, 10)
 	}
-	if r.den() == 1 {
-		return fmt.Sprintf("%d", r.n)
-	}
-	return fmt.Sprintf("%d/%d", r.n, r.den())
+	var buf [48]byte
+	return string(r.AppendTo(buf[:0]))
 }
 
-// abs64 returns |x| for x > math.MinInt64.
-func abs64(x int64) int64 {
-	if x < 0 {
-		return -x
+// AppendTo appends the String form of r to dst and returns the extended
+// slice. It does not allocate when r is int64 and dst has room, so callers
+// that serialize many values (cache keys) can reuse one buffer.
+func (r Rat) AppendTo(dst []byte) []byte {
+	if r.b != nil {
+		dst = r.b.Num().Append(dst, 10)
+		if r.b.IsInt() {
+			return dst
+		}
+		return r.b.Denom().Append(append(dst, '/'), 10)
 	}
-	return x
+	dst = strconv.AppendInt(dst, r.n, 10)
+	if d := r.den(); d != 1 {
+		dst = strconv.AppendInt(append(dst, '/'), d, 10)
+	}
+	return dst
+}
+
+// uabs returns |x| as a uint64 (exact for math.MinInt64 too).
+func uabs(x int64) uint64 {
+	if x < 0 {
+		return -uint64(x)
+	}
+	return uint64(x)
+}
+
+// cmp128 compares the unsigned 128-bit integers xh:xl and yh:yl.
+func cmp128(xh, xl, yh, yl uint64) int {
+	switch {
+	case xh < yh || (xh == yh && xl < yl):
+		return -1
+	case xh > yh || xl > yl:
+		return 1
+	}
+	return 0
+}
+
+// smul returns the 128-bit product a·b (b > 0) in sign-magnitude form.
+func smul(a int64, b uint64) (neg bool, hi, lo uint64) {
+	hi, lo = bits.Mul64(uabs(a), b)
+	return a < 0, hi, lo
+}
+
+// sadd returns x + y for sign-magnitude 128-bit integers whose magnitudes
+// are below 2^127, so the sum cannot overflow.
+func sadd(xn bool, xh, xl uint64, yn bool, yh, yl uint64) (neg bool, hi, lo uint64) {
+	if xn == yn {
+		lo, c := bits.Add64(xl, yl, 0)
+		hi, _ = bits.Add64(xh, yh, c)
+		return xn, hi, lo
+	}
+	if cmp128(xh, xl, yh, yl) < 0 {
+		xn, xh, xl, yh, yl = yn, yh, yl, xh, xl
+	}
+	lo, b := bits.Sub64(xl, yl, 0)
+	hi, _ = bits.Sub64(xh, yh, b)
+	return xn, hi, lo
+}
+
+// gcd returns the greatest common divisor of a and b (gcd(a, 0) == a) by
+// the binary algorithm: shifts, subtractions and conditional moves, no
+// hardware divide.
+func gcd(a, b uint64) uint64 {
+	if a <= 1 || b <= 1 {
+		if a == 0 {
+			return b
+		}
+		if b == 0 {
+			return a
+		}
+		return 1
+	}
+	shift := bits.TrailingZeros64(a | b)
+	a >>= bits.TrailingZeros64(a)
+	for b != 0 {
+		b >>= bits.TrailingZeros64(b)
+		lo, hi := min(a, b), max(a, b)
+		a, b = lo, hi-lo
+	}
+	return a << shift
 }
 
 // gcd64 returns the greatest common divisor of non-negative a, b
 // (gcd(0,0) == 1 so that it is always a safe divisor).
 func gcd64(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
+	if g := gcd(uint64(a), uint64(b)); g != 0 {
+		return int64(g)
 	}
-	if a == 0 {
-		return 1
-	}
-	return a
+	return 1
 }
 
 // add64 returns a+b and whether it did not overflow.
@@ -361,16 +547,17 @@ func add64(a, b int64) (int64, bool) {
 	return s, true
 }
 
-// mul64 returns a*b and whether it did not overflow.
+// mul64 returns a*b and whether it did not overflow, from the 128-bit
+// product.
 func mul64(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	p := a * b
-	if p/b != a || (a == math.MinInt64 && b == -1) || (b == math.MinInt64 && a == -1) {
+	hi, lo := bits.Mul64(uabs(a), uabs(b))
+	if hi != 0 {
 		return 0, false
 	}
-	return p, true
+	if (a < 0) != (b < 0) {
+		return -int64(lo), lo <= 1<<63
+	}
+	return int64(lo), lo <= math.MaxInt64
 }
 
 // GCDInt returns gcd(a, b) for non-negative integers, used by callers that

@@ -2,10 +2,12 @@ package tpn
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/examplesdata"
 	"repro/internal/model"
+	"repro/internal/rat"
 )
 
 // TestBuilderMatchesFreeFunctions interleaves models and instances on one
@@ -94,4 +96,67 @@ func TestBuilderRowCap(t *testing.T) {
 	if b.RowCap() != MaxRows {
 		t.Fatalf("RowCap() = %d, want default %d", b.RowCap(), MaxRows)
 	}
+}
+
+// TestPlacesDependOnReplicationOnly pins the property the float-plan cache
+// of core.Solver keys on: under a given model, the places of the unfolded
+// net (endpoints, order, tokens) are a function of the replication counts
+// alone; operation times only change transition times.
+func TestPlacesDependOnReplicationOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		reps := make([]int, 2+rng.Intn(3))
+		for i := range reps {
+			reps[i] = 1 + rng.Intn(4)
+		}
+		a, b := randomTimes(rng, reps), randomTimes(rng, reps)
+		for _, cm := range model.Models() {
+			var ba, bb Builder
+			na, err := ba.Build(a, cm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nb, err := bb.Build(b, cm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(na.Places) != len(nb.Places) || len(na.Transitions) != len(nb.Transitions) {
+				t.Fatalf("reps %v %v: nets differ in size", reps, cm)
+			}
+			for i := range na.Places {
+				pa, pb := na.Places[i], nb.Places[i]
+				if pa.From != pb.From || pa.To != pb.To || pa.Tokens != pb.Tokens {
+					t.Fatalf("reps %v %v: place %d: %+v != %+v", reps, cm, i, pa, pb)
+				}
+			}
+		}
+	}
+}
+
+// randomTimes draws an instance with the given replication counts and
+// operation times in [1, 100].
+func randomTimes(rng *rand.Rand, reps []int) *model.Instance {
+	draw := func() rat.Rat { return rat.New(1+rng.Int63n(100), 1+rng.Int63n(3)) }
+	comp := make([][]rat.Rat, len(reps))
+	comm := make([][][]rat.Rat, len(reps)-1)
+	for i, m := range reps {
+		comp[i] = make([]rat.Rat, m)
+		for a := range comp[i] {
+			comp[i][a] = draw()
+		}
+		if i+1 < len(reps) {
+			comm[i] = make([][]rat.Rat, m)
+			for a := range comm[i] {
+				comm[i][a] = make([]rat.Rat, reps[i+1])
+				for b := range comm[i][a] {
+					comm[i][a][b] = draw()
+				}
+			}
+		}
+	}
+	inst, err := model.FromTimes(comp, comm)
+	if err != nil {
+		panic(err)
+	}
+	return inst
 }
