@@ -21,7 +21,8 @@ FUZZTIME ?= 10s
 # the PR-2 zero-allocation refactor; measured values sit at 6-7. The
 # leaf-rate gate (LEAF_GATE) requires the float-screened branch and bound
 # to rule out leaves at >= LEAF_GATE x the exact rate on the warm-started
-# BenchmarkBnBLeafRate family; measured ratio sits around 9x. The serving
+# BenchmarkBnBLeafRate family; twenty single runs read 4.4-10.7x, median
+# 6.8x (EXPERIMENTS.md, "Exact Karp on scaled int64 costs"). The serving
 # hit-path gates guard the PR-7 content-addressed store: the by-ID
 # /v1/evaluate hit path must stay at or below HITALLOC_GATE allocs/op
 # (measured at 18) and run at least SPEEDUP_GATE x faster than the
@@ -39,7 +40,10 @@ FUZZTIME ?= 10s
 # ns/op), or the per-root bookkeeping has grown onto the walker's hot path.
 # BenchmarkRat records the rational kernel's int64 path next to math/big on
 # the same operands (and a forced big fallback); it carries no gate.
-BENCH_REGRESSION = BenchmarkPeriodStrict|BenchmarkPeriodOverlapPoly|BenchmarkPeriodBackends|BenchmarkSpectralBackends|BenchmarkEngines|BenchmarkEngineBatch|BenchmarkEngineMemoization|BenchmarkBnBSearch|BenchmarkBnBLeafRate|BenchmarkServeHitPath|BenchmarkRouterHitPath|BenchmarkJobSubmitPollOverhead|BenchmarkCheckpointOverhead|BenchmarkRat
+# BenchmarkContraction records the contraction + Karp engine on its scaled
+# int64 path next to the forced rational loops, on a grid-size strict TPN
+# and the m = 2520 net; it carries no gate either.
+BENCH_REGRESSION = BenchmarkPeriodStrict|BenchmarkPeriodOverlapPoly|BenchmarkPeriodBackends|BenchmarkSpectralBackends|BenchmarkEngines|BenchmarkEngineBatch|BenchmarkEngineMemoization|BenchmarkBnBSearch|BenchmarkBnBLeafRate|BenchmarkServeHitPath|BenchmarkRouterHitPath|BenchmarkJobSubmitPollOverhead|BenchmarkCheckpointOverhead|BenchmarkRat|BenchmarkContraction
 ALLOC_GATE = 12
 LEAF_GATE = 5
 HITALLOC_GATE = 32
@@ -102,7 +106,7 @@ bench:
 # JOBALLOC_GATE allocs/op, or checkpointing costs the walker more than
 # CKPT_GATE x the same search without it.
 bench-regression:
-	@status=0; $(GO) test -run xxx -bench '$(BENCH_REGRESSION)' -benchtime 100x -benchmem . ./internal/bnb ./internal/service ./internal/cluster ./internal/checkpoint ./internal/rat > bench_regression.txt || status=$$?; \
+	@status=0; $(GO) test -run xxx -bench '$(BENCH_REGRESSION)' -benchtime 100x -benchmem . ./internal/bnb ./internal/service ./internal/cluster ./internal/checkpoint ./internal/rat ./internal/cycles > bench_regression.txt || status=$$?; \
 	cat bench_regression.txt; \
 	if [ "$$status" != "0" ]; then echo "bench-regression: go test failed ($$status)"; exit $$status; fi
 	awk -v gate=$(ALLOC_GATE) -v leafgate=$(LEAF_GATE) -v hitgate=$(HITALLOC_GATE) -v speedupgate=$(SPEEDUP_GATE) -v routergate=$(ROUTER_GATE) -v joballocgate=$(JOBALLOC_GATE) -v ckptgate=$(CKPT_GATE) -f scripts/benchjson.awk bench_regression.txt > BENCH_10.json

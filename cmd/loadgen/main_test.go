@@ -317,9 +317,7 @@ func TestLoadgenJobsViaStoreRefused(t *testing.T) {
 // everything with the unified envelope and checks the summary surfaces the
 // decoded envelope — once, despite every request failing.
 func TestLoadgenErrorSamples(t *testing.T) {
-	refusals := 0
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		refusals++
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
 		json.NewEncoder(w).Encode(service.ErrorBody{Error: service.ErrorInfo{

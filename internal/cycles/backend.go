@@ -13,10 +13,11 @@ import "fmt"
 // processor, so a 624-transition net contracts to ~25 vertices). When token
 // edges are plentiful — the max-plus recurrence matrices of the mpa layer
 // put a token on EVERY edge — contraction degenerates to the identity and
-// Karp pays its full Θ(V·E) dynamic program with a Θ(V²) exact table, while
-// Howard's policy iteration still converges in a handful of sweeps: 7x
-// faster on the smallest scaling family's recurrence matrix, >100x on the
-// largest (see the Karp-vs-Howard table in EXPERIMENTS.md).
+// Karp pays its full Θ(V·E) dynamic program with a Θ(V²) table, while
+// Howard's policy iteration still converges in a handful of sweeps: 2x
+// faster on the smallest scaling family's recurrence matrix, 20x on the
+// largest, against Karp on scaled int64 costs (see the Karp-vs-Howard
+// table in EXPERIMENTS.md).
 type Backend uint8
 
 const (
@@ -50,10 +51,10 @@ const (
 // system's edges carry tokens, to Karp below it. Benchmark-tuned on the
 // scaling families of bench_test.go (BenchmarkPeriodBackends /
 // BenchmarkSpectralBackends, table in EXPERIMENTS.md): unfolded TPNs sit
-// near a token share of 0.03 and Karp's contraction wins, recurrence
-// matrices sit at 1.0 and Howard wins by one to two orders of magnitude;
-// any cutoff between those regimes behaves identically on this
-// repository's workloads, so the midpoint 1/2 is taken.
+// near a token share of 0.03 and Karp's contraction wins by 4-5x,
+// recurrence matrices sit at 1.0 and Howard wins by 2-20x; any cutoff
+// between those regimes behaves identically on this repository's
+// workloads, so the midpoint 1/2 is taken.
 const (
 	AutoHowardTokenShareNum = 1
 	AutoHowardTokenShareDen = 2

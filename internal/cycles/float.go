@@ -230,23 +230,16 @@ type floatComp struct {
 	// Contracted edges in emission order; those leaving token edge pos are
 	// cedges[cstart[pos]:cstart[pos+1]].
 	cstart []int
-	cedges []floatPlanCEdge
+	cedges []contractedEdge
 	karp   []floatKarpComp
 }
 
-// floatPlanCEdge is a contracted edge: token edge from, then a longest
-// zero-token path to local vertex v, the tail of token edge to.
-type floatPlanCEdge struct{ from, to, v int }
-
-// floatKarpComp is one SCC of the token-expanded contracted graph, in local
-// ids; ce is the contracted edge whose cost an edge carries (-1 for the
-// zero-cost hops of a multi-token edge).
+// floatKarpComp is one SCC of the token-expanded contracted graph, its hops
+// in local ids.
 type floatKarpComp struct {
 	n     int
-	edges []floatKarpEdge
+	edges []hop
 }
-
-type floatKarpEdge struct{ from, to, ce int }
 
 // Size is the number of int table entries the plan holds, for callers that
 // bound a cache of plans.
@@ -299,23 +292,20 @@ func (ws *Workspace) compileComp(s *System, n int, fc *floatComp) bool {
 	nt, nz := len(ws.tokenEdges), len(ws.zeroEdges)
 	fc.n = n
 	fc.tokenEdges = append(fc.tokenEdges[:0], ws.tokenEdges...)
-	fc.heads = growInts(fc.heads, nt)
+	fc.heads = grow(fc.heads, nt)
 	for pos, ei := range ws.tokenEdges {
 		fc.heads[pos] = ws.localID[s.G.Edges[ei].To]
 	}
 	fc.zeroStart = append(fc.zeroStart[:0], ws.zeroStart[:n+1]...)
 	fc.zeroSucc = append(fc.zeroSucc[:0], ws.zeroSucc[:nz]...)
-	fc.zeroEdge = growInts(fc.zeroEdge, nz)
-	for t := 0; t < nz; t++ {
-		fc.zeroEdge[t] = ws.zeroEdges[ws.zeroItems[t]]
-	}
+	fc.zeroEdge = append(fc.zeroEdge[:0], ws.zeroEdge[:nz]...)
 	fc.order = append(fc.order[:0], ws.order[:n]...)
 	fc.orderPos = append(fc.orderPos[:0], ws.orderPos[:n]...)
 
 	// Which tails each token edge's zero-token paths reach: the vertices the
 	// value DP will have touched, in the order it emits contracted edges.
-	ws.has = growBools(ws.has, n)
-	fc.cstart = growInts(fc.cstart, nt+1)
+	ws.has = grow(ws.has, n)
+	fc.cstart = grow(fc.cstart, nt+1)
 	fc.cedges = fc.cedges[:0]
 	for pos, head := range fc.heads {
 		clear(ws.has[:n])
@@ -329,12 +319,12 @@ func (ws *Workspace) compileComp(s *System, n int, fc *floatComp) bool {
 			}
 		}
 		fc.cstart[pos] = len(fc.cedges)
-		for v := 0; v < n; v++ {
+		for _, v := range ws.tailVerts {
 			if !ws.has[v] {
 				continue
 			}
 			for t := ws.tailStart[v]; t < ws.tailStart[v+1]; t++ {
-				fc.cedges = append(fc.cedges, floatPlanCEdge{from: pos, to: ws.tailItems[t], v: v})
+				fc.cedges = append(fc.cedges, contractedEdge{from: pos, to: ws.tailItems[t], v: v})
 			}
 		}
 	}
@@ -343,39 +333,11 @@ func (ws *Workspace) compileComp(s *System, n int, fc *floatComp) bool {
 		return false
 	}
 
-	// Token expansion: a contracted edge with k > 1 tokens becomes k unit
-	// edges through fresh vertices, its cost on the first hop.
-	hops := ws.hops[:0]
-	nv := nt
-	for k, ce := range fc.cedges {
-		tokens := s.Tokens[fc.tokenEdges[ce.from]]
-		prev := ce.from
-		for h := 0; h < tokens; h++ {
-			to := ce.to
-			if h < tokens-1 {
-				to = nv
-				nv++
-			}
-			src := -1
-			if h == 0 {
-				src = k
-			}
-			hops = append(hops, floatKarpEdge{prev, to, src})
-			prev = to
-		}
-	}
-	ws.hops = hops
-	m := len(hops)
-	ws.karpStart = growInts(ws.karpStart, nv+1)
-	ws.karpSucc = growInts(ws.karpSucc, m)
-	ws.keyTmp = growInts(ws.keyTmp, m)
-	ws.valTmp = growInts(ws.valTmp, m)
-	for j, e := range hops {
-		ws.keyTmp[j], ws.valTmp[j] = e.from, e.to
-	}
-	ws.fillCSR(ws.karpStart, ws.karpSucc, nv, ws.keyTmp[:m], ws.valTmp[:m])
-	kcomp, nkc := ws.sccKarp.run(nv, ws.karpStart, ws.karpSucc)
-	ws.karpID = growInts(ws.karpID, nv)
+	// The token expansion and its SCCs, as the exact sweep builds them.
+	var nv int
+	ws.hops, nv = expandTokens(ws.hops[:0], fc.cedges, fc.tokenEdges, s.Tokens)
+	kcomp, nkc := ws.hopSCC(nv)
+	ws.karpID = grow(ws.karpID, nv)
 	fc.karp = fc.karp[:0]
 	for c := 0; c < nkc; c++ {
 		local := 0
@@ -394,9 +356,9 @@ func (ws *Workspace) compileComp(s *System, n int, fc *floatComp) bool {
 		kc := &fc.karp[len(fc.karp)-1]
 		kc.n = local
 		kc.edges = kc.edges[:0]
-		for _, e := range hops {
+		for _, e := range ws.hops {
 			if kcomp[e.from] == c && kcomp[e.to] == c {
-				kc.edges = append(kc.edges, floatKarpEdge{ws.karpID[e.from], ws.karpID[e.to], e.ce})
+				kc.edges = append(kc.edges, hop{ws.karpID[e.from], ws.karpID[e.to], e.ce})
 			}
 		}
 		if len(kc.edges) == 0 {
@@ -446,14 +408,14 @@ func (ws *Workspace) approxComp(s *System, fc *floatComp) (FloatResult, bool) {
 
 	// Convert the component's edge costs once; the DAG DP reads each zero
 	// edge up to nt times, from arrays parallel to the CSR items.
-	ws.fcost = growFloats(ws.fcost, nt)
-	ws.fcerr = growFloats(ws.fcerr, nt)
+	ws.fcost = grow(ws.fcost, nt)
+	ws.fcerr = grow(ws.fcerr, nt)
 	for pos, ei := range fc.tokenEdges {
 		f := s.Cost[ei].Float64()
 		ws.fcost[pos], ws.fcerr[pos] = f, convErr(f)
 	}
-	ws.fzc = growFloats(ws.fzc, nz)
-	ws.fze = growFloats(ws.fze, nz)
+	ws.fzc = grow(ws.fzc, nz)
+	ws.fze = grow(ws.fze, nz)
 	for t, ei := range fc.zeroEdge {
 		f := s.Cost[ei].Float64()
 		ws.fzc[t], ws.fze[t] = f, convErr(f)
@@ -462,11 +424,11 @@ func (ws *Workspace) approxComp(s *System, fc *floatComp) (FloatResult, bool) {
 	// Longest zero-token path DP per token edge, mirroring the exact sweep.
 	// All values are non-negative, so overflow surfaces as +Inf and sticks
 	// through max (never NaN here); the Karp stage below detects it.
-	ws.fdist = growFloats(ws.fdist, n)
-	ws.fderr = growFloats(ws.fderr, n)
-	ws.has = growBools(ws.has, n)
-	ws.fce = growFloats(ws.fce, len(fc.cedges))
-	ws.fceErr = growFloats(ws.fceErr, len(fc.cedges))
+	ws.fdist = grow(ws.fdist, n)
+	ws.fderr = grow(ws.fderr, n)
+	ws.has = grow(ws.has, n)
+	ws.fce = grow(ws.fce, len(fc.cedges))
+	ws.fceErr = grow(ws.fceErr, len(fc.cedges))
 	for pos, head := range fc.heads {
 		clear(ws.has[:n])
 		ws.has[head] = true
@@ -541,9 +503,9 @@ type floatMeanEdge struct {
 // poison the component.
 func (ws *Workspace) floatKarp(n int) (FloatResult, bool) {
 	size := (n + 1) * n
-	ws.fkD = growFloats(ws.fkD, size)
-	ws.fkErr = growFloats(ws.fkErr, size)
-	ws.kHas = growBools(ws.kHas, size)
+	ws.fkD = grow(ws.fkD, size)
+	ws.fkErr = grow(ws.fkErr, size)
+	ws.kHas = grow(ws.kHas, size)
 	clear(ws.kHas[:size])
 	ws.kHas[0] = true
 	ws.fkD[0], ws.fkErr[0] = 0, 0

@@ -104,8 +104,8 @@ func (ws *Workspace) howardSCC(s *System, comp []int, c int) (Result, bool, erro
 	// Local ids in first-seen edge-endpoint order. In an SCC with at least
 	// one edge this enumerates exactly the component's vertices.
 	ws.epoch++
-	ws.localID = growInts(ws.localID, s.G.N)
-	ws.localStamp = growInts(ws.localStamp, s.G.N)
+	ws.localID = grow(ws.localID, s.G.N)
+	ws.localStamp = grow(ws.localStamp, s.G.N)
 	ws.verts = ws.verts[:0]
 	local := func(v int) int {
 		if ws.localStamp[v] == ws.epoch {
@@ -125,10 +125,10 @@ func (ws *Workspace) howardSCC(s *System, comp []int, c int) (Result, bool, erro
 	ne := len(h.edges)
 
 	// Outgoing-edge CSR over local vertices.
-	h.start = growInts(h.start, n+1)
-	h.items = growInts(h.items, ne)
-	ws.keyTmp = growInts(ws.keyTmp, ne)
-	ws.valTmp = growInts(ws.valTmp, ne)
+	h.start = grow(h.start, n+1)
+	h.items = grow(h.items, ne)
+	ws.keyTmp = grow(ws.keyTmp, ne)
+	ws.valTmp = grow(ws.valTmp, ne)
 	for j, ei := range h.edges {
 		ws.keyTmp[j] = ws.localID[s.G.Edges[ei].From]
 		ws.valTmp[j] = ei
@@ -137,18 +137,18 @@ func (ws *Workspace) howardSCC(s *System, comp []int, c int) (Result, bool, erro
 
 	// Initial policy: first outgoing edge of every vertex. A non-trivial SCC
 	// gives every vertex an outgoing intra-SCC edge.
-	h.policy = growInts(h.policy, n)
+	h.policy = grow(h.policy, n)
 	for v := 0; v < n; v++ {
 		if h.start[v] == h.start[v+1] {
 			return Result{}, false, fmt.Errorf("cycles: vertex %d has no outgoing edge inside its SCC", ws.verts[v])
 		}
 		h.policy[v] = h.items[h.start[v]]
 	}
-	h.lambda = growRats(h.lambda, n)
-	h.value = growRats(h.value, n)
-	h.state = growInts(h.state, n)
-	h.cycOf = growInts(h.cycOf, n)
-	h.done = growBools(h.done, n)
+	h.lambda = grow(h.lambda, n)
+	h.value = grow(h.value, n)
+	h.state = grow(h.state, n)
+	h.cycOf = grow(h.cycOf, n)
+	h.done = grow(h.done, n)
 	succ := func(ei int) int { return ws.localID[s.G.Edges[ei].To] }
 
 	maxIter := 2*ne*n + 16 // safety cap; Howard terminates far earlier
@@ -287,7 +287,7 @@ func (ws *Workspace) howardSCC(s *System, comp []int, c int) (Result, bool, erro
 			// Recover the cycle bestV reaches under the final policy. The
 			// witness is the only allocation of the call: it escapes into the
 			// Result, exactly like MaxRatio's witness.
-			h.seen = growInts(h.seen, n)
+			h.seen = grow(h.seen, n)
 			for v := 0; v < n; v++ {
 				h.seen[v] = -1
 			}

@@ -23,14 +23,15 @@ func (s *System) VertexRates() ([]rat.Rat, error) {
 	comp, ncomp := s.G.SCC()
 	// Per-SCC max cycle ratio (zero when the SCC has no cycle).
 	var ws Workspace
+	ws.intMode = ws.scaleCosts(s)
 	sccRatio := make([]rat.Rat, ncomp)
 	for c := 0; c < ncomp; c++ {
-		r, ok, err := ws.maxRatioSCC(s, comp, c)
+		r, _, ok, err := ws.maxRatioSCC(s, comp, c)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			sccRatio[c] = r.Ratio
+			sccRatio[c] = r
 		}
 	}
 	// Propagate along the condensation: rate(C) = max(ratio(C),

@@ -6,8 +6,9 @@ import (
 
 // Workspace owns every piece of scratch memory the contraction+Karp engine
 // needs: strongly-connected-component state, the zero-token DAG and its
-// topological order, the per-token-edge longest-path tables, the contracted
-// edge list with its path arena, and Karp's dynamic-programming tables.
+// topological order, the scaled integer costs, the per-token-edge
+// longest-path tables, the contracted edge list, Karp's dynamic-programming
+// tables and the witness rebuild.
 //
 // A Workspace amortizes those buffers across calls: the first MaxRatio on a
 // given net size pays the allocations, subsequent calls of similar size run
@@ -53,36 +54,55 @@ type Workspace struct {
 	localStamp []int
 	verts      []int // local id -> global vertex
 
-	// Zero-token DAG adjacency over local vertices (items are positions into
-	// zeroEdges, zeroSucc the parallel successor view for Kahn) and
-	// token-edge tails per local vertex (positions into tokenEdges).
-	zeroStart, zeroItems, zeroSucc []int
-	tailStart, tailItems           []int
-	orderPos                       []int // local vertex -> position in the DAG order
+	// Zero-token DAG adjacency over local vertices (items are system edge
+	// indices, zeroSucc the parallel successor view) and token-edge tails
+	// per local vertex (positions into tokenEdges), with the tail vertices
+	// in ascending order.
+	zeroStart, zeroEdge, zeroSucc   []int
+	tailStart, tailItems, tailVerts []int
+	orderPos                        []int // local vertex -> position in the DAG order
 
-	// Longest-path DP over the zero-token DAG, reset per token edge.
-	dist []rat.Rat
-	has  []bool
-	pred []int
+	// Arithmetic of the current MaxRatio call (see scaleCosts): intMode
+	// selects the scaled int64 loops, whose costs are icost (per system
+	// edge) and zc (parallel to the zero CSR items), in units of 1/scale.
+	// forceRat is a test hook that disables the int64 path.
+	intMode, forceRat bool
+	scale             int64
+	icost, zc         []int64
 
-	// Contracted edges; witness paths live in one shared arena addressed by
-	// (pathOff, pathLen) so contraction never allocates per-edge slices.
-	cedges  []contractedEdge
-	medges  []meanEdge
-	arena   []int
-	pathTmp []int
+	// Longest-path DP over the zero-token DAG, reset per token edge: reached
+	// vertices, distances (dist or idist by arithmetic) and the CSR item of
+	// each vertex's best incoming zero edge.
+	has   []bool
+	dist  []rat.Rat
+	idist []int64
+	pred  []int
 
-	// Karp scratch: contracted-graph CSR, per-SCC vertex/edge lists, the
-	// flattened D/has/parent tables and the witness walk.
+	// Contracted edges with their costs (ceInt or ceRat by arithmetic), and
+	// the token-expanded hops Karp runs on (the float plan compilation
+	// builds its hops here too).
+	cedges []contractedEdge
+	ceInt  []int64
+	ceRat  []rat.Rat
+	hops   []hop
+
+	// Karp scratch: expanded-graph CSR, per-SCC vertex ids and hop list with
+	// the hops' local endpoints, the flattened D/has/parent tables (D as kI or
+	// kD by arithmetic, kc the int hop costs), the witness walk, the cycle
+	// it found (kcyc) and the critical cycle kept for the witness rebuild
+	// (critCyc, hop indices; witTmp stages its system edges).
 	karpStart, karpSucc []int
-	karpID              []int // contracted vertex -> per-SCC local id (-1 = absent)
-	karpVerts           []int
+	karpID              []int // expanded vertex -> per-SCC local id (-1 = absent)
 	karpWithin          []int
+	karpU, karpV        []int
+	kI, kc              []int64
 	kD                  []rat.Rat
 	kHas                []bool
 	kParent             []int
 	pathV, pathE        []int
 	seenPos             []int
+	kcyc, critCyc       []int
+	witTmp              []int
 
 	// Howard policy-iteration scratch. The policy tables live in their own
 	// struct and every entry a run reads is re-initialized at the start of
@@ -97,43 +117,21 @@ type Workspace struct {
 	// (SCC, CSR, orders, has) shared with the exact sweep — the two never
 	// run interleaved within one call, and sharing it keeps their iteration
 	// structures identical by construction.
-	fplan        FloatPlan       // ApproxMaxRatio's per-call plan
-	hops         []floatKarpEdge // token-expanded contracted edges (compilation)
-	fcost, fcerr []float64       // token-edge costs and bounds, by position
-	fzc, fze     []float64       // zero-edge costs and bounds, parallel to the CSR items
+	fplan        FloatPlan // ApproxMaxRatio's per-call plan
+	fcost, fcerr []float64 // token-edge costs and bounds, by position
+	fzc, fze     []float64 // zero-edge costs and bounds, parallel to the CSR items
 	fdist, fderr []float64
 	fce, fceErr  []float64 // contracted-edge costs and bounds
 	fkD, fkErr   []float64
 	fkEdges      []floatMeanEdge // one Karp component's edges in local ids
 }
 
-// growInts returns s with length n, reusing capacity when possible. New
-// backing arrays come back zeroed; resliced ones keep old values, so callers
-// must either clear, stamp, or only read entries they wrote.
-func growInts(s []int, n int) []int {
+// grow returns s with length n, reusing capacity when possible. New backing
+// arrays come back zeroed; resliced ones keep old values, so callers must
+// either clear, stamp, or only read entries they wrote.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growRats(s []rat.Rat, n int) []rat.Rat {
-	if cap(s) < n {
-		return make([]rat.Rat, n)
-	}
-	return s[:n]
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -155,7 +153,7 @@ func (ws *Workspace) fillCSR(start, items []int, n int, keys, vals []int) {
 	for i := 0; i < n; i++ {
 		start[i+1] += start[i]
 	}
-	ws.csrCur = growInts(ws.csrCur, n)
+	ws.csrCur = grow(ws.csrCur, n)
 	copy(ws.csrCur, start[:n])
 	for j := 0; j < m; j++ {
 		k := keys[j]
@@ -177,10 +175,10 @@ func (ws *Workspace) acyclic(s *System, zeroOnly bool) bool {
 		ws.zeroEdges = append(ws.zeroEdges, i)
 	}
 	m := len(ws.zeroEdges)
-	ws.zvStart = growInts(ws.zvStart, n+1)
-	ws.zvSucc = growInts(ws.zvSucc, m)
-	ws.keyTmp = growInts(ws.keyTmp, m)
-	ws.valTmp = growInts(ws.valTmp, m)
+	ws.zvStart = grow(ws.zvStart, n+1)
+	ws.zvSucc = grow(ws.zvSucc, m)
+	ws.keyTmp = grow(ws.keyTmp, m)
+	ws.valTmp = grow(ws.valTmp, m)
 	for j, ei := range ws.zeroEdges {
 		ws.keyTmp[j] = s.G.Edges[ei].From
 		ws.valTmp[j] = s.G.Edges[ei].To
@@ -194,7 +192,7 @@ func (ws *Workspace) acyclic(s *System, zeroOnly bool) bool {
 // successor CSR and fills ws.order with the topological prefix. It returns
 // how many vertices were ordered; a full order (== n) means acyclic.
 func (ws *Workspace) kahn(n int, start, succ []int) int {
-	ws.indeg = growInts(ws.indeg, n)
+	ws.indeg = grow(ws.indeg, n)
 	for i := 0; i < n; i++ {
 		ws.indeg[i] = 0
 	}
@@ -229,10 +227,10 @@ func (ws *Workspace) kahn(n int, start, succ []int) int {
 func (ws *Workspace) scc(s *System) ([]int, int) {
 	n := s.G.N
 	m := len(s.G.Edges)
-	ws.sysStart = growInts(ws.sysStart, n+1)
-	ws.sysSucc = growInts(ws.sysSucc, m)
-	ws.keyTmp = growInts(ws.keyTmp, m)
-	ws.valTmp = growInts(ws.valTmp, m)
+	ws.sysStart = grow(ws.sysStart, n+1)
+	ws.sysSucc = grow(ws.sysSucc, m)
+	ws.keyTmp = grow(ws.keyTmp, m)
+	ws.valTmp = grow(ws.valTmp, m)
 	for j := range s.G.Edges {
 		ws.keyTmp[j] = s.G.Edges[j].From
 		ws.valTmp[j] = s.G.Edges[j].To
@@ -254,10 +252,10 @@ type tarjanScratch struct {
 // CSR: identical visit order, identical component numbering (sinks first).
 func (t *tarjanScratch) run(n int, start, succ []int) ([]int, int) {
 	const unvisited = -1
-	t.index = growInts(t.index, n)
-	t.low = growInts(t.low, n)
-	t.onStack = growBools(t.onStack, n)
-	t.comp = growInts(t.comp, n)
+	t.index = grow(t.index, n)
+	t.low = grow(t.low, n)
+	t.onStack = grow(t.onStack, n)
+	t.comp = grow(t.comp, n)
 	for i := 0; i < n; i++ {
 		t.index[i] = unvisited
 		t.comp[i] = unvisited
