@@ -51,6 +51,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/ring"
 )
 
@@ -156,8 +157,8 @@ type Router struct {
 	nodes map[string]*nodeState
 
 	met    *routerMetrics
-	replay *byteCache // content ID -> registration body
-	resp   *byteCache // evaluate request body -> response body; nil when disabled
+	replay *clock.Cache[string, []byte] // content ID -> registration body
+	resp   *clock.Cache[string, []byte] // evaluate request body -> response body; nil when disabled
 }
 
 // NewRouter validates the membership and builds the routing table. Every
@@ -173,14 +174,14 @@ func NewRouter(opts Options) (*Router, error) {
 		ring:   ring.New(opts.Vnodes),
 		nodes:  make(map[string]*nodeState, len(opts.Nodes)),
 		met:    newRouterMetrics(),
-		replay: newByteCache(opts.ReplayEntries),
+		replay: clock.New[string, []byte](opts.ReplayEntries),
 	}
 	if opts.RespMemoEntries >= 0 {
 		n := opts.RespMemoEntries
 		if n == 0 {
 			n = 8192
 		}
-		rt.resp = newByteCache(n)
+		rt.resp = clock.New[string, []byte](n)
 	}
 	for _, n := range opts.Nodes {
 		name := n.Name

@@ -334,36 +334,3 @@ func TestServeListensAndShutsDown(t *testing.T) {
 		t.Fatal("Serve with an unbindable address should fail")
 	}
 }
-
-// TestByteCacheEviction pins the CLOCK bound of the router's caches: the
-// resident set never exceeds capacity, re-putting a key updates in place,
-// and evictions are counted.
-func TestByteCacheEviction(t *testing.T) {
-	c := newByteCache(2)
-	c.put("a", []byte("1"))
-	c.put("a", []byte("1b")) // update, not a second entry
-	c.put("b", []byte("2"))
-	c.put("c", []byte("3")) // must evict one of a/b
-	m := c.metrics()
-	if m.Entries != 2 || m.Evictions != 1 {
-		t.Fatalf("after overflow: %+v, want 2 entries and 1 eviction", m)
-	}
-	if got, ok := c.get("a"); ok && string(got) != "1b" {
-		t.Fatalf("updated key answered stale bytes %q", got)
-	}
-	if _, ok := c.get("c"); !ok {
-		t.Fatal("most recent put was evicted immediately")
-	}
-	hits, misses := 0, 0
-	for _, k := range []string{"a", "b", "c"} {
-		if _, ok := c.get(k); ok {
-			hits++
-		} else {
-			misses++
-		}
-	}
-	m = c.metrics()
-	if hits != 2 || misses != 1 || m.Entries != 2 {
-		t.Fatalf("hits=%d misses=%d metrics=%+v, want 2 resident of 3 keys", hits, misses, m)
-	}
-}

@@ -170,12 +170,12 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "%q:%d", name, rt.nodes[name].proxied.Load())
 	}
 	b.WriteString("},\n")
-	rm := rt.replay.metrics()
+	rm := rt.replay.Stats()
 	fmt.Fprintf(&b, "\"replayCache\": {\"hits\":%d,\"misses\":%d,\"evictions\":%d,\"entries\":%d,\"capacity\":%d},\n",
 		rm.Hits, rm.Misses, rm.Evictions, rm.Entries, rm.Capacity)
 	b.WriteString("\"respMemo\": ")
 	if rt.resp != nil {
-		mm := rt.resp.metrics()
+		mm := rt.resp.Stats()
 		fmt.Fprintf(&b, "{\"hits\":%d,\"misses\":%d,\"evictions\":%d,\"entries\":%d,\"capacity\":%d}",
 			mm.Hits, mm.Misses, mm.Evictions, mm.Entries, mm.Capacity)
 	} else {

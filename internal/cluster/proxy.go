@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/cycles"
 	"repro/internal/exper"
-	"repro/internal/model"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -107,16 +106,11 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, erro
 	return body, nil
 }
 
-// unmarshalStrict parses JSON the way the service's decode does (trailing
-// garbage rejected, same error phrasing) so the router's parse verdicts
-// read like a node's.
+// unmarshalStrict parses a request body with the node's own decoder, so the
+// router's parse verdicts read like a node's.
 func unmarshalStrict(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	if err := dec.Decode(v); err != nil {
-		return badReq("bad request body: %v", err)
-	}
-	if dec.More() {
-		return badReq("bad request body: trailing data after JSON value")
+	if err := service.DecodeStrict(bytes.NewReader(body), v); err != nil {
+		return badReq("%v", err)
 	}
 	return nil
 }
@@ -228,7 +222,7 @@ func (rt *Router) forward(ctx context.Context, key, method, path string, body []
 func (rt *Router) tryReplay(ctx context.Context, name, method, path string, body []byte, ids []string) (proxyResult, bool) {
 	bodies := make([][]byte, len(ids))
 	for i, id := range ids {
-		b, ok := rt.replay.get(id)
+		b, ok := rt.replay.Get(id)
 		if !ok {
 			return proxyResult{}, false
 		}
@@ -281,7 +275,7 @@ func (rt *Router) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if rt.resp != nil {
-		if cached, ok := rt.resp.get(string(body)); ok {
+		if cached, ok := rt.resp.Get(string(body)); ok {
 			writeRaw(w, http.StatusOK, cached)
 			return
 		}
@@ -291,20 +285,16 @@ func (rt *Router) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		rt.failErr(w, name, err)
 		return
 	}
+	if err := req.Validate(); err != nil {
+		rt.fail(w, name, http.StatusBadRequest, err.Error())
+		return
+	}
 	var key string
 	var ids []string
-	switch {
-	case req.Instance != nil && req.InstanceID != "":
-		rt.fail(w, name, http.StatusBadRequest, "\"instance\" and \"instanceId\" are mutually exclusive")
-		return
-	case req.InstanceID != "":
-		key = req.InstanceID
-		ids = []string{req.InstanceID}
-	case req.Instance != nil:
+	if req.InstanceID != "" {
+		key, ids = req.InstanceID, []string{req.InstanceID}
+	} else {
 		key = store.ContentID(req.Instance)
-	default:
-		rt.fail(w, name, http.StatusBadRequest, "missing \"instance\" (inline) or \"instanceId\" (registered via POST /v1/instances)")
-		return
 	}
 	res, err := rt.forward(r.Context(), key, http.MethodPost, "/v1/evaluate", body, ids)
 	if err != nil {
@@ -312,7 +302,7 @@ func (rt *Router) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if res.status == http.StatusOK && rt.resp != nil && !bytes.Contains(res.body, coalescedMarker) {
-		rt.resp.put(string(body), res.body)
+		rt.resp.Put(string(body), bytes.Clone(res.body))
 	}
 	rt.passthrough(w, name, res)
 }
@@ -340,18 +330,8 @@ func (rt *Router) handleInstancePost(w http.ResponseWriter, r *http.Request) {
 		rt.failErr(w, name, err)
 		return
 	}
-	set := 0
-	for _, present := range []bool{req.Instance != nil, req.Pipeline != nil, req.Platform != nil} {
-		if present {
-			set++
-		}
-	}
-	if set == 0 {
-		rt.fail(w, name, http.StatusBadRequest, "missing \"instance\" (or \"pipeline\"/\"platform\" to register a description)")
-		return
-	}
-	if set > 1 {
-		rt.fail(w, name, http.StatusBadRequest, "\"instance\", \"pipeline\" and \"platform\" are mutually exclusive")
+	if err := req.Validate(); err != nil {
+		rt.fail(w, name, http.StatusBadRequest, err.Error())
 		return
 	}
 	// The ring key is the same content ID the home node will answer, for any
@@ -365,7 +345,7 @@ func (rt *Router) handleInstancePost(w http.ResponseWriter, r *http.Request) {
 	default:
 		id = store.ContentID(req.Instance)
 	}
-	rt.replay.put(id, body)
+	rt.replay.Put(id, bytes.Clone(body))
 	res, err := rt.forward(r.Context(), id, http.MethodPost, "/v1/instances", body, nil)
 	if err != nil {
 		rt.failErr(w, name, err)
@@ -484,26 +464,20 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Validate in global submission order, mirroring the node's parse loop:
-	// the first bad task wins, exactly as on a single node.
+	// Validate in global submission order with the node's own check: the
+	// first bad task wins, exactly as on a single node.
 	keys := make([]string, len(req.Tasks))
 	byID := make([]string, len(req.Tasks))
-	for i, bt := range req.Tasks {
-		if _, err := model.Parse(bt.Model); err != nil {
-			rt.fail(w, name, http.StatusBadRequest, fmt.Sprintf("task %d: %v", i, err))
+	for i := range req.Tasks {
+		bt := &req.Tasks[i]
+		if _, err := bt.Validate(i); err != nil {
+			rt.fail(w, name, http.StatusBadRequest, err.Error())
 			return
 		}
-		switch {
-		case bt.Instance != nil && bt.InstanceID != "":
-			rt.fail(w, name, http.StatusBadRequest, fmt.Sprintf("task %d: \"instance\" and \"instanceId\" are mutually exclusive", i))
-			return
-		case bt.InstanceID != "":
+		if bt.InstanceID != "" {
 			keys[i], byID[i] = bt.InstanceID, bt.InstanceID
-		case bt.Instance != nil:
+		} else {
 			keys[i] = store.ContentID(bt.Instance)
-		default:
-			rt.fail(w, name, http.StatusBadRequest, fmt.Sprintf("task %d: missing \"instance\" or \"instanceId\"", i))
-			return
 		}
 	}
 	// Group by home node under one ring view, first-appearance order.

@@ -25,10 +25,9 @@
 //     partition's period does not depend on which heuristic proposed it.
 //     Evaluate canonicalizes the instance (model, replication vector, exact
 //     operation times) into a key and computes each distinct instance once.
-//     The cache is sharded 64 ways and indexed by a 64-bit hash computed
-//     while the key is built — a lookup never re-hashes the multi-KB
-//     canonical string — but every hit still compares the stored canonical
-//     string, so a hash collision cannot silently return the wrong period.
+//     The cache is split into 64 internal/clock shards, chosen by a 64-bit
+//     hash computed while the key is built; each shard is keyed by the full
+//     canonical string, so a hash collision cannot return the wrong period.
 //
 //   - Solver reuse. Every evaluation borrows a core.Solver from a pool
 //     owned by the engine: the unfolded net, the cycle-ratio system and the
@@ -46,6 +45,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/cycles"
 	"repro/internal/model"
@@ -87,10 +87,8 @@ const DefaultCacheEntries = 1 << 15
 type Engine struct {
 	workers int
 	backend cycles.Backend
-	cache   *memoCache // nil when memoization is disabled
-	solvers sync.Pool  // *core.Solver, one borrowed per in-flight evaluation
-	hits    atomic.Int64
-	misses  atomic.Int64
+	memo    []*clock.Cache[string, core.Result] // shards by key hash; nil when memoization is disabled
+	solvers sync.Pool                           // *core.Solver, one borrowed per in-flight evaluation
 }
 
 // New builds an Engine. The zero Options give a GOMAXPROCS-sized pool with
@@ -113,9 +111,9 @@ func New(opts Options) *Engine {
 	case opts.CacheEntries < 0:
 		// memoization disabled
 	case opts.CacheEntries == 0:
-		e.cache = newMemoCache(DefaultCacheEntries)
+		e.memo = newMemo(DefaultCacheEntries)
 	default:
-		e.cache = newMemoCache(opts.CacheEntries)
+		e.memo = newMemo(opts.CacheEntries)
 	}
 	return e
 }
@@ -131,7 +129,8 @@ func (e *Engine) Backend() cycles.Backend { return e.backend }
 
 // CacheStats returns the cumulative memo-cache hit and miss counts.
 func (e *Engine) CacheStats() (hits, misses int64) {
-	return e.hits.Load(), e.misses.Load()
+	m := e.CacheMetrics()
+	return m.Hits, m.Misses
 }
 
 // CacheMetrics is a point-in-time snapshot of the memo cache, the numbers
@@ -149,17 +148,19 @@ type CacheMetrics struct {
 	Capacity int
 }
 
-// CacheMetrics snapshots the cache counters. Entries and Evictions are read
-// per shard under that shard's lock, and within a shard both only change
-// under the same lock, so the derived insert total (Entries + Evictions) is
-// monotone across snapshots — a scrape can never observe an eviction whose
-// insert it has not also observed. Hits and Misses are monotone atomics, so
-// their sum is monotone too; no scraped total ever goes backwards.
+// CacheMetrics sums the shards' snapshots. Each shard's insert total
+// (Entries + Evictions) and lookup total (Hits + Misses) is monotone across
+// its snapshots, and a sum of monotone terms is monotone, so no scraped
+// total ever goes backwards.
 func (e *Engine) CacheMetrics() CacheMetrics {
-	m := CacheMetrics{Hits: e.hits.Load(), Misses: e.misses.Load()}
-	if e.cache != nil {
-		m.Entries, m.Evictions = e.cache.metrics()
-		m.Capacity = e.cache.cap
+	var m CacheMetrics
+	for _, sh := range e.memo {
+		st := sh.Stats()
+		m.Hits += st.Hits
+		m.Misses += st.Misses
+		m.Evictions += st.Evictions
+		m.Entries += st.Entries
+		m.Capacity += st.Capacity
 	}
 	return m
 }
@@ -201,7 +202,7 @@ type Outcome struct {
 // consulting and filling the memo cache. The returned Result is identical
 // to core.Period on the same arguments.
 func (e *Engine) Evaluate(t Task) (core.Result, error) {
-	if e.cache == nil {
+	if e.memo == nil {
 		return e.evaluateSolver(t)
 	}
 	h, k := canonicalKey(t)
@@ -212,19 +213,18 @@ func (e *Engine) Evaluate(t Task) (core.Result, error) {
 // canonical key (see CanonicalKey) — the service computes it for request
 // coalescing and must not pay the multi-KB serialization twice per request.
 func (e *Engine) EvaluateKeyed(h uint64, k string, t Task) (core.Result, error) {
-	if e.cache == nil {
+	if e.memo == nil {
 		return e.evaluateSolver(t)
 	}
-	if res, ok := e.cache.get(h, k); ok {
-		e.hits.Add(1)
+	sh := e.shard(h)
+	if res, ok := sh.Get(k); ok {
 		return res, nil
 	}
-	e.misses.Add(1)
 	res, err := e.evaluateSolver(t)
 	if err != nil {
 		return res, err // errors are deterministic but cheap to rediscover
 	}
-	e.cache.put(h, k, res)
+	sh.Put(k, res)
 	return res, nil
 }
 
@@ -449,8 +449,8 @@ const (
 )
 
 // keyHasher accumulates the canonical key string and its 64-bit FNV-1a hash
-// in one pass, so the cache never has to re-hash a multi-KB key at lookup
-// time.
+// in one pass, so picking the memo shard takes no second pass over a
+// multi-KB key.
 type keyHasher struct {
 	b   strings.Builder
 	h   uint64
@@ -482,9 +482,8 @@ func (k *keyHasher) writeByte(c byte) {
 // replication vector and the exact operation times — into a canonical
 // string plus its hash. Processor ids and display names are deliberately
 // excluded: two mappings that induce the same timed structure share one
-// cache entry. The full string is stored alongside the hash and compared on
-// every hit, so a hash collision costs a string compare, never a wrong
-// period.
+// cache entry. The memo is keyed by the full string, so a hash collision
+// never returns a wrong period.
 func canonicalKey(t Task) (uint64, string) {
 	inst := t.Inst
 	k := keyHasher{h: fnvOffset64}
@@ -519,157 +518,28 @@ func writeInstanceKey(k *keyHasher, inst *model.Instance) {
 
 // memoShardCount is the number of independent cache shards. 64 shards keep
 // mutex pressure negligible for pools of up to dozens of workers while the
-// per-shard stores stay small.
+// per-shard caches stay small.
 const memoShardCount = 64
 
-// memoCache is a bounded concurrent map, sharded by key hash to keep mutex
-// pressure off the worker pool. The global bound is split exactly across
-// the shards (shard i gets cap/64, the first cap%64 shards one more), so
-// the total entry count can never exceed cap; once a shard's quota fills, a
-// CLOCK hand recycles its coldest slot. Which entries survive depends on
-// worker interleaving, but that only moves the hit rate: a hit returns the
-// same Result a fresh computation would, so cache state never affects what
-// a batch returns.
-type memoCache struct {
-	cap    int
-	shards [memoShardCount]memoShard
-}
-
-// memoShard is one CLOCK ring: entries live in fixed slots of a quota-bound
-// slice, index maps each 64-bit key hash to the slots holding it (a tiny
-// chain, so a full-hash collision still resolves by string compare), and
-// hand is the CLOCK pointer that sweeps slots looking for an unreferenced
-// victim. evictions lives on the shard — not in a cache-global atomic — so a
-// metrics snapshot can read it and len(entries) under one lock acquisition
-// and never observe the counters mid-replacement.
-type memoShard struct {
-	mu        sync.RWMutex
-	index     map[uint64][]int32
-	entries   []memoEntry
-	quota     int32 // max len(entries) for this shard
-	hand      int32
-	evictions int64 // CLOCK replacements, guarded by mu
-	// pad the shards apart so neighboring shard locks do not false-share a
-	// cache line.
-	_ [4]uint64
-}
-
-// memoEntry stores the full canonical key next to the result: the index is
-// keyed by hash, and the key comparison on hit is what makes collisions
-// harmless. ref is the CLOCK reference bit — set on every hit (atomically,
-// so reads stay under the shard's read lock), cleared as the hand sweeps
-// past; a slot whose bit is already clear is the next victim.
-type memoEntry struct {
-	hash uint64
-	key  string
-	res  core.Result
-	ref  atomic.Bool
-}
-
-func newMemoCache(capacity int) *memoCache {
-	c := &memoCache{cap: capacity}
+// newMemo splits capacity exactly across the shards (shard i gets cap/64,
+// the first cap%64 shards one more), so the total entry count can never
+// exceed it. Which entries survive depends on worker interleaving, but that
+// only moves the hit rate: a hit returns the same Result a fresh
+// computation would, so cache state never affects what a batch returns.
+func newMemo(capacity int) []*clock.Cache[string, core.Result] {
+	shards := make([]*clock.Cache[string, core.Result], memoShardCount)
 	base, extra := capacity/memoShardCount, capacity%memoShardCount
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.index = make(map[uint64][]int32)
-		sh.quota = int32(base)
+	for i := range shards {
+		quota := base
 		if i < extra {
-			sh.quota++
+			quota++
 		}
+		shards[i] = clock.New[string, core.Result](quota)
 	}
-	return c
+	return shards
 }
 
-func (c *memoCache) get(h uint64, k string) (core.Result, bool) {
-	sh := &c.shards[h%memoShardCount]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	for _, slot := range sh.index[h] {
-		if e := &sh.entries[slot]; e.key == k {
-			e.ref.Store(true)
-			return e.res, true
-		}
-	}
-	return core.Result{}, false
-}
-
-func (c *memoCache) put(h uint64, k string, res core.Result) {
-	sh := &c.shards[h%memoShardCount]
-	if sh.quota == 0 {
-		return // capacities below the shard count leave some shards empty
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, slot := range sh.index[h] {
-		if sh.entries[slot].key == k {
-			return // raced with another worker computing the same task
-		}
-	}
-	if int32(len(sh.entries)) < sh.quota {
-		sh.entries = append(sh.entries, memoEntry{})
-		slot := int32(len(sh.entries) - 1)
-		e := &sh.entries[slot]
-		e.hash, e.key, e.res = h, k, res
-		e.ref.Store(true)
-		sh.index[h] = append(sh.index[h], slot)
-		return
-	}
-	// Quota full: advance the CLOCK hand, clearing reference bits, until a
-	// cold slot turns up. After one full sweep every bit is clear, so the
-	// loop finds a victim within two revolutions.
-	for {
-		e := &sh.entries[sh.hand]
-		victim := sh.hand
-		sh.hand = (sh.hand + 1) % int32(len(sh.entries))
-		if e.ref.CompareAndSwap(true, false) {
-			continue
-		}
-		sh.dropFromIndex(e.hash, victim)
-		e.hash, e.key, e.res = h, k, res
-		e.ref.Store(true)
-		sh.index[h] = append(sh.index[h], victim)
-		sh.evictions++
-		return
-	}
-}
-
-// metrics sums entries and evictions across the shards, reading each shard
-// under its lock. Entry slots are only appended (CLOCK replaces in place),
-// and evictions only increment under the same lock, so each shard's
-// contribution to entries+evictions — its cumulative insert count — is
-// internally consistent and monotone; the cross-shard sum of monotone terms
-// is monotone.
-func (c *memoCache) metrics() (entries, evictions int64) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		entries += int64(len(sh.entries))
-		evictions += sh.evictions
-		sh.mu.RUnlock()
-	}
-	return entries, evictions
-}
-
-// dropFromIndex removes one slot from the hash's chain (swap-remove; the
-// chains are almost always length 1).
-func (sh *memoShard) dropFromIndex(h uint64, slot int32) {
-	chain := sh.index[h]
-	for i, s := range chain {
-		if s == slot {
-			chain[i] = chain[len(chain)-1]
-			chain = chain[:len(chain)-1]
-			break
-		}
-	}
-	if len(chain) == 0 {
-		delete(sh.index, h)
-	} else {
-		sh.index[h] = chain
-	}
-}
-
-// size returns the total number of cached entries (tests only).
-func (c *memoCache) size() int {
-	entries, _ := c.metrics()
-	return int(entries)
+// shard picks the memo shard of a key by its hash.
+func (e *Engine) shard(h uint64) *clock.Cache[string, core.Result] {
+	return e.memo[h%memoShardCount]
 }

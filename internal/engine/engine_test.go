@@ -256,7 +256,7 @@ func TestCacheEntriesBoundHolds(t *testing.T) {
 	if _, err := eng.EvaluateBatch(context.Background(), tasks); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.cache.size(); got > 3 {
+	if got := eng.CacheMetrics().Entries; got > 3 {
 		t.Fatalf("cache holds %d entries, cap 3", got)
 	}
 	// Results must still be correct beyond the cap.
@@ -277,11 +277,9 @@ func TestCacheEntriesBoundHolds(t *testing.T) {
 }
 
 func TestMemoCacheClockEviction(t *testing.T) {
-	// A single-quota workload: capacity 1 puts every entry through the one
-	// shard with a non-zero quota only when the hashes land there, so drive
-	// the shard directly — fill a shard's quota, then insert more and watch
+	// Drive one shard directly: fill its quota, then insert more and watch
 	// the CLOCK hand recycle slots while the bound holds exactly.
-	c := newMemoCache(memoShardCount * 2) // quota 2 per shard
+	eng := New(Options{Workers: 1, CacheEntries: memoShardCount * 2}) // quota 2 per shard
 	shard := uint64(5)
 	key := func(i int) (uint64, string) {
 		// Same shard (h % 64 == 5), distinct hashes.
@@ -289,55 +287,62 @@ func TestMemoCacheClockEviction(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		h, k := key(i)
-		c.put(h, k, core.Result{PathCount: int64(i)})
+		eng.shard(h).Put(k, core.Result{PathCount: int64(i)})
 	}
-	sh := &c.shards[shard]
-	if got := len(sh.entries); got != 2 {
+	if got := eng.memo[shard].Stats().Entries; got != 2 {
 		t.Fatalf("shard holds %d entries, quota 2", got)
 	}
-	if _, ev := c.metrics(); ev != 8 {
+	if ev := eng.CacheMetrics().Evictions; ev != 8 {
 		t.Fatalf("evictions = %d, want 8", ev)
 	}
 	// The last insert is resident and correct.
 	h, k := key(9)
-	if res, ok := c.get(h, k); !ok || res.PathCount != 9 {
+	if res, ok := eng.shard(h).Get(k); !ok || res.PathCount != 9 {
 		t.Fatalf("latest entry: got %+v ok=%v", res, ok)
 	}
-	// The index never points at stale slots: every indexed slot's hash
-	// round-trips.
-	for hh, chain := range sh.index {
-		for _, slot := range chain {
-			if sh.entries[slot].hash != hh {
-				t.Fatalf("index hash %d points at slot %d holding hash %d", hh, slot, sh.entries[slot].hash)
-			}
+	// No key answers another key's result, and exactly the quota resides.
+	resident := 0
+	for i := 0; i < 10; i++ {
+		h, k := key(i)
+		res, ok := eng.shard(h).Get(k)
+		if !ok {
+			continue
 		}
+		resident++
+		if res.PathCount != int64(i) {
+			t.Fatalf("key %d answered the result of key %d", i, res.PathCount)
+		}
+	}
+	if resident != 2 {
+		t.Fatalf("%d of 10 keys resident, quota 2", resident)
 	}
 }
 
 func TestMemoCacheClockSecondChance(t *testing.T) {
-	// Second chance, step by step on one quota-2 shard. Inserting A then B
-	// leaves both referenced. The first over-capacity put (C) sweeps the
-	// hand across both — clearing their bits — and evicts A on the second
-	// revolution, leaving the hand just past A's slot. The next put (D)
-	// sweeps from B: whatever reference bits the interleaved gets re-armed,
-	// the hand reaches B's slot again before C's, so B is the victim and C
-	// survives — the entry most recently granted its second chance wins.
-	c := newMemoCache(memoShardCount * 2)
-	h := func(i int) uint64 { return uint64(i) * memoShardCount } // all shard 0
-	c.put(h(0), "A", core.Result{PathCount: 100})
-	c.put(h(1), "B", core.Result{PathCount: 101})
-	c.put(h(2), "C", core.Result{PathCount: 102})
-	if _, ok := c.get(h(0), "A"); ok {
+	// Second chance, step by step on one quota-2 shard. Inserts are cold, so
+	// after A and B the first over-capacity put (C) evicts A at the hand and
+	// leaves the hand on B. Reading B sets its bit; the next put (D) clears
+	// it and moves on to C, which nobody read since its insert: C is the
+	// victim and the read B survives.
+	eng := New(Options{Workers: 1, CacheEntries: memoShardCount * 2})
+	c := eng.memo[0]
+	c.Put("A", core.Result{PathCount: 100})
+	c.Put("B", core.Result{PathCount: 101})
+	c.Put("C", core.Result{PathCount: 102})
+	if _, ok := c.Get("A"); ok {
 		t.Fatal("A should be the first CLOCK victim")
 	}
-	if _, ok := c.get(h(1), "B"); !ok {
+	if _, ok := c.Get("B"); !ok {
 		t.Fatal("B must survive the first eviction")
 	}
-	c.put(h(3), "D", core.Result{PathCount: 103})
-	if res, ok := c.get(h(2), "C"); !ok || res.PathCount != 102 {
-		t.Fatalf("referenced entry C evicted before unreferenced B: got %+v ok=%v", res, ok)
+	c.Put("D", core.Result{PathCount: 103})
+	if _, ok := c.Get("C"); ok {
+		t.Fatal("never-read entry C survived while read entry B was a candidate")
 	}
-	if _, ok := c.get(h(3), "D"); !ok {
+	if res, ok := c.Get("B"); !ok || res.PathCount != 101 {
+		t.Fatalf("read entry B evicted before never-read C: got %+v ok=%v", res, ok)
+	}
+	if _, ok := c.Get("D"); !ok {
 		t.Fatal("D must be resident after its insert")
 	}
 }
@@ -474,20 +479,20 @@ func TestCacheMetricsConsistentUnderConcurrentScrapes(t *testing.T) {
 
 func TestMemoCacheCollisionSafety(t *testing.T) {
 	// Two distinct canonical strings forced onto the same hash must coexist:
-	// the stored-key comparison, not the hash, decides a hit.
-	c := newMemoCache(DefaultCacheEntries)
+	// the key, not the hash, decides a hit.
+	eng := New(Options{Workers: 1})
 	const h = uint64(42)
 	resA := core.Result{PathCount: 1}
 	resB := core.Result{PathCount: 2}
-	c.put(h, "instance-A", resA)
-	c.put(h, "instance-B", resB)
-	if got, ok := c.get(h, "instance-A"); !ok || got.PathCount != 1 {
+	eng.shard(h).Put("instance-A", resA)
+	eng.shard(h).Put("instance-B", resB)
+	if got, ok := eng.shard(h).Get("instance-A"); !ok || got.PathCount != 1 {
 		t.Fatalf("entry A: got %+v ok=%v", got, ok)
 	}
-	if got, ok := c.get(h, "instance-B"); !ok || got.PathCount != 2 {
+	if got, ok := eng.shard(h).Get("instance-B"); !ok || got.PathCount != 2 {
 		t.Fatalf("entry B: got %+v ok=%v", got, ok)
 	}
-	if _, ok := c.get(h, "instance-C"); ok {
+	if _, ok := eng.shard(h).Get("instance-C"); ok {
 		t.Fatal("phantom hit on colliding hash with unknown key")
 	}
 }

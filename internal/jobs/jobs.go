@@ -20,12 +20,11 @@
 //     interleave — which is what lets a consistent-hash router route job
 //     traffic by prefix and observe the same IDs a single node would mint.
 //
-//   - Bounded registry, CLOCK retention. Non-terminal detached jobs are
-//     capped (Submit refuses past MaxActive — back-pressure, like a full
-//     solve queue); terminal jobs move to a bounded CLOCK ring where a Get
-//     sets the reference bit and the hand recycles the coldest entry. A
-//     10x oversubmission therefore cannot grow the registry past
-//     MaxActive + TerminalEntries jobs.
+//   - Bounded registry. Non-terminal detached jobs are capped (Submit
+//     refuses past MaxActive — back-pressure, like a full solve queue);
+//     terminal jobs move, cold, into a bounded internal/clock cache where a
+//     Get sets the reference bit. A 10x oversubmission therefore cannot grow
+//     the registry past MaxActive + TerminalEntries jobs.
 //
 //   - Lock-cheap progress. Progress is a fixed struct of atomic counters
 //     the solve loops add to and pollers read without any lock.
@@ -39,10 +38,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // State is a job's lifecycle state.
@@ -113,7 +115,7 @@ type Persister interface {
 	// result or failure recorded.
 	Terminal(j *Job)
 	// Evicted is called when a terminal job is recycled out of the registry
-	// by the CLOCK hand — the signal to drop its durable record too, so the
+	// to make room — the signal to drop its durable record too, so the
 	// checkpoint directory stays bounded by the same policy as memory.
 	Evicted(j *Job)
 }
@@ -137,7 +139,6 @@ type Job struct {
 	cancel   context.CancelFunc
 	prog     Progress
 	done     chan struct{}
-	ref      atomic.Bool // CLOCK reference bit while terminal
 
 	m *Manager
 
@@ -239,8 +240,7 @@ type Options struct {
 type Metrics struct {
 	// Submitted counts registrations; Done/Failed/Canceled count terminal
 	// transitions by outcome; Rejected counts submissions refused by the
-	// MaxActive cap; Evictions counts terminal jobs recycled by the CLOCK
-	// hand.
+	// MaxActive cap; Evictions counts terminal jobs recycled to make room.
 	Submitted, Done, Failed, Canceled, Rejected, Evictions int64
 	// Active is the current non-terminal resident count (inline included);
 	// Terminal the retained terminal count.
@@ -254,16 +254,13 @@ type Manager struct {
 	opts Options
 
 	mu        sync.Mutex
-	byID      map[string]*Job
+	active    map[string]*Job // resident non-terminal jobs (inline included)
+	terminal  *clock.Cache[string, *Job]
 	seq       map[string]*prefixSeq
-	terminal  []*Job // CLOCK ring of terminal jobs
-	hand      int
-	active    int // resident non-terminal jobs (inline included)
 	detached  int // resident non-terminal detached jobs (the MaxActive cap)
 	submitted int64
 	finished  [3]int64 // done, failed, canceled
 	rejected  int64
-	evictions int64
 }
 
 // prefixSeq is the per-prefix ID allocator plus the resident count that
@@ -286,10 +283,19 @@ func New(opts Options) *Manager {
 		opts.Persister = nopPersister{}
 	}
 	return &Manager{
-		opts: opts,
-		byID: make(map[string]*Job),
-		seq:  make(map[string]*prefixSeq),
+		opts:     opts,
+		active:   make(map[string]*Job),
+		terminal: clock.New[string, *Job](opts.TerminalEntries),
+		seq:      make(map[string]*prefixSeq),
 	}
+}
+
+// find looks a resident job up, active or terminal. Caller holds m.mu.
+func (m *Manager) find(id string) (*Job, bool) {
+	if j, ok := m.active[id]; ok {
+		return j, true
+	}
+	return m.terminal.Get(id)
 }
 
 // Submit registers a job under the given ID prefix. The job's context
@@ -321,7 +327,7 @@ func (m *Manager) Submit(kind, prefix string, body []byte, parent context.Contex
 	for {
 		ps.next++
 		id = fmt.Sprintf("%s-%d", prefix, ps.next)
-		if _, taken := m.byID[id]; !taken {
+		if _, taken := m.find(id); !taken {
 			break
 		}
 	}
@@ -345,7 +351,7 @@ func (m *Manager) Resume(id, kind string, body []byte, parent context.Context, t
 		return nil, err
 	}
 	m.mu.Lock()
-	if _, taken := m.byID[id]; taken {
+	if _, taken := m.find(id); taken {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("jobs: id %q already registered", id)
 	}
@@ -367,7 +373,7 @@ func (m *Manager) Resume(id, kind string, body []byte, parent context.Context, t
 // finished before the crash, so pollers keep getting the answer they were
 // promised. state must be terminal and is kept verbatim (a canceled bnb job
 // stays canceled, even when its anytime result rode along). The job enters
-// the CLOCK ring like any terminal transition; the Persister observes
+// the terminal cache like any terminal transition; the Persister observes
 // nothing (the durable record already exists). It fails when the ID is
 // taken or malformed.
 func (m *Manager) Rehydrate(id, kind string, state State, result []byte, failure *Failure) (*Job, error) {
@@ -379,7 +385,7 @@ func (m *Manager) Rehydrate(id, kind string, state State, result []byte, failure
 		return nil, fmt.Errorf("jobs: cannot rehydrate %q in non-terminal state %q", id, state)
 	}
 	m.mu.Lock()
-	if _, taken := m.byID[id]; taken {
+	if _, taken := m.find(id); taken {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("jobs: id %q already registered", id)
 	}
@@ -406,7 +412,6 @@ func (m *Manager) Rehydrate(id, kind string, state State, result []byte, failure
 		failure:  failure,
 	}
 	close(j.done)
-	m.byID[id] = j
 	ps.resident++
 	m.submitted++
 	switch state {
@@ -443,9 +448,8 @@ func (m *Manager) registerLocked(id, kind string, body []byte, ps *prefixSeq, pa
 		m:        m,
 		state:    StatePending,
 	}
-	m.byID[id] = j
+	m.active[id] = j
 	ps.resident++
-	m.active++
 	if detached {
 		m.detached++
 	}
@@ -502,13 +506,10 @@ func (m *Manager) Finish(j *Job, result []byte, failure *Failure) {
 	}
 	j.result = result
 	j.failure = failure
-	m.active--
+	delete(m.active, j.id)
 	if j.detached {
 		m.detached--
 	}
-	// Inserted cold: only a Get sets the reference bit, so retained jobs
-	// that are never polled are the first recycled.
-	j.ref.Store(false)
 	victim := m.retain(j)
 	m.mu.Unlock()
 	j.cancel() // release the context's timer/goroutine
@@ -533,37 +534,17 @@ func (m *Manager) Deposit(j *Job, body []byte) {
 	}
 }
 
-// retain inserts a terminal job into the CLOCK ring, recycling the coldest
-// entry when full. Caller holds m.mu and must offer the returned victim (if
-// any) to the Persister's Evicted hook after releasing the lock.
+// retain inserts a terminal job into the terminal cache. When that recycled
+// a job, retain releases the victim's prefix allocator entry if it was the
+// last resident of its prefix, and returns it. Caller holds m.mu and must
+// offer the victim to the Persister's Evicted hook after releasing the lock.
+// The cache never pins, so the insert always succeeds.
 func (m *Manager) retain(j *Job) *Job {
-	if len(m.terminal) < m.opts.TerminalEntries {
-		m.terminal = append(m.terminal, j)
+	_, victim, evicted, _ := m.terminal.Put(j.id, j)
+	if !evicted {
 		return nil
 	}
-	// Every ring entry is terminal and unpinned, so at most two revolutions
-	// find a victim: the first clears reference bits, the second takes the
-	// first still-clear slot.
-	for {
-		victim := m.terminal[m.hand]
-		slot := m.hand
-		m.hand = (m.hand + 1) % len(m.terminal)
-		if victim.ref.CompareAndSwap(true, false) {
-			continue
-		}
-		m.evict(victim)
-		m.terminal[slot] = j
-		return victim
-	}
-}
-
-// evict drops a terminal job from the registry, releasing its prefix
-// allocator entry when it was the last resident of that prefix. Caller
-// holds m.mu.
-func (m *Manager) evict(j *Job) {
-	delete(m.byID, j.id)
-	m.evictions++
-	prefix := j.id
+	prefix := victim.id
 	if i := lastDash(prefix); i >= 0 {
 		prefix = prefix[:i]
 	}
@@ -573,6 +554,7 @@ func (m *Manager) evict(j *Job) {
 			delete(m.seq, prefix)
 		}
 	}
+	return victim
 }
 
 func lastDash(s string) int {
@@ -584,16 +566,11 @@ func lastDash(s string) int {
 	return -1
 }
 
-// Get looks a job up, setting its CLOCK reference bit.
+// Get looks a job up; a terminal job's lookup sets its reference bit.
 func (m *Manager) Get(id string) (*Job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.byID[id]
-	if !ok {
-		return nil, false
-	}
-	j.ref.Store(true)
-	return j, true
+	return m.find(id)
 }
 
 // Cancel requests cooperative cancellation: the job's context is canceled
@@ -603,7 +580,7 @@ func (m *Manager) Get(id string) (*Job, bool) {
 // an idempotent no-op. The boolean reports whether the ID is registered.
 func (m *Manager) Cancel(id string) (*Job, bool) {
 	m.mu.Lock()
-	j, ok := m.byID[id]
+	j, ok := m.find(id)
 	if !ok {
 		m.mu.Unlock()
 		return nil, false
@@ -620,16 +597,13 @@ func (m *Manager) Cancel(id string) (*Job, bool) {
 // sorted by ID — a deterministic order for a deterministic wire format.
 func (m *Manager) List(kind string, state State) []*Job {
 	m.mu.Lock()
-	out := make([]*Job, 0, len(m.byID))
-	for _, j := range m.byID {
-		if kind != "" && j.kind != kind {
-			continue
-		}
-		if state != "" && j.state != state {
-			continue
-		}
+	out := m.terminal.Values()
+	for _, j := range m.active {
 		out = append(out, j)
 	}
+	out = slices.DeleteFunc(out, func(j *Job) bool {
+		return (kind != "" && j.kind != kind) || (state != "" && j.state != state)
+	})
 	m.mu.Unlock()
 	sort.Slice(out, func(i, k int) bool { return out[i].id < out[k].id })
 	return out
@@ -639,15 +613,16 @@ func (m *Manager) List(kind string, state State) []*Job {
 func (m *Manager) Metrics() Metrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	st := m.terminal.Stats()
 	return Metrics{
 		Submitted:        m.submitted,
 		Done:             m.finished[0],
 		Failed:           m.finished[1],
 		Canceled:         m.finished[2],
 		Rejected:         m.rejected,
-		Evictions:        m.evictions,
-		Active:           int64(m.active),
-		Terminal:         int64(len(m.terminal)),
+		Evictions:        st.Evictions,
+		Active:           int64(len(m.active)),
+		Terminal:         st.Entries,
 		ActiveCapacity:   m.opts.MaxActive,
 		TerminalCapacity: m.opts.TerminalEntries,
 	}

@@ -23,6 +23,23 @@ type InstanceRequest struct {
 	Platform *platform.Platform `json:"platform,omitempty"`
 }
 
+// Validate checks that the request carries exactly one document.
+func (req *InstanceRequest) Validate() error {
+	set := 0
+	for _, present := range []bool{req.Instance != nil, req.Pipeline != nil, req.Platform != nil} {
+		if present {
+			set++
+		}
+	}
+	switch {
+	case set == 0:
+		return badRequest("missing \"instance\" (or \"pipeline\"/\"platform\" to register a description)")
+	case set > 1:
+		return badRequest("\"instance\", \"pipeline\" and \"platform\" are mutually exclusive")
+	}
+	return nil
+}
+
 // InstanceResponse answers a registration (POST) or lookup (GET). The ID is
 // the hex SHA-256 of the canonical content serialization: the same timed
 // structure registers under the same ID from any client, on any node, across
@@ -70,22 +87,12 @@ func (s *Server) handleInstancePost(w http.ResponseWriter, r *http.Request) {
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	var req InstanceRequest
-	if err := decode(r, &req); err != nil {
+	if err := DecodeStrict(r.Body, &req); err != nil {
 		s.failErr(w, name, err)
 		return
 	}
-	set := 0
-	for _, present := range []bool{req.Instance != nil, req.Pipeline != nil, req.Platform != nil} {
-		if present {
-			set++
-		}
-	}
-	if set == 0 {
-		s.failErr(w, name, badRequest("missing \"instance\" (or \"pipeline\"/\"platform\" to register a description)"))
-		return
-	}
-	if set > 1 {
-		s.failErr(w, name, badRequest("\"instance\", \"pipeline\" and \"platform\" are mutually exclusive"))
+	if err := req.Validate(); err != nil {
+		s.failErr(w, name, err)
 		return
 	}
 	var (

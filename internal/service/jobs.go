@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -315,7 +314,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req JobSubmitRequest
-	if err := decodeBytes(body, &req); err != nil {
+	if err := DecodeStrict(bytes.NewReader(body), &req); err != nil {
 		s.failErr(w, name, err)
 		return
 	}
@@ -483,17 +482,4 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request, id stri
 		return
 	}
 	writeJSON(w, http.StatusOK, jobJSON(j))
-}
-
-// decodeBytes is decode for an already-read body: same strictness, same
-// error phrasing.
-func decodeBytes(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	if err := dec.Decode(v); err != nil {
-		return badRequest("bad request body: %v", err)
-	}
-	if dec.More() {
-		return badRequest("bad request body: trailing data after JSON value")
-	}
-	return nil
 }

@@ -167,7 +167,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		jm.Submitted, jm.Done, jm.Failed, jm.Canceled, jm.Rejected, jm.Evictions, jm.Active, jm.Terminal, jm.ActiveCapacity, jm.TerminalCapacity)
 	b.WriteString("\"respMemo\": ")
 	if s.resp != nil {
-		rm := s.resp.metrics()
+		rm := s.resp.Stats()
 		fmt.Fprintf(&b, "{\"hits\":%d,\"misses\":%d,\"evictions\":%d,\"entries\":%d,\"capacity\":%d}",
 			rm.Hits, rm.Misses, rm.Evictions, rm.Entries, rm.Capacity)
 	} else {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 
 	"net/http"
@@ -102,7 +103,7 @@ func (s *Server) resumeRunning(rec checkpoint.Record) bool {
 // finished bnb roots as replay.
 func (s *Server) resumePlan(rec checkpoint.Record) (jobRunner, func(), error) {
 	var sub JobSubmitRequest
-	if err := decodeBytes(rec.Body, &sub); err != nil {
+	if err := DecodeStrict(bytes.NewReader(rec.Body), &sub); err != nil {
 		return nil, nil, err
 	}
 	switch {

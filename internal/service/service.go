@@ -9,11 +9,12 @@
 //     paths the CLI commands use; /v1/batch answers are bit-identical to a
 //     serial engine.EvaluateBatch over the same tasks, at any worker count.
 //
-//   - Bounded residency. The memo cache behind the server is the engine's
-//     CLOCK-evicting bounded cache (engine.Options.CacheEntries), so a
-//     long-lived process cannot grow without bound no matter how many
-//     distinct instances it is asked about; /metrics exports the hit, miss
-//     and eviction counters that prove it.
+//   - Bounded residency. Every cache behind the server — the engine memo
+//     (engine.Options.CacheEntries), the instance store, the response memo
+//     and the terminal-job registry — is an internal/clock cache with a
+//     fixed bound, so a long-lived process cannot grow without bound no
+//     matter how many distinct instances it is asked about; /metrics
+//     exports the hit, miss and eviction counters that prove it.
 //
 //   - Back-pressure. A server-wide in-flight budget (MaxInFlight) caps
 //     concurrent solves; request bodies are fully parsed before a slot is
@@ -49,6 +50,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -59,6 +61,7 @@ import (
 
 	"repro/internal/bnb"
 	"repro/internal/checkpoint"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/cycles"
 	"repro/internal/engine"
@@ -111,7 +114,7 @@ type Options struct {
 	RespCacheEntries int
 	// JobEntries bounds retained terminal jobs in the async-job registry
 	// (0 = jobs.DefaultTerminalEntries). Terminal jobs past the bound are
-	// recycled CLOCK-style, coldest first.
+	// recycled CLOCK-style, never-polled jobs first.
 	JobEntries int
 	// JobActive caps concurrently resident detached jobs (POST /v1/jobs);
 	// past it submissions are refused with 503. 0 = jobs.DefaultMaxActive.
@@ -157,6 +160,12 @@ func (o *Options) defaults() {
 // a backend added to internal/cycles cannot overflow it.
 const backendCount = cycles.NumBackends
 
+// defaultRespEntries bounds the response memo when Options leave it zero.
+// Bodies are a few hundred bytes each, so the default costs a couple of MiB
+// while covering far more distinct (instance, model, backend, options)
+// combinations than a steady-state workload rotates through.
+const defaultRespEntries = 8192
+
 // Server is the HTTP front end. Create it with NewServer and mount
 // Handler() (tests use httptest around it; Serve runs it with graceful
 // shutdown).
@@ -167,11 +176,11 @@ type Server struct {
 	sem     chan struct{}                // in-flight solve budget
 	met     *metrics
 	flights flightGroup
-	store   *store.Store        // content-addressed documents (POST /v1/instances)
-	resp    *respCache          // pre-encoded /v1/evaluate bodies; nil when disabled
-	jobs    *jobs.Manager       // the job registry every solve runs under
-	ckpt    *checkpoint.Manager // durable job state; nil when CheckpointDir is empty
-	ckptErr error               // deferred CheckpointDir failure; Serve refuses to start on it
+	store   *store.Store                 // content-addressed documents (POST /v1/instances)
+	resp    *clock.Cache[string, []byte] // pre-encoded /v1/evaluate bodies; nil when disabled
+	jobs    *jobs.Manager                // the job registry every solve runs under
+	ckpt    *checkpoint.Manager          // durable job state; nil when CheckpointDir is empty
+	ckptErr error                        // deferred CheckpointDir failure; Serve refuses to start on it
 }
 
 // NewServer builds a server and its routes.
@@ -202,7 +211,11 @@ func NewServer(opts Options) *Server {
 	}
 	s.jobs = jobs.New(jo)
 	if opts.RespCacheEntries >= 0 {
-		s.resp = newRespCache(opts.RespCacheEntries)
+		n := opts.RespCacheEntries
+		if n == 0 {
+			n = defaultRespEntries
+		}
+		s.resp = clock.New[string, []byte](n)
 	}
 	for b := range s.engines {
 		s.engines[b] = engine.New(engine.Options{
@@ -470,9 +483,11 @@ func backendLabelOf(resp any) string {
 	return "auto"
 }
 
-// decode parses a JSON body, rejecting trailing garbage.
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// DecodeStrict parses exactly one JSON value from body into v; trailing data
+// after it is an error. Node and router parse every request body with it, so
+// their verdicts on a malformed body read alike.
+func DecodeStrict(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
 	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -579,26 +594,38 @@ type EvaluateResponse struct {
 
 func (r EvaluateResponse) backendLabel() string { return r.Backend }
 
+// Validate checks that the request names its instance exactly once: inline
+// or by ID.
+func (req *EvaluateRequest) Validate() error {
+	switch {
+	case req.Instance != nil && req.InstanceID != "":
+		return badRequest("\"instance\" and \"instanceId\" are mutually exclusive")
+	case req.Instance == nil && req.InstanceID == "":
+		return badRequest("missing \"instance\" (inline) or \"instanceId\" (registered via POST /v1/instances)")
+	}
+	return nil
+}
+
 func (s *Server) handleEvaluate(r *http.Request) (rep reply, err error) {
 	var req EvaluateRequest
-	if err := decode(r, &req); err != nil {
+	if err := DecodeStrict(r.Body, &req); err != nil {
 		return rep, err
 	}
 	cm, b, err := s.parseSelectors(req.Model, req.Backend)
 	if err != nil {
 		return rep, err
 	}
+	if err := req.Validate(); err != nil {
+		return rep, err
+	}
 	// Resolve the instance and its canonical task key. The by-ID path reads
 	// the key precomputed at registration (zero serialization); the inline
 	// path serializes here, at parse time, so the response-memo lookup below
 	// can run before any solve capacity is taken.
-	var inst *model.Instance
+	inst := req.Instance
 	var h uint64
 	var key string
-	switch {
-	case req.Instance != nil && req.InstanceID != "":
-		return rep, badRequest("\"instance\" and \"instanceId\" are mutually exclusive")
-	case req.InstanceID != "":
+	if req.InstanceID != "" {
 		ent, err := s.resolveInstance(req.InstanceID)
 		if err != nil {
 			return rep, err
@@ -609,11 +636,8 @@ func (s *Server) handleEvaluate(r *http.Request) (rep reply, err error) {
 		rep.cleanup = ent.Release
 		inst = ent.Instance()
 		h, key = ent.TaskKey(cm)
-	case req.Instance != nil:
-		inst = req.Instance
+	} else {
 		h, key = engine.CanonicalKey(engine.Task{Inst: inst, Model: cm})
-	default:
-		return rep, badRequest("missing \"instance\" (inline) or \"instanceId\" (registered via POST /v1/instances)")
 	}
 	if req.LatencyPeriods > 0 {
 		if ds := int64(req.LatencyPeriods) * inst.PathCount(); ds > maxLatencyDataSets || ds < 0 {
@@ -627,7 +651,7 @@ func (s *Server) handleEvaluate(r *http.Request) (rep reply, err error) {
 	var respKey string
 	if s.resp != nil {
 		respKey = b.String() + "\x00" + strconv.Itoa(req.LatencyPeriods) + "\x00" + key
-		if body, ok := s.resp.get(respKey); ok {
+		if body, ok := s.resp.Get(respKey); ok {
 			rep.raw, rep.backend = body, b.String()
 			return rep, nil
 		}
@@ -636,7 +660,7 @@ func (s *Server) handleEvaluate(r *http.Request) (rep reply, err error) {
 			// marker, which describes this request's scheduling, not the
 			// task's result.
 			if er, ok := resp.(EvaluateResponse); ok && !er.Coalesced {
-				s.resp.put(respKey, body)
+				s.resp.Put(respKey, bytes.Clone(body))
 			}
 		}
 	}
@@ -709,9 +733,26 @@ type BatchResponse struct {
 
 func (r BatchResponse) backendLabel() string { return r.Backend }
 
+// Validate checks task i of a batch — its model, and that it names its
+// instance exactly once — and returns the parsed model. Messages carry the
+// "task i:" prefix.
+func (t *BatchTask) Validate(i int) (model.CommModel, error) {
+	cm, err := model.Parse(t.Model)
+	if err != nil {
+		return 0, badRequest("task %d: %v", i, err)
+	}
+	switch {
+	case t.Instance != nil && t.InstanceID != "":
+		return 0, badRequest("task %d: \"instance\" and \"instanceId\" are mutually exclusive", i)
+	case t.Instance == nil && t.InstanceID == "":
+		return 0, badRequest("task %d: missing \"instance\" or \"instanceId\"", i)
+	}
+	return cm, nil
+}
+
 func (s *Server) handleBatch(r *http.Request) (rep reply, err error) {
 	var req BatchRequest
-	if err := decode(r, &req); err != nil {
+	if err := DecodeStrict(r.Body, &req); err != nil {
 		return rep, err
 	}
 	if len(req.Tasks) == 0 {
@@ -731,24 +772,20 @@ func (s *Server) handleBatch(r *http.Request) (rep reply, err error) {
 		}
 	}
 	tasks := make([]engine.Task, len(req.Tasks))
-	for i, bt := range req.Tasks {
-		cm, err := model.Parse(bt.Model)
+	for i := range req.Tasks {
+		bt := &req.Tasks[i]
+		cm, err := bt.Validate(i)
 		if err != nil {
-			return rep, badRequest("task %d: %v", i, err)
+			return rep, err
 		}
 		inst := bt.Instance
-		switch {
-		case bt.Instance != nil && bt.InstanceID != "":
-			return rep, badRequest("task %d: \"instance\" and \"instanceId\" are mutually exclusive", i)
-		case bt.InstanceID != "":
+		if bt.InstanceID != "" {
 			ent, err := s.resolveInstance(bt.InstanceID)
 			if err != nil {
 				return rep, codedError(http.StatusNotFound, CodeUnknownInstance, "task %d: %v", i, err)
 			}
 			pinned = append(pinned, ent)
 			inst = ent.Instance()
-		case bt.Instance == nil:
-			return rep, badRequest("task %d: missing \"instance\" or \"instanceId\"", i)
 		}
 		tasks[i] = engine.Task{Inst: inst, Model: cm}
 	}
@@ -845,7 +882,7 @@ func (r SearchResponse) backendLabel() string { return r.Backend }
 
 func (s *Server) handleSearch(r *http.Request) (reply, error) {
 	var req SearchRequest
-	if err := decode(r, &req); err != nil {
+	if err := DecodeStrict(r.Body, &req); err != nil {
 		return reply{}, err
 	}
 	run, cleanup, err := s.searchPlan(&req)
@@ -1064,7 +1101,7 @@ func (r SubtreeResponse) backendLabel() string { return r.Backend }
 
 func (s *Server) handleSubtree(r *http.Request) (rep reply, err error) {
 	var req SubtreeRequest
-	if err := decode(r, &req); err != nil {
+	if err := DecodeStrict(r.Body, &req); err != nil {
 		return rep, err
 	}
 	if req.Pipeline == nil || req.Platform == nil {
@@ -1146,7 +1183,7 @@ func (r SweepResponse) backendLabel() string { return r.Backend }
 
 func (s *Server) handleSweep(r *http.Request) (reply, error) {
 	var req SweepRequest
-	if err := decode(r, &req); err != nil {
+	if err := DecodeStrict(r.Body, &req); err != nil {
 		return reply{}, err
 	}
 	run, cleanup, err := s.sweepPlan(&req)

@@ -19,16 +19,14 @@
 //     serialization: the multi-KB key the memo cache and the request
 //     coalescer need is a field load.
 //
-//   - Bounded residency, CLOCK discipline. Like the engine's memo cache the
-//     store holds at most its configured capacity; past it, a CLOCK hand
-//     recycles the coldest unpinned entry (reference bits set on every
-//     resolve). Entries resolved by an in-flight request are pinned and
-//     never evicted until released, so eviction pressure cannot invalidate
-//     an instance mid-solve.
+//   - Bounded residency. The entries live in an internal/clock cache: at
+//     most the configured capacity, registrations inserted cold, a resolve
+//     setting the reference bit. Entries resolved by an in-flight request
+//     are pinned and never evicted until released, so eviction pressure
+//     cannot invalidate an instance mid-solve.
 //
-//   - Consistent metrics. Mutating counters live under the store mutex and
-//     Metrics snapshots them in one acquisition, so derived totals
-//     (Entries+Evictions = cumulative inserts) are monotone across scrapes.
+//   - Consistent metrics. Metrics inherits the cache's snapshot contract:
+//     Entries+Evictions (cumulative inserts) is monotone across scrapes.
 package store
 
 import (
@@ -36,9 +34,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"sync"
 	"sync/atomic"
 
+	"repro/internal/clock"
 	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/pipeline"
@@ -62,7 +60,7 @@ var ErrFull = errors.New("store: capacity reached and every entry is pinned")
 
 // Kind distinguishes the document types the store holds. Instances were
 // first; pipelines and platforms joined when /v1/search learned by-ID
-// references — all three share the registry, the CLOCK discipline and the
+// references — all three share the registry, the eviction policy and the
 // pin protocol, because an ID's home node in the cluster ring must not
 // depend on what kind of document it names.
 type Kind string
@@ -76,24 +74,21 @@ const (
 	KindPlatform Kind = "platform"
 )
 
-// Entry is one registered document. Entries are immutable after
-// registration; the pin count is the only mutable state. Exactly one of
-// Instance, Pipeline and Platform is non-nil, according to Kind.
+// Entry is one registered document, immutable after registration. Exactly
+// one of Instance, Pipeline and Platform is non-nil, according to Kind.
 type Entry struct {
-	id   string
-	kind Kind
-	inst *model.Instance
-	pipe *pipeline.Pipeline
-	plat *platform.Platform
+	id    string
+	kind  Kind
+	cache *clock.Cache[string, *Entry] // holds the entry's pin count
+	inst  *model.Instance
+	pipe  *pipeline.Pipeline
+	plat  *platform.Platform
 
 	// taskHash/taskKey are engine.CanonicalKey(Task{inst, m}) per model,
 	// precomputed so the by-ID hot path never serializes the instance.
 	// Instance entries only.
 	taskHash [numModels]uint64
 	taskKey  [numModels]string
-
-	pins atomic.Int32 // in-flight requests holding this entry
-	ref  atomic.Bool  // CLOCK reference bit
 }
 
 // ID returns the stable content ID (hex SHA-256 of the canonical content).
@@ -122,7 +117,7 @@ func (e *Entry) TaskKey(cm model.CommModel) (uint64, string) {
 
 // Release drops one pin. Every successful Resolve must be paired with
 // exactly one Release once the request referencing the entry finishes.
-func (e *Entry) Release() { e.pins.Add(-1) }
+func (e *Entry) Release() { e.cache.Unpin(e.id) }
 
 // Metrics is a consistent point-in-time snapshot of the store.
 type Metrics struct {
@@ -131,8 +126,8 @@ type Metrics struct {
 	Puts, Dedups int64
 	// Resolves and Misses count by-ID lookups (found / unknown ID).
 	Resolves, Misses int64
-	// Evictions counts entries recycled by the CLOCK hand; Entries+Evictions
-	// is the cumulative insert count and never decreases between snapshots.
+	// Evictions counts entries recycled to make room; Entries+Evictions is
+	// the cumulative insert count and never decreases between snapshots.
 	Evictions int64
 	// Entries is the current resident count; never exceeds Capacity.
 	Entries int64
@@ -143,20 +138,10 @@ type Metrics struct {
 }
 
 // Store is the bounded content-addressed instance store. Safe for concurrent
-// use; reads (Resolve) take a shared lock, registrations an exclusive one.
+// use.
 type Store struct {
-	capacity int
-
-	mu        sync.RWMutex
-	byID      map[string]int32 // content ID -> slot
-	entries   []*Entry         // fixed slots; the CLOCK ring
-	hand      int32
-	puts      int64 // guarded by mu
-	dedups    int64 // guarded by mu
-	evictions int64 // guarded by mu
-
-	resolves atomic.Int64 // monotone, updated under RLock
-	misses   atomic.Int64
+	cache  *clock.Cache[string, *Entry] // content ID -> entry
+	dedups atomic.Int64
 }
 
 // New builds a store holding at most capacity entries (<= 0 means
@@ -165,15 +150,8 @@ func New(capacity int) *Store {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Store{
-		capacity: capacity,
-		byID:     make(map[string]int32, capacity),
-		entries:  make([]*Entry, 0, capacity),
-	}
+	return &Store{cache: clock.New[string, *Entry](capacity)}
 }
-
-// Capacity returns the configured bound.
-func (s *Store) Capacity() int { return s.capacity }
 
 // ContentID computes the stable content ID an instance registers under,
 // without touching the store: the hex SHA-256 of the canonical
@@ -237,87 +215,40 @@ func (s *Store) PutPlatform(p *platform.Platform) (e *Entry, created bool, err e
 	return s.insert(&Entry{id: PlatformID(p), kind: KindPlatform, plat: p})
 }
 
-// insert adds a prepared entry under the CLOCK discipline, deduplicating by
-// content ID.
+// insert adds a prepared entry, deduplicating by content ID.
 func (s *Store) insert(ent *Entry) (e *Entry, created bool, err error) {
-	id := ent.id
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if slot, ok := s.byID[id]; ok {
-		existing := s.entries[slot]
-		existing.ref.Store(true)
-		s.dedups++
-		return existing, false, nil
+	ent.cache = s.cache
+	got, _, _, ok := s.cache.Put(ent.id, ent)
+	switch {
+	case !ok:
+		return nil, false, ErrFull
+	case got != ent:
+		s.dedups.Add(1)
+		return got, false, nil
 	}
-	ent.ref.Store(true)
-	if len(s.entries) < s.capacity {
-		s.entries = append(s.entries, ent)
-		s.byID[id] = int32(len(s.entries) - 1)
-		s.puts++
-		return ent, true, nil
-	}
-	// CLOCK sweep: clear reference bits until an unpinned, unreferenced slot
-	// turns up. Pinned entries are skipped without clearing their bit — a
-	// pin is stronger than a reference. Two full revolutions guarantee a
-	// victim unless every slot is pinned; a third finds nothing new, so bail
-	// out then rather than spinning.
-	for sweeps := 0; sweeps < 3*len(s.entries); sweeps++ {
-		victim := s.hand
-		cand := s.entries[victim]
-		s.hand = (s.hand + 1) % int32(len(s.entries))
-		if cand.pins.Load() > 0 {
-			continue
-		}
-		if cand.ref.CompareAndSwap(true, false) {
-			continue
-		}
-		delete(s.byID, cand.id)
-		s.entries[victim] = ent
-		s.byID[id] = victim
-		s.evictions++
-		s.puts++
-		return ent, true, nil
-	}
-	return nil, false, ErrFull
+	return ent, true, nil
 }
 
 // Resolve looks an ID up and pins the entry: until the caller invokes
 // Release, the entry cannot be evicted. The boolean reports whether the ID
 // is registered.
 func (s *Store) Resolve(id string) (*Entry, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	slot, ok := s.byID[id]
-	if !ok {
-		s.misses.Add(1)
-		return nil, false
-	}
-	ent := s.entries[slot]
-	ent.pins.Add(1)
-	ent.ref.Store(true)
-	s.resolves.Add(1)
-	return ent, true
+	return s.cache.Pin(id)
 }
 
-// Metrics snapshots the store counters. Entries, Evictions, Puts and Dedups
-// are read under the store lock in one acquisition, so Entries+Evictions
-// (cumulative inserts) is exact and monotone across snapshots.
+// Metrics snapshots the store counters. Every registration that created an
+// entry either still holds its slot or was evicted, so Puts is
+// Entries+Evictions of one cache snapshot.
 func (s *Store) Metrics() Metrics {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m := Metrics{
-		Puts:      s.puts,
-		Dedups:    s.dedups,
-		Evictions: s.evictions,
-		Entries:   int64(len(s.entries)),
-		Capacity:  s.capacity,
-		Resolves:  s.resolves.Load(),
-		Misses:    s.misses.Load(),
+	st := s.cache.Stats()
+	return Metrics{
+		Puts:      st.Entries + st.Evictions,
+		Dedups:    s.dedups.Load(),
+		Resolves:  st.Hits,
+		Misses:    st.Misses,
+		Evictions: st.Evictions,
+		Entries:   st.Entries,
+		Pinned:    s.cache.Pinned(),
+		Capacity:  st.Capacity,
 	}
-	for _, e := range s.entries {
-		if e.pins.Load() > 0 {
-			m.Pinned++
-		}
-	}
-	return m
 }

@@ -10,6 +10,8 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exper"
 	"repro/internal/model"
+	"repro/internal/pipeline"
+	"repro/internal/platform"
 	"repro/internal/rat"
 )
 
@@ -69,6 +71,51 @@ func TestPutDeduplicatesByContent(t *testing.T) {
 		t.Fatal("duplicate registration produced a distinct entry")
 	}
 	if m := s.Metrics(); m.Puts != 1 || m.Dedups != 1 || m.Entries != 1 {
+		t.Fatalf("metrics %+v", m)
+	}
+}
+
+// TestDescriptionDocuments covers the pipeline and platform kinds: they
+// register and resolve like instances, deduplicate by content, and their
+// kind-tagged IDs never alias each other.
+func TestDescriptionDocuments(t *testing.T) {
+	s := New(0)
+	if c := s.Metrics().Capacity; c != DefaultCapacity {
+		t.Fatalf("capacity %d, want the default %d", c, DefaultCapacity)
+	}
+	pipe, err := pipeline.New([]int64{5, 7}, []int64{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat, err := platform.New([]int64{1, 2}, [][]int64{{0, 4}, {4, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe, created, err := s.PutPipeline(pipe)
+	if err != nil || !created || pe.ID() != PipelineID(pipe) {
+		t.Fatalf("PutPipeline: id %s created=%v err=%v", pe.ID(), created, err)
+	}
+	le, created, err := s.PutPlatform(plat)
+	if err != nil || !created || le.ID() != PlatformID(plat) {
+		t.Fatalf("PutPlatform: id %s created=%v err=%v", le.ID(), created, err)
+	}
+	if pe.ID() == le.ID() || len(pe.ID()) != 64 {
+		t.Fatalf("pipeline id %s and platform id %s", pe.ID(), le.ID())
+	}
+	if again, created, _ := s.PutPipeline(pipe); created || again != pe {
+		t.Fatal("re-registered pipeline produced a distinct entry")
+	}
+	got, ok := s.Resolve(pe.ID())
+	if !ok || got.Kind() != KindPipeline || got.Pipeline() != pipe || got.Platform() != nil || got.Instance() != nil {
+		t.Fatalf("pipeline entry: ok=%v kind=%s", ok, got.Kind())
+	}
+	got.Release()
+	got, ok = s.Resolve(le.ID())
+	if !ok || got.Kind() != KindPlatform || got.Platform() != plat || got.Pipeline() != nil {
+		t.Fatalf("platform entry: ok=%v kind=%s", ok, got.Kind())
+	}
+	got.Release()
+	if m := s.Metrics(); m.Puts != 2 || m.Dedups != 1 || m.Pinned != 0 {
 		t.Fatalf("metrics %+v", m)
 	}
 }
@@ -139,6 +186,69 @@ func TestBoundHoldsAndClockEvicts(t *testing.T) {
 	}
 	if _, ok := s.Resolve(ids[0]); ok {
 		t.Fatal("oldest registration survived 2x capacity of churn")
+	}
+}
+
+// TestColdInsertEvictsUnresolvedEntry: registrations enter cold and only a
+// resolve marks an entry as used, so when a full store takes a new
+// registration the one entry nobody resolved is the victim, and every
+// resolved entry keeps answering.
+func TestColdInsertEvictsUnresolvedEntry(t *testing.T) {
+	const capEntries, cold = 4, 2
+	s := New(capEntries)
+	rng := rand.New(rand.NewSource(8))
+	var ids []string
+	for i := 0; i < capEntries; i++ {
+		e, _, err := s.Put(randomInstance(t, rng, []int{2, 3}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, e.ID())
+	}
+	for i, id := range ids {
+		if i == cold {
+			continue
+		}
+		e, ok := s.Resolve(id)
+		if !ok {
+			t.Fatalf("entry %d did not resolve", i)
+		}
+		e.Release()
+	}
+	if _, created, err := s.Put(randomInstance(t, rng, []int{2, 3})); err != nil || !created {
+		t.Fatalf("Put into a full store: created=%v err=%v", created, err)
+	}
+	for i, id := range ids {
+		e, ok := s.Resolve(id)
+		if i == cold {
+			if ok {
+				t.Fatal("the unresolved entry survived; a resolved one was evicted")
+			}
+			continue
+		}
+		if !ok {
+			t.Fatalf("resolved entry %d was evicted", i)
+		}
+		e.Release()
+	}
+}
+
+// TestResolveReleaseAllocFree: the by-ID hot path pins through the cache
+// slot and allocates nothing.
+func TestResolveReleaseAllocFree(t *testing.T) {
+	s := New(4)
+	e, _, err := s.Put(randomInstance(t, rand.New(rand.NewSource(9)), []int{2, 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := e.ID()
+	allocs := testing.AllocsPerRun(100, func() {
+		if got, ok := s.Resolve(id); ok {
+			got.Release()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Resolve+Release allocates %.1f times", allocs)
 	}
 }
 
