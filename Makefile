@@ -21,8 +21,9 @@ FUZZTIME ?= 10s
 # the PR-2 zero-allocation refactor; measured values sit at 6-7. The
 # leaf-rate gate (LEAF_GATE) requires the float-screened branch and bound
 # to rule out leaves at >= LEAF_GATE x the exact rate on the warm-started
-# BenchmarkBnBLeafRate family; twenty single runs read 4.4-10.7x, median
-# 6.8x (EXPERIMENTS.md, "Exact Karp on scaled int64 costs"). The serving
+# BenchmarkBnBLeafRate family; twenty single runs read 6.75-10.1x, median
+# 7.4x (EXPERIMENTS.md, "Open-stage work bound, in-choose cuts and per-leaf
+# incumbents"). The serving
 # hit-path gates guard the PR-7 content-addressed store: the by-ID
 # /v1/evaluate hit path must stay at or below HITALLOC_GATE allocs/op
 # (measured at 18) and run at least SPEEDUP_GATE x faster than the

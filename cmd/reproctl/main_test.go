@@ -145,8 +145,21 @@ func TestReproctlCancelAndDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// 56 processors of two speeds: a uniform platform is too symmetric, the
+	// exact search would prove its warm start within milliseconds.
+	speeds := make([]int64, 56)
+	for u := range speeds {
+		speeds[u] = 100
+		if u >= 28 {
+			speeds[u] = 60
+		}
+	}
+	plat, err := platform.New(speeds, platform.Uniform(56, 1, 100).Bandwidths)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sub, err := json.Marshal(service.JobSubmitRequest{Kind: "search", Search: &service.SearchRequest{
-		Pipeline: pipe, Platform: platform.Uniform(56, 100, 100),
+		Pipeline: pipe, Platform: plat,
 		Model: "overlap", Algo: "bnb",
 	}})
 	if err != nil {

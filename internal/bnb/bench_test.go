@@ -13,7 +13,7 @@ import (
 )
 
 // BenchmarkBnBSearch measures the exact search end to end: tree walk,
-// bounding and batched leaf evaluation through a shared (memoizing) engine —
+// bounding and per-leaf evaluation through a shared (memoizing) engine —
 // the resident-service shape, where repeated searches over a stable
 // population hit the cache. nodes/op and prunedPct track the tree the bound
 // actually leaves; they are deterministic for a fixed case, so regressions

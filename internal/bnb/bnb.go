@@ -22,7 +22,11 @@
 //     P >= max_{j remaining} w_j / (m_max·Π_fastest-free) for the stages
 //     still open, where m_max is the largest replica set a remaining stage
 //     could still receive (free processors minus one per other open stage).
-//     A node whose bound already meets the incumbent period is cut.
+//     Summing P·Σ_{u∈S_j} Π_u >= w_j over the open stages, whose replica
+//     sets are disjoint subsets of the free processors, adds
+//     P >= Σ_{j open} w_j / Σ_{u free} Π_u. A node whose bound already
+//     meets the incumbent period is cut, and so is a stage's partial class
+//     choice once it bounds every node that could complete it.
 //
 //   - Symmetry breaking. Processors that are provably interchangeable — equal
 //     speed, and swapping them leaves the bandwidth matrix invariant — are
@@ -37,16 +41,19 @@
 //   - Deterministic work partitioning (the Bobpp recipe). The first tree
 //     levels are expanded into a frontier of subtree roots; workers pull
 //     root indices from a shared counter and explore each subtree
-//     independently, batching complete mappings through the shared
-//     engine.EvaluateBatch. Pruning inside a subtree uses only the greedy
-//     warm start and that subtree's own discoveries, and subtree results
-//     merge in frontier order — so the returned mapping, period, proven
-//     flag and node counts are bit-identical at any worker count.
+//     independently, evaluating each complete mapping on the shared engine
+//     as the depth-first walk reaches it. Pruning inside a subtree uses
+//     only the greedy warm start and that subtree's own discoveries, each
+//     leaf judged against the best known when the walk reaches it, and
+//     subtree results merge in frontier order — so the returned mapping,
+//     period, proven flag and node counts are bit-identical at any worker
+//     count.
 package bnb
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,7 +68,7 @@ import (
 )
 
 // Options configures a Search. The zero value searches with the engine's
-// worker count, the default frontier and chunk sizes, and no warm start.
+// worker count, the default frontier size, and no warm start.
 type Options struct {
 	// Workers is the number of concurrent subtree explorers (<= 0 means the
 	// engine's pool size). The result never depends on it.
@@ -72,9 +79,6 @@ type Options struct {
 	// the worker count or the bit-identity guarantee degrades to
 	// value-identity.
 	FrontierTarget int
-	// ChunkSize is the number of complete mappings batched per
-	// engine.EvaluateBatch call during subtree exploration (default 128).
-	ChunkSize int
 	// Incumbent, when non-nil, warm-starts the search with a known-feasible
 	// mapping whose exact period is IncumbentPeriod (sched passes the greedy
 	// solution). The bound prunes against it from the first node, and it is
@@ -83,12 +87,12 @@ type Options struct {
 	IncumbentPeriod rat.Rat
 	// OnProgress, when non-nil, receives incremental Stats deltas as the
 	// search runs: each walker reports the counters it accumulated since its
-	// previous report after every engine batch and once when it finishes, so
+	// previous report after every leaf and once when it finishes, so
 	// summing the deltas at any moment approximates the work done so far.
 	// Deltas never overlap or go missing — the sum over a completed search
 	// equals Result.Stats (minus Frontier, which is not a counter). The
 	// callback runs on walker goroutines and must be safe for concurrent use
-	// and cheap (it sits between engine batches). When a custom Executor or
+	// and cheap (it runs once per leaf). When a custom Executor or
 	// a Replay entry produces a root's result, that root contributes one
 	// delta (its whole SubResult.Stats) at completion instead of streaming.
 	OnProgress func(Stats)
@@ -125,7 +129,6 @@ type Options struct {
 
 const (
 	defaultFrontierTarget = 64
-	defaultChunkSize      = 128
 	// defaultRemoteWorkers is the dispatch concurrency when a custom
 	// Executor is configured without an engine to borrow a pool size from.
 	defaultRemoteWorkers = 8
@@ -136,9 +139,11 @@ const (
 // worker count (asserted by tests).
 type Stats struct {
 	// Nodes is the number of stage assignments constructed (interior tree
-	// nodes, frontier expansion included).
+	// nodes, frontier expansion included). A stage's partial class choice
+	// cut before its assignment is complete constructs none, so it counts
+	// in neither Nodes nor Pruned.
 	Nodes int64 `json:"nodes"`
-	// Leaves is the number of complete mappings handed to the engine.
+	// Leaves is the number of complete mappings evaluated on the engine.
 	Leaves int64 `json:"leaves"`
 	// Pruned is the number of nodes cut by the lower bound.
 	Pruned int64 `json:"pruned"`
@@ -202,7 +207,8 @@ type problem struct {
 	n          int
 	classes    []class // enumeration order: decreasing speed, then lowest id
 	maxWork    []int64 // maxWork[i] = max work of stages i..n-1; maxWork[n] = 0
-	chunkSize  int
+	sumWork    []int64 // sumWork[i] = Σ work of stages i..n-1, saturating; sumWork[n] = 0
+	openWork   bool    // Σ speeds fits in int64, so the open-stage work bound is sound
 	warm       *incumbent
 	onProgress func(Stats)
 }
@@ -252,7 +258,7 @@ func Search(ctx context.Context, eng *engine.Engine, pipe *pipeline.Pipeline, pl
 	if !interrupted && len(frontier) > 0 {
 		// The internal local executor shares pr, runs the frontier nodes and
 		// the warm period as they are (their wire forms are not parsed back)
-		// and streams progress deltas per engine batch; custom executors and
+		// and streams progress deltas per leaf; custom executors and
 		// replays contribute one delta per completed root instead.
 		var local *LocalExecutor
 		exec := opts.Executor
@@ -399,18 +405,21 @@ type walker struct {
 	depthLimit int      // stage at which assignments are snapshotted instead of recursed (n = explore fully)
 	out        *[]*node // frontier accumulator for expansion walkers
 
-	replicas [][]int
-	used     []int
-	free     int
+	replicas  [][]int
+	used      []int
+	free      int
+	freeSpeed int64 // Σ speeds of the free processors
+
+	leafMapp  mapping.Mapping // the leaf under evaluation; its sets share leafProcs
+	leafProcs []int
 
 	ref    rat.Rat // current pruning reference: min(warm start, local best)
 	hasRef bool
 	best   *incumbent // strictly better than the warm start, else nil
-	screen bool       // engine backend is float-screen: pre-rank leaves in float
+	screen bool       // engine backend is float-screen: screen leaves in float first
 
-	chunk []*mapping.Mapping
-	st    Stats
-	pub   Stats // counters already reported through problem.onProgress
+	st  Stats
+	pub Stats // counters already reported through problem.onProgress
 }
 
 // publish reports the counters accumulated since the previous publish to
@@ -440,6 +449,7 @@ func newWalker(pr *problem, ctx context.Context, eng *engine.Engine, nd *node, d
 		depthLimit: depthLimit,
 		out:        out,
 		replicas:   make([][]int, pr.n),
+		leafMapp:   mapping.Mapping{Replicas: make([][]int, pr.n)},
 		used:       append([]int(nil), nd.used...),
 		free:       nd.free,
 		screen:     eng != nil && eng.Backend() == cycles.BackendFloatScreen,
@@ -447,6 +457,9 @@ func newWalker(pr *problem, ctx context.Context, eng *engine.Engine, nd *node, d
 		hasRef:     hasRef,
 	}
 	copy(w.replicas, nd.replicas)
+	for c := range pr.classes {
+		w.freeSpeed += int64(len(pr.classes[c].members)-w.used[c]) * pr.classes[c].speed
+	}
 	return w
 }
 
@@ -457,7 +470,8 @@ func (w *walker) dfs(stage int, lb rat.Rat) error {
 		return err
 	}
 	if stage == w.pr.n {
-		return w.leaf()
+		w.leaf()
+		return nil
 	}
 	if stage == w.depthLimit {
 		nd := &node{
@@ -496,6 +510,9 @@ func (w *walker) choose(stage, c, taken int, slowest int64, parentLB rat.Rat) er
 		}
 		return w.dfs(stage+1, lb)
 	}
+	if taken > 0 && w.hasRef && w.cuts(stage, int64(taken), slowest) {
+		return nil
+	}
 	cl := &w.pr.classes[c]
 	freeC := len(cl.members) - w.used[c]
 	// Every later stage still needs a processor; w.free already excludes the
@@ -512,19 +529,14 @@ func (w *walker) choose(stage, c, taken int, slowest int64, parentLB rat.Rat) er
 	for t := maxT; t >= 0; t-- {
 		sl := slowest
 		if t > 0 {
-			start := w.used[c]
-			w.replicas[stage] = append(w.replicas[stage], cl.members[start:start+t]...)
-			w.used[c] += t
-			w.free -= t
+			w.take(stage, c, t)
 			if sl == 0 || cl.speed < sl {
 				sl = cl.speed
 			}
 		}
 		err := w.choose(stage, c+1, taken+t, sl, parentLB)
 		if t > 0 {
-			w.used[c] -= t
-			w.free += t
-			w.replicas[stage] = w.replicas[stage][:len(w.replicas[stage])-t]
+			w.give(stage, c, t)
 		}
 		if err != nil {
 			return err
@@ -533,17 +545,56 @@ func (w *walker) choose(stage, c, taken int, slowest int64, parentLB rat.Rat) er
 	return nil
 }
 
+// take appends the first t free members of class c to stage's replica set.
+func (w *walker) take(stage, c, t int) {
+	cl := &w.pr.classes[c]
+	start := w.used[c]
+	w.replicas[stage] = append(w.replicas[stage], cl.members[start:start+t]...)
+	w.used[c] += t
+	w.free -= t
+	w.freeSpeed -= int64(t) * cl.speed
+}
+
+// give undoes take(stage, c, t).
+func (w *walker) give(stage, c, t int) {
+	w.used[c] -= t
+	w.free += t
+	w.freeSpeed += int64(t) * w.pr.classes[c].speed
+	w.replicas[stage] = w.replicas[stage][:len(w.replicas[stage])-t]
+}
+
 // prunes reports whether a node's bound, the largest of parentLB, the
-// stage's work/(taken·slowest) and the open stages' remainingBound, meets
-// the pruning reference.
+// stage's work/(taken·slowest), the open stages' remainingBound and their
+// openBound, meets the pruning reference.
 func (w *walker) prunes(stage int, work, taken, slowest int64, parentLB rat.Rat) bool {
 	if w.ref.CmpFrac(work, taken, slowest) <= 0 || !parentLB.Less(w.ref) {
 		return true
 	}
-	if remaining := w.pr.n - stage - 1; remaining > 0 {
-		return w.ref.CmpFrac(w.remainingBound(stage+1, remaining)) <= 0
+	remaining := w.pr.n - stage - 1
+	if remaining == 0 {
+		return false
 	}
-	return false
+	return w.ref.CmpFrac(w.remainingBound(stage+1, remaining)) <= 0 || w.openMeets(stage+1)
+}
+
+// cuts reports whether every node that can complete stage's partial class
+// choice (taken members so far, the slowest at speed slowest) is pruned, so
+// the choices of the remaining classes need not be enumerated.
+func (w *walker) cuts(stage int, taken, slowest int64) bool {
+	if w.ref.CmpFrac(w.stageBound(stage, taken, slowest)) <= 0 {
+		return true
+	}
+	return stage+1 < w.pr.n && w.openMeets(stage+1)
+}
+
+// openMeets reports whether the open-stage work bound of stages
+// firstOpen..n-1 meets the pruning reference.
+func (w *walker) openMeets(firstOpen int) bool {
+	if !w.pr.openWork {
+		return false
+	}
+	work, speed := w.openBound(firstOpen)
+	return w.ref.CmpFrac(work, speed, 1) <= 0
 }
 
 // remainingBound is the optimistic completion bound for the open stages
@@ -560,90 +611,67 @@ func (w *walker) remainingBound(firstOpen, remaining int) (work, mMax, fastest i
 	return w.pr.maxWork[firstOpen], int64(w.free - (remaining - 1)), fastest
 }
 
-// leaf queues the complete assignment for evaluation.
-func (w *walker) leaf() error {
-	reps := make([][]int, w.pr.n)
-	procs := make([]int, 0, w.pr.plat.NumProcs()-w.free) // one backing array for all stages
+// openBound is the open-stage work bound of stages firstOpen..n-1 as the
+// fraction work/speed: every replica u of an open stage j serves one data
+// set in m_j, so P·Σ_{u∈S_j} Π_u >= w_j, and the sets S_j are disjoint
+// subsets of the free processors.
+func (w *walker) openBound(firstOpen int) (work, speed int64) {
+	return w.pr.sumWork[firstOpen], w.freeSpeed
+}
+
+// stageBound bounds every completion of stage's partial class choice as
+// the fraction work/(mMax·slowest): the stage may still gain at most mMax −
+// taken members (the free processors less one per later stage), and none
+// of them can raise its slowest speed.
+func (w *walker) stageBound(stage int, taken, slowest int64) (work, mMax, slow int64) {
+	return w.pr.work(stage), taken + int64(w.free-(w.pr.n-stage-1)), slowest
+}
+
+// leaf evaluates the complete assignment and, when it beats the pruning
+// reference, makes it the subtree's incumbent at once.
+func (w *walker) leaf() {
+	defer w.publish() // one progress delta per leaf
+	// One backing array holds every stage's sorted replica set.
+	reps, procs := w.leafMapp.Replicas, w.leafProcs[:0]
 	for i, r := range w.replicas {
 		start := len(procs)
 		procs = append(procs, r...)
 		reps[i] = procs[start:len(procs):len(procs)]
-		sort.Ints(reps[i]) // round-robin order is ascending processor id
+		slices.Sort(reps[i]) // round-robin order is ascending processor id
 	}
-	// Sets are non-empty and disjoint by construction; flush validates the
-	// mapping anyway (model.FromMapped) and counts a failure as Infeasible.
-	w.chunk = append(w.chunk, &mapping.Mapping{Replicas: reps})
-	if len(w.chunk) >= w.pr.chunkSize {
-		return w.flush()
-	}
-	return nil
-}
-
-// flush evaluates the queued mappings as one engine batch and folds the
-// outcomes into the subtree incumbent.
-func (w *walker) flush() error {
-	defer w.publish() // one progress delta per engine batch
-	if len(w.chunk) == 0 {
-		return nil
-	}
-	idx := make([]int, 0, len(w.chunk))
-	tasks := make([]engine.Task, 0, len(w.chunk))
-	for k, m := range w.chunk {
-		inst, err := model.FromMapped(w.pr.pipe, w.pr.plat, m)
-		if err != nil {
-			w.st.Infeasible++ // a required link is missing; skip, never abort
-			continue
-		}
-		idx = append(idx, k)
-		tasks = append(tasks, engine.Task{Inst: inst, Model: w.pr.cm})
-		w.st.Leaves++ // counted here so Leaves and Infeasible never overlap
-	}
-	// Float screening: rank the chunk in float64 first and discard every
-	// leaf whose enclosure proves it cannot beat the incumbent — exact ≥
-	// lower endpoint ≥ ref means it can never replace w.best, whose update
-	// below requires a strict improvement. The reference is the one at chunk
-	// start for the whole chunk; a leaf earlier in the chunk can only LOWER
-	// the reference, so screening against the stale (higher) value is sound.
-	// Screening errors are impossible by error parity (the float sweep fails
-	// exactly when the exact path fails), but an errored enclosure falls
-	// through to the exact evaluation anyway so Infeasible stays exact-owned.
-	if w.screen && w.hasRef && len(tasks) > 0 {
-		aouts, err := w.eng.ApproxBatch(w.ctx, tasks)
-		if err != nil {
-			w.chunk = w.chunk[:0]
-			return err
-		}
-		kept := 0
-		for j := range tasks {
-			if aouts[j].Err == nil && aouts[j].Period.AtLeast(w.ref) {
-				w.st.Screened++
-				continue
-			}
-			tasks[kept] = tasks[j]
-			idx[kept] = idx[j]
-			kept++
-		}
-		tasks = tasks[:kept]
-		idx = idx[:kept]
-	}
-	outs, err := w.eng.EvaluateBatch(w.ctx, tasks)
+	w.leafProcs = procs
+	// Sets are non-empty and disjoint by construction; model.FromMapped
+	// validates the mapping anyway and a failure counts as Infeasible. The
+	// instance copies the replica sets, so the scratch is reused.
+	inst, err := model.FromMapped(w.pr.pipe, w.pr.plat, &w.leafMapp)
 	if err != nil {
-		w.chunk = w.chunk[:0]
-		return err
+		w.st.Infeasible++ // a required link is missing; skip, never abort
+		return
 	}
-	for j, o := range outs {
-		if o.Err != nil {
-			w.st.Infeasible++
-			continue
-		}
-		if !w.hasRef || o.Result.Period.Less(w.ref) {
-			w.best = &incumbent{mapp: w.chunk[idx[j]], period: o.Result.Period}
-			w.ref = o.Result.Period
-			w.hasRef = true
+	w.st.Leaves++ // counted here so Leaves and Infeasible never overlap
+	task := engine.Task{Inst: inst, Model: w.pr.cm}
+	// Float screening: a leaf whose enclosure's lower endpoint already meets
+	// the reference has exact period >= ref, so it can never replace w.best,
+	// whose update below requires a strict improvement. Screening errors are
+	// impossible by error parity (the float sweep fails exactly when the
+	// exact path fails), but an errored enclosure falls through to the exact
+	// evaluation anyway so Infeasible stays exact-owned.
+	if w.screen && w.hasRef {
+		if fr, err := w.eng.EvaluateApprox(task); err == nil && fr.AtLeast(w.ref) {
+			w.st.Screened++
+			return
 		}
 	}
-	w.chunk = w.chunk[:0]
-	return nil
+	res, err := w.eng.Evaluate(task)
+	if err != nil {
+		w.st.Infeasible++
+		return
+	}
+	if !w.hasRef || res.Period.Less(w.ref) {
+		w.best = &incumbent{mapp: &mapping.Mapping{Replicas: cloneReplicas(reps)}, period: res.Period}
+		w.ref = res.Period
+		w.hasRef = true
+	}
 }
 
 // classesOf groups processors into maximal consecutive-id runs of mutually

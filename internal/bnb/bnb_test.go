@@ -137,7 +137,7 @@ func TestSearchMatchesBruteForceOnGeneratedFamilies(t *testing.T) {
 			wantPeriod, wantMapp := bruteForceBest(t, f.pipe, f.plat, f.cm)
 			eng := engine.New(engine.Options{Workers: 4})
 			res, err := Search(context.Background(), eng, f.pipe, f.plat, f.cm,
-				Options{Workers: 3, FrontierTarget: 8, ChunkSize: 16})
+				Options{Workers: 3, FrontierTarget: 8})
 			if wantMapp == nil {
 				if err == nil {
 					t.Fatalf("no feasible mapping exists but Search returned %v", res.Mapping)
@@ -174,13 +174,13 @@ func TestSearchMatchesBruteForceOnGeneratedFamilies(t *testing.T) {
 }
 
 // TestSearchBitIdenticalAcrossWorkerCounts pins the Bobpp-style determinism
-// claim: with a fixed FrontierTarget/ChunkSize, the mapping, period, proven
+// claim: with a fixed FrontierTarget, the mapping, period, proven
 // flag AND the node counts are identical at any worker count — for the
 // search workers and for the engine pool alike.
 func TestSearchBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	for _, f := range generatedFamilies(t, []int64{5, 6}) {
 		t.Run(f.name, func(t *testing.T) {
-			opts := Options{FrontierTarget: 16, ChunkSize: 8}
+			opts := Options{FrontierTarget: 16}
 			var ref Result
 			var refErr error
 			first := true

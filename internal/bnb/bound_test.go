@@ -1,0 +1,211 @@
+package bnb
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/mapping"
+	"repro/internal/model"
+	"repro/internal/pipeline"
+	"repro/internal/platform"
+	"repro/internal/rat"
+)
+
+// scored is one feasible mapping of a family as per-stage processor masks,
+// with its exact period.
+type scored struct {
+	sets   []uint
+	period rat.Rat
+}
+
+// scoredMappings enumerates every replicated mapping of f, as bruteForceBest
+// does, and keeps each feasible one with its exact period.
+func scoredMappings(t *testing.T, f family) []scored {
+	t.Helper()
+	n, p := f.pipe.NumStages(), f.plat.NumProcs()
+	var out []scored
+	sets := make([]uint, n)
+	var rec func(stage int, free uint)
+	rec = func(stage int, free uint) {
+		if stage == n {
+			reps := make([][]int, n)
+			for i, mask := range sets {
+				for u := 0; u < p; u++ {
+					if mask&(1<<u) != 0 {
+						reps[i] = append(reps[i], u)
+					}
+				}
+			}
+			inst, err := model.FromMapped(f.pipe, f.plat, mapping.MustNew(reps, p))
+			if err != nil {
+				return // missing link
+			}
+			res, err := core.Period(inst, f.cm)
+			if err != nil {
+				return
+			}
+			out = append(out, scored{sets: append([]uint(nil), sets...), period: res.Period})
+			return
+		}
+		for s := free; s != 0; s = (s - 1) & free {
+			sets[stage] = s
+			rec(stage+1, free&^s)
+		}
+	}
+	rec(0, (1<<p)-1)
+	return out
+}
+
+func maskOf(procs []int) uint {
+	var m uint
+	for _, u := range procs {
+		m |= 1 << u
+	}
+	return m
+}
+
+// TestBoundsAdmissibleOnGeneratedFamilies checks every bound the walker
+// prunes with against the exact optimum below it. The walk mirrors choose
+// without pruning: for every stage prefix and every partial class choice,
+// the minimum exact period over all completions (every mapping that keeps
+// the prefix's sets and the stage's members taken so far, adding to the
+// stage only free members of the classes not yet decided) must be at least
+//
+//   - at a partial choice: stageBound, the in-choose cut's bound, and
+//     openBound of the later stages at the current free speed;
+//   - at a node (the stage's choice complete): the stage's
+//     work/(taken·slowest), remainingBound and openBound of the open stages.
+//
+// The completions here include non-canonical ones, a superset of what the
+// walker enumerates below the node, so the check is the stronger one.
+func TestBoundsAdmissibleOnGeneratedFamilies(t *testing.T) {
+	seeds := []int64{1, 2, 3, 4}
+	if testing.Short() {
+		seeds = seeds[:2]
+	}
+	for _, f := range generatedFamilies(t, seeds) {
+		t.Run(f.name, func(t *testing.T) {
+			all := scoredMappings(t, f)
+			pr, err := newProblem(f.pipe, f.plat, f.cm, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := &node{used: make([]int, len(pr.classes)), free: f.plat.NumProcs()}
+			w := newWalker(pr, context.Background(), nil, root, 0, pr.n, nil, rat.Rat{}, false)
+
+			// best is the minimum period over the completions of the state:
+			// stages < stage hold exactly their sets, stage holds taken plus
+			// any subset of extra. ok is false when none is feasible.
+			best := func(stage int, extra uint) (lo rat.Rat, ok bool) {
+				taken := maskOf(w.replicas[stage])
+			next:
+				for _, s := range all {
+					for j := 0; j < stage; j++ {
+						if s.sets[j] != maskOf(w.replicas[j]) {
+							continue next
+						}
+					}
+					if s.sets[stage]&taken != taken || s.sets[stage]&^taken&^extra != 0 {
+						continue
+					}
+					if !ok || s.period.Less(lo) {
+						lo, ok = s.period, true
+					}
+				}
+				return lo, ok
+			}
+			checks := 0
+			check := func(what string, lo rat.Rat, num, den1, den2 int64) {
+				t.Helper()
+				checks++
+				if lo.CmpFrac(num, den1, den2) < 0 {
+					t.Fatalf("%s bound %d/(%d·%d) exceeds the best completion %v (prefix %v, used %v)",
+						what, num, den1, den2, lo, w.replicas, w.used)
+				}
+			}
+
+			var rec func(stage, c, taken int, slowest int64)
+			rec = func(stage, c, taken int, slowest int64) {
+				open := pr.n - stage - 1
+				if c == len(pr.classes) {
+					if taken == 0 {
+						return
+					}
+					if lo, ok := best(stage, 0); ok {
+						check("stage", lo, pr.work(stage), int64(taken), slowest)
+						if open > 0 {
+							work, mMax, fastest := w.remainingBound(stage+1, open)
+							check("remaining", lo, work, mMax, fastest)
+							work, speed := w.openBound(stage + 1)
+							check("open-stage work", lo, work, speed, 1)
+						}
+					}
+					if open > 0 {
+						rec(stage+1, 0, 0, 0)
+					}
+					return
+				}
+				if taken > 0 {
+					// Members the remaining classes could still add.
+					var extra uint
+					for k := c; k < len(pr.classes); k++ {
+						extra |= maskOf(pr.classes[k].members[w.used[k]:])
+					}
+					if lo, ok := best(stage, extra); ok {
+						work, mMax, slow := w.stageBound(stage, int64(taken), slowest)
+						check("partial stage", lo, work, mMax, slow)
+						if open > 0 {
+							work, speed := w.openBound(stage + 1)
+							check("partial open-stage work", lo, work, speed, 1)
+						}
+					}
+				}
+				cl := &pr.classes[c]
+				maxT := min(w.free-open, len(cl.members)-w.used[c])
+				for t := maxT; t >= 0; t-- {
+					sl := slowest
+					if t > 0 {
+						w.take(stage, c, t)
+						if sl == 0 || cl.speed < sl {
+							sl = cl.speed
+						}
+					}
+					rec(stage, c+1, taken+t, sl)
+					if t > 0 {
+						w.give(stage, c, t)
+					}
+				}
+			}
+			rec(0, 0, 0, 0)
+			if checks == 0 {
+				t.Fatal("no bound was checked")
+			}
+		})
+	}
+}
+
+// TestSearchWhenSpeedsOverflow: a platform whose total speed does not fit
+// in int64 (speeds arrive from outside the program) turns the open-stage
+// work bound off instead of letting the free-speed running sum wrap; the
+// search still proves the brute-force optimum.
+func TestSearchWhenSpeedsOverflow(t *testing.T) {
+	huge := int64(math.MaxInt64/2 + 1)
+	plat, err := platform.New([]int64{huge, huge, huge, 7}, platform.Uniform(4, 1, 100).Bandwidths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe := pipeline.MustNew([]int64{300, 200}, []int64{50})
+	want, wantMapp := bruteForceBest(t, pipe, plat, model.Overlap)
+	// Warm-started, so the bounds are consulted from the first node on.
+	res, err := Search(context.Background(), engine.New(engine.Options{Workers: 1}), pipe, plat, model.Overlap,
+		Options{Incumbent: wantMapp, IncumbentPeriod: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Proven || !res.Period.Equal(want) {
+		t.Fatalf("proven=%v period %v, brute force %v", res.Proven, res.Period, want)
+	}
+}

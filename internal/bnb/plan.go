@@ -12,6 +12,7 @@ package bnb
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/engine"
 	"repro/internal/mapping"
@@ -132,8 +133,8 @@ type LocalExecutor struct {
 }
 
 // NewLocalExecutor binds a problem to an engine. Options contribute
-// ChunkSize and OnProgress (streamed per engine batch, from RunRoot's
-// calling goroutine); the remaining fields are ignored here.
+// OnProgress (streamed per leaf, from RunRoot's calling goroutine); the
+// remaining fields are ignored here.
 func NewLocalExecutor(eng *engine.Engine, pipe *pipeline.Pipeline, plat *platform.Platform, cm model.CommModel, opts Options) (*LocalExecutor, error) {
 	pr, err := newProblem(pipe, plat, cm, opts)
 	if err != nil {
@@ -165,9 +166,6 @@ func (e *LocalExecutor) RunRoot(ctx context.Context, root Root, warm string) (Su
 func (e *LocalExecutor) run(ctx context.Context, nd *node, depth int, ref rat.Rat, hasRef bool) SubResult {
 	w := newWalker(e.pr, ctx, e.eng, nd, depth, e.pr.n, nil, ref, hasRef)
 	runErr := w.dfs(depth, nd.lb)
-	if runErr == nil {
-		runErr = w.flush()
-	}
 	w.publish()
 	res := SubResult{Complete: runErr == nil, Stats: w.st}
 	if w.best != nil {
@@ -194,16 +192,13 @@ func (r SubResult) incumbentOf(numProcs int) (*incumbent, error) {
 }
 
 // newProblem validates the instance and builds the shared read-only search
-// context. Defaults for ChunkSize are applied here so every construction
-// path (Search, Frontier, NewLocalExecutor) agrees.
+// context that every construction path (Search, Frontier,
+// NewLocalExecutor) shares.
 func newProblem(pipe *pipeline.Pipeline, plat *platform.Platform, cm model.CommModel, opts Options) (*problem, error) {
 	n := pipe.NumStages()
 	p := plat.NumProcs()
 	if n > p {
 		return nil, fmt.Errorf("bnb: %d stages need at least as many processors (got %d)", n, p)
-	}
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = defaultChunkSize
 	}
 	pr := &problem{
 		pipe:       pipe,
@@ -212,14 +207,25 @@ func newProblem(pipe *pipeline.Pipeline, plat *platform.Platform, cm model.CommM
 		n:          n,
 		classes:    classesOf(plat),
 		maxWork:    make([]int64, n+1),
-		chunkSize:  opts.ChunkSize,
+		sumWork:    make([]int64, n+1),
+		openWork:   true,
 		onProgress: opts.OnProgress,
 	}
 	for i := n - 1; i >= 0; i-- {
-		pr.maxWork[i] = pr.maxWork[i+1]
-		if w := pr.work(i); w > pr.maxWork[i] {
-			pr.maxWork[i] = w
+		w := pr.work(i)
+		pr.maxWork[i] = max(pr.maxWork[i+1], w)
+		// Saturating keeps the bound admissible: it only shrinks the sum.
+		pr.sumWork[i] = pr.sumWork[i+1] + min(w, math.MaxInt64-pr.sumWork[i+1])
+	}
+	// The walkers track the free speed as an int64 running total; if the
+	// platform's whole speed does not fit, the open-stage work bound is off.
+	var speed int64
+	for _, s := range plat.Speeds {
+		if s > math.MaxInt64-speed {
+			pr.openWork = false
+			break
 		}
+		speed += s
 	}
 	if opts.Incumbent != nil {
 		pr.warm = &incumbent{mapp: opts.Incumbent, period: opts.IncumbentPeriod}

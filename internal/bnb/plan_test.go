@@ -56,7 +56,7 @@ func TestExecutorWireRoundTripBitIdentical(t *testing.T) {
 	for _, f := range generatedFamilies(t, []int64{11, 12}) {
 		t.Run(f.name, func(t *testing.T) {
 			eng := engine.New(engine.Options{Workers: 4})
-			opts := Options{FrontierTarget: 16, ChunkSize: 8}
+			opts := Options{FrontierTarget: 16}
 			ref, refErr := Search(context.Background(), eng, f.pipe, f.plat, f.cm, opts)
 
 			local, err := NewLocalExecutor(eng, f.pipe, f.plat, f.cm, opts)
@@ -94,7 +94,7 @@ func TestReplaySkipsRootsAndStaysBitIdentical(t *testing.T) {
 	pipe := pipeline.Random(rng, 3, 50, 500)
 	plat := platform.Random(rng, 6, 5, 25, 20, 200)
 	eng := engine.New(engine.Options{Workers: 4})
-	opts := Options{FrontierTarget: 16, ChunkSize: 8}
+	opts := Options{FrontierTarget: 16}
 
 	var mu sync.Mutex
 	captured := map[int]SubResult{}
@@ -155,7 +155,7 @@ func TestRacingReturnsSameProvenOptimum(t *testing.T) {
 	for _, f := range generatedFamilies(t, []int64{13}) {
 		t.Run(f.name, func(t *testing.T) {
 			eng := engine.New(engine.Options{Workers: 4})
-			opts := Options{FrontierTarget: 16, ChunkSize: 8}
+			opts := Options{FrontierTarget: 16}
 			ref, refErr := Search(context.Background(), eng, f.pipe, f.plat, f.cm, opts)
 			o := opts
 			o.Racing = true
@@ -186,7 +186,7 @@ func TestFrontierIsPureAndMatchesSearch(t *testing.T) {
 	plat := platform.Random(rng, 6, 5, 25, 20, 200)
 	eng := engine.New(engine.Options{Workers: 2})
 
-	res, err := Search(context.Background(), eng, pipe, plat, model.Overlap, Options{FrontierTarget: 16, ChunkSize: 8})
+	res, err := Search(context.Background(), eng, pipe, plat, model.Overlap, Options{FrontierTarget: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

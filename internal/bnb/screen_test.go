@@ -17,10 +17,10 @@ import (
 // Screened count itself must also be deterministic across worker counts,
 // and strictly positive somewhere, or the tier is dead code.
 func TestScreeningBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	// Small chunks and a small frontier give each subtree walker several
-	// flushes, so the screen has a local incumbent to compare against from
-	// the second chunk on even without a warm start.
-	opts := Options{FrontierTarget: 4, ChunkSize: 2}
+	// A small frontier gives each subtree walker many leaves, so the screen
+	// has a local incumbent to compare against from the second leaf on even
+	// without a warm start.
+	opts := Options{FrontierTarget: 4}
 	var totalScreened int64
 	for _, f := range generatedFamilies(t, []int64{5, 6}) {
 		t.Run(f.name, func(t *testing.T) {
@@ -79,7 +79,7 @@ func TestScreeningBitIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestScreeningWithWarmStartSkipsMostLeaves: warm-started with the proven
-// optimum, the screen has its reference from the first chunk on, so on a
+// optimum, the screen has its reference from the first leaf on, so on a
 // well-conditioned family (periods separated by far more than the float
 // error bound) nearly every leaf is screened and the result is still the
 // incumbent, proven.

@@ -257,8 +257,9 @@ func TestRouterJobCancelRoutesByPrefix(t *testing.T) {
 		o.ProbeTimeout = 5 * time.Second
 		o.EjectAfter = 100
 	})
-	// A search too large to finish promptly (14 stages on 56 processors),
-	// so the cancel verdict — not a done race — is what comes back.
+	// A search too large to finish promptly (14 stages on 56 processors of
+	// two speeds), so the cancel verdict — not a done race — is what comes
+	// back.
 	work := make([]int64, 14)
 	files := make([]int64, 13)
 	for i := range work {
@@ -272,7 +273,7 @@ func TestRouterJobCancelRoutesByPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := mustJSON(t, service.JobSubmitRequest{Kind: "search", Search: &service.SearchRequest{
-		Pipeline: pipe, Platform: platform.Uniform(56, 100, 100),
+		Pipeline: pipe, Platform: twoSpeedPlatform(t, 56),
 		Model: "overlap", Algo: "bnb",
 	}})
 	resp, status := postRaw(t, base+"/v1/jobs", body)

@@ -13,10 +13,11 @@ import (
 )
 
 // distributableSearch is a fixture whose greedy warm start does NOT prove
-// optimality outright: the bnb frontier survives (dozens of roots), so a
-// distributed run genuinely scatters subtrees while still finishing in
-// milliseconds. (Small uniform fixtures collapse to frontier 0 — greedy is
-// already optimal — and would test nothing.)
+// optimality outright: the bnb frontier survives (over a hundred roots), so
+// a distributed run genuinely scatters subtrees while still finishing in
+// milliseconds. (Uniform fixtures collapse to frontier 0 — the open-stage
+// work bound proves greedy optimal during the expansion — and would test
+// nothing.)
 func distributableSearch(t *testing.T) service.SearchRequest {
 	t.Helper()
 	work := make([]int64, 8)
@@ -33,10 +34,29 @@ func distributableSearch(t *testing.T) service.SearchRequest {
 	}
 	return service.SearchRequest{
 		Pipeline: pipe,
-		Platform: platform.Uniform(16, 100, 100),
+		Platform: twoSpeedPlatform(t, 16),
 		Model:    "overlap",
 		Algo:     "bnb",
 	}
+}
+
+// twoSpeedPlatform has n processors on uniform links, the first half at
+// speed 100 and the rest at 60: few enough symmetry classes to keep the
+// frontier small, too few equal processors for the bound to empty the tree.
+func twoSpeedPlatform(t *testing.T, n int) *platform.Platform {
+	t.Helper()
+	speeds := make([]int64, n)
+	for u := range speeds {
+		speeds[u] = 100
+		if u >= n/2 {
+			speeds[u] = 60
+		}
+	}
+	p, err := platform.New(speeds, platform.Uniform(n, 1, 100).Bandwidths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // steadyRing slows the prober down so a CPU-starved test box (parallel

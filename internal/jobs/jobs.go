@@ -84,7 +84,7 @@ func ParseState(s string) (State, error) {
 }
 
 // Progress is the live per-job progress block: lock-cheap atomics the solve
-// loops add to (the bnb walkers per flushed chunk, the sweep per finished
+// loops add to (the bnb walkers per leaf, the sweep per finished
 // point) and pollers read without synchronization. Which counters move
 // depends on the job kind; the rest stay zero.
 type Progress struct {

@@ -224,15 +224,29 @@ func TestJobCancelMidSearch(t *testing.T) {
 	}
 }
 
-// mustPlatformN is a wider uniform platform for the jobs that must run
-// long enough to be observed and canceled mid-walk.
+// mustPlatformN is a wider platform for the searches that must build a
+// real tree: the first half of its n processors run at speed 100, the rest
+// at 60, on uniform links. A uniform platform is too symmetric — the
+// open-stage work bound proves its greedy warm start optimal while the
+// frontier is still being expanded.
 func mustPlatformN(n int) *platform.Platform {
-	return platform.Uniform(n, 100, 100)
+	speeds := make([]int64, n)
+	for u := range speeds {
+		speeds[u] = 100
+		if u >= n/2 {
+			speeds[u] = 60
+		}
+	}
+	p, err := platform.New(speeds, platform.Uniform(n, 1, 100).Bandwidths)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // longBnbSearch is a branch-and-bound search whose tree is far too large to
-// exhaust within a test run (minutes uncanceled): 14 stages on 56 uniform
-// processors. The tests that need a job to still be running — cancel
+// exhaust within a test run (minutes uncanceled): 14 stages on 56
+// processors of two speeds. The tests that need a job to still be running — cancel
 // mid-walk, capacity push-back, result-before-terminal — submit this and
 // rely on cooperative cancellation to end it promptly.
 func longBnbSearch(t *testing.T) SearchRequest {

@@ -19,9 +19,10 @@ import (
 )
 
 // resumableSearch is a bnb search small enough to finish in test time but
-// big enough that the greedy warm start does not prune the whole tree: the
-// frontier survives with dozens of roots, so an interrupted checkpoint has
-// work both to replay and to re-execute.
+// big enough that the greedy warm start does not prune the whole tree: on
+// the two-speed platform of mustPlatformN the frontier survives with over a
+// hundred roots, so an interrupted checkpoint has work both to replay and
+// to re-execute.
 func resumableSearch(t *testing.T) SearchRequest {
 	t.Helper()
 	work := make([]int64, 8)

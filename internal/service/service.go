@@ -1079,10 +1079,6 @@ type SubtreeRequest struct {
 	Platform *platform.Platform `json:"platform"`
 	Model    string             `json:"model"`
 	Backend  string             `json:"backend,omitempty"`
-	// ChunkSize mirrors bnb.Options.ChunkSize (0 = the bnb default); the
-	// coordinator forwards the value the original request implied so counts
-	// stay deterministic.
-	ChunkSize int `json:"chunkSize,omitempty"`
 	// Root is the subtree to explore, exactly as bnb.Frontier planned it.
 	Root bnb.Root `json:"root"`
 	// WarmPeriod is the pruning reference the root starts from ("" = none):
@@ -1111,7 +1107,7 @@ func (s *Server) handleSubtree(r *http.Request) (rep reply, err error) {
 	if err != nil {
 		return rep, err
 	}
-	exec, err := bnb.NewLocalExecutor(s.engine(b), req.Pipeline, req.Platform, cm, bnb.Options{ChunkSize: req.ChunkSize})
+	exec, err := bnb.NewLocalExecutor(s.engine(b), req.Pipeline, req.Platform, cm, bnb.Options{})
 	if err != nil {
 		return rep, badRequest("%v", err)
 	}

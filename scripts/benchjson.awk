@@ -1,6 +1,10 @@
 # benchjson.awk — convert `go test -bench -benchmem` output into a JSON
 # array of {name, iterations, nsPerOp, bytesPerOp, allocsPerOp} records
-# (BENCH_10.json in CI) and enforce seven gates:
+# (BENCH_10.json in CI) and enforce seven gates. A benchmark that reports
+# the branch and bound's tree sizes (the nodes/op, leaves/op and
+# screened/op custom metrics) gets them copied into its record as
+# nodesPerOp, leavesPerOp and screenedPerOp, ungated, so a change in tree
+# size shows in the artifact. The gates:
 #
 #   * allocation gate — the strict-model Evaluate benchmarks must stay at
 #     or below `gate` allocs/op (the PR-2 zero-allocation refactor brought
@@ -62,13 +66,17 @@ BEGIN {
     name = $1
     sub(/-[0-9]+$/, "", name) # strip the GOMAXPROCS suffix
     ns = ""; bytes = ""; allocs = ""; leafrate = ""
+    n++
+    tree[n] = ""
     for (i = 2; i < NF; i++) {
         if ($(i+1) == "ns/op") ns = $i
         if ($(i+1) == "B/op") bytes = $i
         if ($(i+1) == "allocs/op") allocs = $i
         if ($(i+1) == "leaves/s") leafrate = $i
+        if ($(i+1) == "nodes/op") tree[n] = tree[n] ", \"nodesPerOp\": " $i
+        if ($(i+1) == "leaves/op") tree[n] = tree[n] ", \"leavesPerOp\": " $i
+        if ($(i+1) == "screened/op") tree[n] = tree[n] ", \"screenedPerOp\": " $i
     }
-    n++
     names[n] = name
     iters[n] = $2
     nsop[n] = ns
@@ -167,8 +175,8 @@ END {
     }
     print "["
     for (i = 1; i <= n; i++) {
-        printf "  {\"name\": \"%s\", \"iterations\": %s, \"nsPerOp\": %s, \"bytesPerOp\": %s, \"allocsPerOp\": %s, \"gated\": %s}%s\n", \
-            names[i], iters[i], nsop[i], bop[i], aop[i], (gated[i] ? "true" : "false"), (i < n ? "," : "")
+        printf "  {\"name\": \"%s\", \"iterations\": %s, \"nsPerOp\": %s, \"bytesPerOp\": %s, \"allocsPerOp\": %s%s, \"gated\": %s}%s\n", \
+            names[i], iters[i], nsop[i], bop[i], aop[i], tree[i], (gated[i] ? "true" : "false"), (i < n ? "," : "")
     }
     print "]"
     if (fail) exit 1
