@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fixture"
 	"repro/internal/pipeline"
 	"repro/internal/platform"
 	"repro/internal/service"
@@ -133,33 +134,10 @@ func readAll(t *testing.T, resp *http.Response) ([]byte, int) {
 // canceled state with drain reporting the count.
 func TestReproctlCancelAndDrain(t *testing.T) {
 	url := startServer(t)
-	work := make([]int64, 14)
-	files := make([]int64, 13)
-	for i := range work {
-		work[i] = int64(100 + 37*i)
-	}
-	for i := range files {
-		files[i] = int64(40 + 11*i)
-	}
-	pipe, err := pipeline.New(work, files)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// 56 processors of two speeds: a uniform platform is too symmetric, the
 	// exact search would prove its warm start within milliseconds.
-	speeds := make([]int64, 56)
-	for u := range speeds {
-		speeds[u] = 100
-		if u >= 28 {
-			speeds[u] = 60
-		}
-	}
-	plat, err := platform.New(speeds, platform.Uniform(56, 1, 100).Bandwidths)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sub, err := json.Marshal(service.JobSubmitRequest{Kind: "search", Search: &service.SearchRequest{
-		Pipeline: pipe, Platform: plat,
+		Pipeline: fixture.Pipeline(14), Platform: fixture.TwoSpeedPlatform(56),
 		Model: "overlap", Algo: "bnb",
 	}})
 	if err != nil {
@@ -205,18 +183,7 @@ func TestReproctlCancelAndDrain(t *testing.T) {
 // must make the command return an error — the nonzero exit scripts gate on.
 func TestReproctlJobFollow(t *testing.T) {
 	url := startServer(t)
-	work := make([]int64, 8)
-	files := make([]int64, 7)
-	for i := range work {
-		work[i] = int64(100 + 37*i)
-	}
-	for i := range files {
-		files[i] = int64(40 + 11*i)
-	}
-	pipe, err := pipeline.New(work, files)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pipe := fixture.Pipeline(8)
 	submit := func(base string) service.Job {
 		t.Helper()
 		sub, err := json.Marshal(service.JobSubmitRequest{Kind: "search", Search: &service.SearchRequest{
@@ -253,7 +220,7 @@ func TestReproctlJobFollow(t *testing.T) {
 	tsf := httptest.NewServer(service.NewServer(service.Options{Workers: 2, JobTimeout: time.Nanosecond}).Handler())
 	t.Cleanup(tsf.Close)
 	jf := submit(tsf.URL)
-	err = ctlErr(t, "-url", tsf.URL, "job", "-follow", "-interval", "5ms", jf.ID)
+	err := ctlErr(t, "-url", tsf.URL, "job", "-follow", "-interval", "5ms", jf.ID)
 	if !strings.Contains(err.Error(), "failed") {
 		t.Fatalf("follow of failed job: error %v, want mention of failure", err)
 	}

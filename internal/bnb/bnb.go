@@ -104,19 +104,24 @@ type Options struct {
 	// frontier order, whatever order they arrive in.
 	Executor Executor
 
-	// Replay maps frontier indices to results already known from a previous
-	// run (a checkpoint). Replayed roots are never dispatched; their stats
-	// and incumbents merge exactly as if the executor had just produced
-	// them, so a resumed deterministic search is byte-identical to an
-	// uninterrupted one. OnRootDone is not called for replayed roots.
-	Replay map[int]SubResult
+	// Replay maps frontier indices to roots already explored by a previous
+	// run (a checkpoint). An entry is used only when its Root and Warm equal
+	// the root this plan has at that index and the warm period it would be
+	// dispatched with; any other entry is ignored and its root runs. A used
+	// entry is never dispatched: its stats and incumbent merge exactly as if
+	// the executor had just produced them, so a resumed deterministic search
+	// is byte-identical to an uninterrupted one. OnRootDone is not called
+	// for replayed roots.
+	Replay map[int]Finished
 
 	// OnRootDone, when non-nil, is called once per executed root as it
 	// completes, from worker goroutines (must be safe for concurrent use).
 	// frontier is the total number of roots in the plan — the checkpoint
 	// layer persists incremental progress through this callback and sizes
-	// its done-bitmap from it. Replayed roots never trigger the callback.
-	OnRootDone func(frontier int, root Root, res SubResult)
+	// its done-bitmap from it. done carries the root and warm period along
+	// with the result, so a later Replay can check it still applies.
+	// Replayed roots never trigger the callback.
+	OnRootDone func(frontier int, done Finished)
 
 	// Racing trades bit-identity for wall-clock speed: each root is
 	// dispatched with the best period known at dispatch time instead of the
@@ -307,36 +312,30 @@ func Search(ctx context.Context, eng *engine.Engine, pipe *pipeline.Pipeline, pl
 					if i >= len(frontier) {
 						return
 					}
-					if rep, ok := opts.Replay[i]; ok {
-						results[i] = rep
-						if pr.onProgress != nil && rep.Stats != (Stats{}) {
-							pr.onProgress(rep.Stats)
+					warm, ref, hasRef := warm0, rat.Rat{}, pr.warm != nil
+					if hasRef {
+						ref = pr.warm.period
+					}
+					if opts.Racing {
+						raceMu.Lock()
+						warm, ref, hasRef = raceStr, raceBest, raceHas
+						raceMu.Unlock()
+					}
+					if rep, ok := opts.Replay[i]; ok && rep.Warm == warm && rep.Root.sameRoot(roots[i]) {
+						results[i] = rep.Result
+						if pr.onProgress != nil && rep.Result.Stats != (Stats{}) {
+							pr.onProgress(rep.Result.Stats)
 						}
-						if opts.Racing && rep.BestPeriod != "" {
-							improveRace(rep.BestPeriod)
+						if opts.Racing && rep.Result.BestPeriod != "" {
+							improveRace(rep.Result.BestPeriod)
 						}
 						continue
 					}
 					var res SubResult
 					var err error
 					if local != nil {
-						ref, hasRef := rat.Rat{}, pr.warm != nil
-						if hasRef {
-							ref = pr.warm.period
-						}
-						if opts.Racing {
-							raceMu.Lock()
-							ref, hasRef = raceBest, raceHas
-							raceMu.Unlock()
-						}
 						res = local.run(ctx, frontier[i], depth, ref, hasRef)
 					} else {
-						warm := warm0
-						if opts.Racing {
-							raceMu.Lock()
-							warm = raceStr
-							raceMu.Unlock()
-						}
 						res, err = exec.RunRoot(ctx, roots[i], warm)
 					}
 					if err != nil {
@@ -353,7 +352,7 @@ func Search(ctx context.Context, eng *engine.Engine, pipe *pipeline.Pipeline, pl
 						improveRace(res.BestPeriod)
 					}
 					if err == nil && opts.OnRootDone != nil {
-						opts.OnRootDone(len(roots), roots[i], res)
+						opts.OnRootDone(len(roots), Finished{Root: roots[i], Warm: warm, Result: res})
 					}
 				}
 			}()
@@ -510,9 +509,6 @@ func (w *walker) choose(stage, c, taken int, slowest int64, parentLB rat.Rat) er
 		}
 		return w.dfs(stage+1, lb)
 	}
-	if taken > 0 && w.hasRef && w.cuts(stage, int64(taken), slowest) {
-		return nil
-	}
 	cl := &w.pr.classes[c]
 	freeC := len(cl.members) - w.used[c]
 	// Every later stage still needs a processor; w.free already excludes the
@@ -526,12 +522,19 @@ func (w *walker) choose(stage, c, taken int, slowest int64, parentLB rat.Rat) er
 	}
 	// Largest counts first: the fastest classes are enumerated first and
 	// replication only helps, so good incumbents appear early in DFS order.
+	// A partial choice is checked right after it takes members: t = 0 hands
+	// the unchanged state down, and the last class completes the choice,
+	// which the node's own bound then judges.
 	for t := maxT; t >= 0; t-- {
 		sl := slowest
 		if t > 0 {
 			w.take(stage, c, t)
 			if sl == 0 || cl.speed < sl {
 				sl = cl.speed
+			}
+			if c+1 < len(w.pr.classes) && w.hasRef && w.cuts(stage, int64(taken+t), sl) {
+				w.give(stage, c, t)
+				continue
 			}
 		}
 		err := w.choose(stage, c+1, taken+t, sl, parentLB)

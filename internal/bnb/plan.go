@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/mapping"
@@ -74,6 +75,26 @@ type SubResult struct {
 	BestPeriod   string  `json:"bestPeriod,omitempty"`
 	Complete     bool    `json:"complete"`
 	Stats        Stats   `json:"stats"`
+}
+
+// Finished is one explored root as a checkpoint keeps it: the root and the
+// warm period it was dispatched with, and what exploring it found. Search
+// replays it only when both still equal the current plan's root and
+// dispatch warm period. A record left by another plan — a build with
+// different bounds expands a different frontier, a different warm start
+// prunes differently — then re-runs the root instead of vouching for a
+// subtree it never explored.
+type Finished struct {
+	Root   Root      `json:"root"`
+	Warm   string    `json:"warm"`
+	Result SubResult `json:"result"`
+}
+
+// sameRoot reports whether r and o describe the same subtree at the same
+// frontier index.
+func (r Root) sameRoot(o Root) bool {
+	return r.Index == o.Index && r.Depth == o.Depth && r.Free == o.Free && r.LB == o.LB &&
+		slices.Equal(r.Used, o.Used) && slices.EqualFunc(r.Replicas, o.Replicas, slices.Equal[[]int])
 }
 
 // Executor runs one frontier root to completion. warm is the pruning

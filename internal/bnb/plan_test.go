@@ -97,13 +97,13 @@ func TestReplaySkipsRootsAndStaysBitIdentical(t *testing.T) {
 	opts := Options{FrontierTarget: 16}
 
 	var mu sync.Mutex
-	captured := map[int]SubResult{}
+	captured := map[int]Finished{}
 	o := opts
 	var seenFrontier atomic.Int64
-	o.OnRootDone = func(frontier int, root Root, res SubResult) {
+	o.OnRootDone = func(frontier int, done Finished) {
 		seenFrontier.Store(int64(frontier))
 		mu.Lock()
-		captured[root.Index] = res
+		captured[done.Root.Index] = done
 		mu.Unlock()
 	}
 	ref, err := Search(context.Background(), eng, pipe, plat, model.Overlap, o)
@@ -117,10 +117,10 @@ func TestReplaySkipsRootsAndStaysBitIdentical(t *testing.T) {
 		t.Fatalf("OnRootDone reported frontier %d, want %d", got, ref.Stats.Frontier)
 	}
 
-	replay := map[int]SubResult{}
-	for idx, res := range captured {
+	replay := map[int]Finished{}
+	for idx, done := range captured {
 		if idx%2 == 0 {
-			replay[idx] = res
+			replay[idx] = done
 		}
 	}
 	local, err := NewLocalExecutor(eng, pipe, plat, model.Overlap, opts)
@@ -145,6 +145,80 @@ func TestReplaySkipsRootsAndStaysBitIdentical(t *testing.T) {
 		t.Fatalf("replayed search diverged:\n got %v %v proven=%v %+v\nwant %v %v proven=%v %+v",
 			res.Mapping, res.Period, res.Proven, res.Stats,
 			ref.Mapping, ref.Period, ref.Proven, ref.Stats)
+	}
+}
+
+// TestReplayIgnoresEntriesOfAnotherPlan: a checkpoint written under a
+// different plan — another frontier (as a build with other bounds expands)
+// or another warm period — must not vouch for this plan's roots. Every
+// entry claims its subtree complete and empty; a replay that trusted them
+// would skip roots it never explored and certify the warm start. Each
+// mismatched entry must be dropped and its root run.
+func TestReplayIgnoresEntriesOfAnotherPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	pipe := pipeline.Random(rng, 3, 50, 500)
+	plat := platform.Random(rng, 6, 5, 25, 20, 200)
+	eng := engine.New(engine.Options{Workers: 4})
+	opts := Options{FrontierTarget: 16}
+	ref, err := Search(context.Background(), eng, pipe, plat, model.Overlap, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The same problem planned with another frontier target: its roots sit
+	// at the same indices but describe other subtrees.
+	other, _, err := Frontier(context.Background(), pipe, plat, "", 4*opts.FrontierTarget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine, _, err := Frontier(context.Background(), pipe, plat, "", opts.FrontierTarget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mine) != ref.Stats.Frontier || len(other) == len(mine) {
+		t.Fatalf("fixture frontiers: %d and %d roots (search planned %d); need two different plans",
+			len(other), len(mine), ref.Stats.Frontier)
+	}
+	bogus := SubResult{Complete: true}
+	for name, replay := range map[string]map[int]Finished{
+		"other frontier": func() map[int]Finished {
+			m := map[int]Finished{}
+			for _, r := range other {
+				m[r.Index] = Finished{Root: r, Result: bogus}
+			}
+			return m
+		}(),
+		"other warm period": func() map[int]Finished {
+			m := map[int]Finished{}
+			for _, r := range mine {
+				m[r.Index] = Finished{Root: r, Warm: "1", Result: bogus}
+			}
+			return m
+		}(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			local, err := NewLocalExecutor(eng, pipe, plat, model.Overlap, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exec := &wireExecutor{local: local}
+			o := opts
+			o.Executor = exec
+			o.Replay = replay
+			res, err := Search(context.Background(), nil, pipe, plat, model.Overlap, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := int(exec.ran.Load()); got != ref.Stats.Frontier {
+				t.Fatalf("executor ran %d roots, want all %d: a stale replay entry was trusted", got, ref.Stats.Frontier)
+			}
+			if res.Mapping.String() != ref.Mapping.String() || !res.Period.Equal(ref.Period) ||
+				res.Proven != ref.Proven || res.Stats != ref.Stats {
+				t.Fatalf("search with a stale replay diverged:\n got %v %v proven=%v %+v\nwant %v %v proven=%v %+v",
+					res.Mapping, res.Period, res.Proven, res.Stats,
+					ref.Mapping, ref.Period, ref.Proven, ref.Stats)
+			}
+		})
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 func BenchmarkCheckpointOverhead(b *testing.B) {
 	pipe := pipeline.Random(rand.New(rand.NewSource(7)), 4, 50, 500)
 	plat := platform.Uniform(9, 12, 100)
-	run := func(b *testing.B, onRootDone func(int, bnb.Root, bnb.SubResult)) {
+	run := func(b *testing.B, onRootDone func(int, bnb.Finished)) {
 		eng := engine.New(engine.Options{CacheEntries: -1})
 		var last bnb.Result
 		b.ResetTimer()
@@ -51,8 +51,8 @@ func BenchmarkCheckpointOverhead(b *testing.B) {
 		// registers per detached job.
 		const jobID = "bench0000bench00-1"
 		m.Adopt(Record{JobID: jobID, Kind: "search", State: "running"})
-		run(b, func(frontier int, root bnb.Root, res bnb.SubResult) {
-			m.RootDone(jobID, frontier, root, res)
+		run(b, func(frontier int, done bnb.Finished) {
+			m.RootDone(jobID, frontier, done)
 		})
 	})
 }

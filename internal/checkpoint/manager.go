@@ -38,8 +38,10 @@ type Stats struct {
 }
 
 // Record is one job's durable state. While the job runs, Roots accumulates
-// the finished frontier roots (the resume path replays them verbatim);
-// once terminal, the final response body or failure replaces them.
+// the finished frontier roots, each with the root descriptor and warm
+// period it ran from (the resume path replays those that still match the
+// re-expanded plan); once terminal, the final response body or failure
+// replaces them.
 //
 // Body and Result are []byte (base64 in the file), NOT json.RawMessage:
 // marshaling a RawMessage compacts it, which would silently rewrite the
@@ -55,19 +57,19 @@ type Record struct {
 	// Frontier is the planned frontier size; DoneRoots is the index bitmap
 	// of finished roots as a hex string (LSB = root 0), redundant with the
 	// keys of Roots and cross-checked on load.
-	Frontier  int                   `json:"frontier,omitempty"`
-	DoneRoots string                `json:"doneRoots,omitempty"`
-	Roots     map[int]bnb.SubResult `json:"roots,omitempty"`
-	Incumbent *Incumbent            `json:"incumbent,omitempty"`
-	Result    []byte                `json:"result,omitempty"`
-	Failure   *Failure              `json:"failure,omitempty"`
-	Stats     *Stats                `json:"stats,omitempty"`
+	Frontier  int                  `json:"frontier,omitempty"`
+	DoneRoots string               `json:"doneRoots,omitempty"`
+	Roots     map[int]bnb.Finished `json:"roots,omitempty"`
+	Incumbent *Incumbent           `json:"incumbent,omitempty"`
+	Result    []byte               `json:"result,omitempty"`
+	Failure   *Failure             `json:"failure,omitempty"`
+	Stats     *Stats               `json:"stats,omitempty"`
 }
 
 // Bitmap renders the finished-root indices as a little-endian hex bitmap
 // (LSB of byte 0 = root 0). Exported so the resume tests — and any tool
 // inspecting checkpoint files — can produce the exact on-disk encoding.
-func Bitmap(roots map[int]bnb.SubResult, frontier int) string {
+func Bitmap(roots map[int]bnb.Finished, frontier int) string {
 	if frontier <= 0 || len(roots) == 0 {
 		return ""
 	}
@@ -135,7 +137,7 @@ func (m *Manager) Submitted(j *jobs.Job) {
 // RootDone records one finished frontier root. It is safe for concurrent
 // use (bnb calls it from worker goroutines) and cheap between flushes: a
 // map insert under the manager lock.
-func (m *Manager) RootDone(jobID string, frontier int, root bnb.Root, res bnb.SubResult) {
+func (m *Manager) RootDone(jobID string, frontier int, done bnb.Finished) {
 	m.mu.Lock()
 	jr, ok := m.live[jobID]
 	if !ok {
@@ -143,11 +145,11 @@ func (m *Manager) RootDone(jobID string, frontier int, root bnb.Root, res bnb.Su
 		return
 	}
 	if jr.rec.Roots == nil {
-		jr.rec.Roots = make(map[int]bnb.SubResult)
+		jr.rec.Roots = make(map[int]bnb.Finished)
 	}
 	jr.rec.Frontier = frontier
-	jr.rec.Roots[root.Index] = res
-	if res.BestPeriod != "" {
+	jr.rec.Roots[done.Root.Index] = done
+	if res := done.Result; res.BestPeriod != "" {
 		better := jr.rec.Incumbent == nil || lessPeriod(res.BestPeriod, jr.rec.Incumbent.Period)
 		if better {
 			jr.rec.Incumbent = &Incumbent{Replicas: res.BestReplicas, Period: res.BestPeriod}
@@ -248,7 +250,7 @@ func (m *Manager) Resumable() []Record {
 // which worker goroutines read concurrently with RootDone's writes here.
 func (m *Manager) Adopt(rec Record) {
 	if len(rec.Roots) > 0 {
-		roots := make(map[int]bnb.SubResult, len(rec.Roots))
+		roots := make(map[int]bnb.Finished, len(rec.Roots))
 		for k, v := range rec.Roots {
 			roots[k] = v
 		}
@@ -273,7 +275,7 @@ func (m *Manager) flush(jobID string, force bool) {
 	}
 	jr.rec.DoneRoots = Bitmap(jr.rec.Roots, jr.rec.Frontier)
 	rec := jr.rec
-	rec.Roots = make(map[int]bnb.SubResult, len(jr.rec.Roots))
+	rec.Roots = make(map[int]bnb.Finished, len(jr.rec.Roots))
 	for k, v := range jr.rec.Roots {
 		rec.Roots[k] = v
 	}

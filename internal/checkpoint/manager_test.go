@@ -35,9 +35,9 @@ func TestManagerLifecycle(t *testing.T) {
 		t.Fatalf("submit record = %+v", rec)
 	}
 
-	m.RootDone(id, 4, bnb.Root{Index: 2}, bnb.SubResult{Complete: true, BestPeriod: "5/2", BestReplicas: [][]int{{0}, {1}}})
-	m.RootDone(id, 4, bnb.Root{Index: 0}, bnb.SubResult{Complete: true, BestPeriod: "9/4", BestReplicas: [][]int{{1}, {0}}})
-	m.RootDone(id, 4, bnb.Root{Index: 1}, bnb.SubResult{Complete: true})
+	m.RootDone(id, 4, bnb.Finished{Root: bnb.Root{Index: 2}, Result: bnb.SubResult{Complete: true, BestPeriod: "5/2", BestReplicas: [][]int{{0}, {1}}}})
+	m.RootDone(id, 4, bnb.Finished{Root: bnb.Root{Index: 0}, Result: bnb.SubResult{Complete: true, BestPeriod: "9/4", BestReplicas: [][]int{{1}, {0}}}})
+	m.RootDone(id, 4, bnb.Finished{Root: bnb.Root{Index: 1}, Result: bnb.SubResult{Complete: true}})
 	if err := m.Store().Load(id, &rec); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestBitmapMismatchDropsRoots(t *testing.T) {
 		Kind:      "search",
 		State:     "running",
 		Frontier:  8,
-		Roots:     map[int]bnb.SubResult{1: {Complete: true}},
+		Roots:     map[int]bnb.Finished{1: {Result: bnb.SubResult{Complete: true}}},
 		DoneRoots: "ff", // claims all eight
 	}
 	if err := m.Store().Save(rec.JobID, rec); err != nil {
@@ -148,10 +148,10 @@ func TestAdoptResumedJobKeepsCheckpointing(t *testing.T) {
 	m.Adopt(Record{
 		JobID: id, Kind: "search", State: "running",
 		Frontier: 4,
-		Roots:    map[int]bnb.SubResult{0: {Complete: true}},
+		Roots:    map[int]bnb.Finished{0: {Result: bnb.SubResult{Complete: true}}},
 	})
-	m.RootDone(id, 4, bnb.Root{Index: 3}, bnb.SubResult{Complete: true, BestPeriod: "7/3", BestReplicas: [][]int{{0}, {1}}})
-	m.RootDone(id, 4, bnb.Root{Index: 2}, bnb.SubResult{Complete: true, BestPeriod: "8/3", BestReplicas: [][]int{{1}, {0}}})
+	m.RootDone(id, 4, bnb.Finished{Root: bnb.Root{Index: 3}, Result: bnb.SubResult{Complete: true, BestPeriod: "7/3", BestReplicas: [][]int{{0}, {1}}}})
+	m.RootDone(id, 4, bnb.Finished{Root: bnb.Root{Index: 2}, Result: bnb.SubResult{Complete: true, BestPeriod: "8/3", BestReplicas: [][]int{{1}, {0}}}})
 	var rec Record
 	if err := m.Store().Load(id, &rec); err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestAdoptResumedJobKeepsCheckpointing(t *testing.T) {
 		t.Fatalf("worse root displaced the incumbent: %+v", rec.Incumbent)
 	}
 
-	m.RootDone("aaaa0000aaaa0000-9", 2, bnb.Root{Index: 0}, bnb.SubResult{Complete: true})
+	m.RootDone("aaaa0000aaaa0000-9", 2, bnb.Finished{Root: bnb.Root{Index: 0}, Result: bnb.SubResult{Complete: true}})
 	if err := m.Store().Load("aaaa0000aaaa0000-9", &rec); err == nil {
 		t.Fatalf("RootDone for an unknown job wrote a record: %+v", rec)
 	}
@@ -242,7 +242,7 @@ func TestIntervalBatchesWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.RootDone(j.ID(), 2, bnb.Root{Index: 0}, bnb.SubResult{Complete: true})
+	m.RootDone(j.ID(), 2, bnb.Finished{Root: bnb.Root{Index: 0}, Result: bnb.SubResult{Complete: true}})
 	var rec Record
 	if err := m.Store().Load(j.ID(), &rec); err != nil {
 		t.Fatal(err)

@@ -65,9 +65,9 @@ func TestTruncatedRecordsNeverLoad(t *testing.T) {
 		Body:     []byte(`{"algo":"bnb"}`),
 		State:    "running",
 		Frontier: 3,
-		Roots: map[int]bnb.SubResult{
-			0: {Complete: true, BestPeriod: "7/3", BestReplicas: [][]int{{0}, {1, 2}}},
-			2: {Complete: true},
+		Roots: map[int]bnb.Finished{
+			0: {Root: bnb.Root{Index: 0, LB: "1"}, Result: bnb.SubResult{Complete: true, BestPeriod: "7/3", BestReplicas: [][]int{{0}, {1, 2}}}},
+			2: {Root: bnb.Root{Index: 2, LB: "1"}, Result: bnb.SubResult{Complete: true}},
 		},
 	}
 	rec.DoneRoots = Bitmap(rec.Roots, rec.Frontier)
@@ -113,7 +113,7 @@ func TestTruncatedRecordsNeverLoad(t *testing.T) {
 	if err := s.Load(rec.JobID, &out); err != nil {
 		t.Fatalf("restored record failed to load: %v", err)
 	}
-	if out.DoneRoots != rec.DoneRoots || len(out.Roots) != 2 || out.Roots[0].BestPeriod != "7/3" {
+	if out.DoneRoots != rec.DoneRoots || len(out.Roots) != 2 || out.Roots[0].Result.BestPeriod != "7/3" || out.Roots[2].Root.Index != 2 {
 		t.Fatalf("restored record lost data: %+v", out)
 	}
 }

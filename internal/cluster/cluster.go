@@ -42,6 +42,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -53,6 +54,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/ring"
+	"repro/internal/service"
 )
 
 // Node names one serve process the router shards across.
@@ -143,6 +145,7 @@ type nodeState struct {
 	consecOKs   int
 
 	proxied atomic.Int64 // responses obtained from this node (skew accounting)
+	workers atomic.Int64 // engine pool size from the last healthy probe; 0 until one answers
 }
 
 // Router is the consistent-hash front end. Create with NewRouter, mount
@@ -280,8 +283,29 @@ func (rt *Router) probe(ctx context.Context, ns *nodeState) bool {
 		return false
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		var h service.HealthzResponse
+		if json.NewDecoder(resp.Body).Decode(&h) == nil && h.Workers > 0 {
+			ns.workers.Store(int64(h.Workers))
+		}
+	}
 	drain(resp)
 	return resp.StatusCode == http.StatusOK
+}
+
+// aliveWorkers sums the engine pool sizes the alive nodes last reported:
+// the number of subtree walks the cluster runs at once, since a node walks
+// each root on one goroutine. Zero until a probe has answered.
+func (rt *Router) aliveWorkers() int {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	n := 0
+	for _, ns := range rt.nodes {
+		if ns.alive {
+			n += int(ns.workers.Load())
+		}
+	}
+	return n
 }
 
 // recordProbe folds one health observation into the node's streaks and

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fixture"
 	"repro/internal/pipeline"
 	"repro/internal/platform"
 	"repro/internal/service"
@@ -260,20 +261,8 @@ func TestRouterJobCancelRoutesByPrefix(t *testing.T) {
 	// A search too large to finish promptly (14 stages on 56 processors of
 	// two speeds), so the cancel verdict — not a done race — is what comes
 	// back.
-	work := make([]int64, 14)
-	files := make([]int64, 13)
-	for i := range work {
-		work[i] = int64(100 + 37*i)
-	}
-	for i := range files {
-		files[i] = int64(40 + 11*i)
-	}
-	pipe, err := pipeline.New(work, files)
-	if err != nil {
-		t.Fatal(err)
-	}
 	body := mustJSON(t, service.JobSubmitRequest{Kind: "search", Search: &service.SearchRequest{
-		Pipeline: pipe, Platform: twoSpeedPlatform(t, 56),
+		Pipeline: fixture.Pipeline(14), Platform: fixture.TwoSpeedPlatform(56),
 		Model: "overlap", Algo: "bnb",
 	}})
 	resp, status := postRaw(t, base+"/v1/jobs", body)

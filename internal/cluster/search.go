@@ -140,6 +140,7 @@ func (rt *Router) distributedSearch(w http.ResponseWriter, r *http.Request, body
 		keyBase: service.JobKeyPrefix(body),
 	}
 	opts.Executor = exec
+	opts.Workers = rt.rootsInFlight()
 	res, err := bnb.Search(ctx, nil, req.Pipeline, req.Platform, cm, opts)
 	if err != nil {
 		// The same budget-vs-server-deadline attribution the node performs.
@@ -185,6 +186,20 @@ func (rt *Router) distributedSearch(w http.ResponseWriter, r *http.Request, body
 		return
 	}
 	writeRaw(w, http.StatusOK, out)
+}
+
+// minRootsInFlight is the fewest subtree roots a distributed search keeps
+// in flight, and all it keeps before any node has reported its workers.
+const minRootsInFlight = 8
+
+// rootsInFlight sizes a distributed search's root concurrency. A node
+// walks each root on one goroutine, and a root spends part of its time on
+// the wire, so the router keeps twice the alive nodes' engine workers in
+// flight (a node's default admission budget is the same twice its
+// workers), and never fewer than minRootsInFlight: below that, round trips
+// leave small clusters idle.
+func (rt *Router) rootsInFlight() int {
+	return max(2*rt.aliveWorkers(), minRootsInFlight)
 }
 
 // remoteExecutor ships frontier roots to their ring homes. RunRoot is

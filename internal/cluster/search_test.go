@@ -7,8 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/pipeline"
-	"repro/internal/platform"
+	"repro/internal/fixture"
 	"repro/internal/service"
 )
 
@@ -20,43 +19,12 @@ import (
 // nothing.)
 func distributableSearch(t *testing.T) service.SearchRequest {
 	t.Helper()
-	work := make([]int64, 8)
-	files := make([]int64, 7)
-	for i := range work {
-		work[i] = int64(100 + 37*i)
-	}
-	for i := range files {
-		files[i] = int64(40 + 11*i)
-	}
-	pipe, err := pipeline.New(work, files)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return service.SearchRequest{
-		Pipeline: pipe,
-		Platform: twoSpeedPlatform(t, 16),
+		Pipeline: fixture.Pipeline(8),
+		Platform: fixture.TwoSpeedPlatform(16),
 		Model:    "overlap",
 		Algo:     "bnb",
 	}
-}
-
-// twoSpeedPlatform has n processors on uniform links, the first half at
-// speed 100 and the rest at 60: few enough symmetry classes to keep the
-// frontier small, too few equal processors for the bound to empty the tree.
-func twoSpeedPlatform(t *testing.T, n int) *platform.Platform {
-	t.Helper()
-	speeds := make([]int64, n)
-	for u := range speeds {
-		speeds[u] = 100
-		if u >= n/2 {
-			speeds[u] = 60
-		}
-	}
-	p, err := platform.New(speeds, platform.Uniform(n, 1, 100).Bandwidths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
 }
 
 // steadyRing slows the prober down so a CPU-starved test box (parallel
@@ -212,5 +180,25 @@ func TestRouterDistributedSearchValidation(t *testing.T) {
 	body, status = postRaw(t, routerURL+"/v1/search", mustJSON(t, bad))
 	if status != http.StatusBadRequest {
 		t.Fatalf("bad model: status %d body %s", status, body)
+	}
+}
+
+// TestRouterRootsInFlightFollowNodeWorkers: the health probes record each
+// node's engine pool size, and a distributed search keeps twice the alive
+// nodes' workers in flight, never fewer than minRootsInFlight. An ejected
+// node's workers stop counting.
+func TestRouterRootsInFlightFollowNodeWorkers(t *testing.T) {
+	nodes, rt, _ := startCluster(t, 2, service.Options{Workers: 3}, nil)
+	if got := rt.rootsInFlight(); got < minRootsInFlight {
+		t.Fatalf("rootsInFlight = %d, below the floor %d", got, minRootsInFlight)
+	}
+	waitFor(t, "probes to report 2x3 workers", func() bool { return rt.aliveWorkers() == 6 })
+	if got := rt.rootsInFlight(); got != 12 {
+		t.Fatalf("rootsInFlight with 6 workers = %d, want 12", got)
+	}
+	nodes[1].kill()
+	waitFor(t, "the dead node's workers to stop counting", func() bool { return rt.aliveWorkers() == 3 })
+	if got := rt.rootsInFlight(); got != minRootsInFlight {
+		t.Fatalf("rootsInFlight with 3 workers = %d, want the floor %d", got, minRootsInFlight)
 	}
 }

@@ -365,8 +365,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.failErr(w, name, codedError(http.StatusServiceUnavailable, CodeJobCapacity, "%v", err))
 		return
 	}
+	// The 202 describes the job as submitted: snapshot it before the runner
+	// can start it, so the answer is "pending" however the goroutines are
+	// scheduled.
+	accepted := jobJSON(j)
 	go s.runDetached(j, run, cleanup)
-	writeJSON(w, http.StatusAccepted, jobJSON(j))
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {

@@ -10,8 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fixture"
 	"repro/internal/model"
-	"repro/internal/platform"
 )
 
 // ---- helpers ----
@@ -224,26 +224,6 @@ func TestJobCancelMidSearch(t *testing.T) {
 	}
 }
 
-// mustPlatformN is a wider platform for the searches that must build a
-// real tree: the first half of its n processors run at speed 100, the rest
-// at 60, on uniform links. A uniform platform is too symmetric — the
-// open-stage work bound proves its greedy warm start optimal while the
-// frontier is still being expanded.
-func mustPlatformN(n int) *platform.Platform {
-	speeds := make([]int64, n)
-	for u := range speeds {
-		speeds[u] = 100
-		if u >= n/2 {
-			speeds[u] = 60
-		}
-	}
-	p, err := platform.New(speeds, platform.Uniform(n, 1, 100).Bandwidths)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // longBnbSearch is a branch-and-bound search whose tree is far too large to
 // exhaust within a test run (minutes uncanceled): 14 stages on 56
 // processors of two speeds. The tests that need a job to still be running — cancel
@@ -251,17 +231,9 @@ func mustPlatformN(n int) *platform.Platform {
 // rely on cooperative cancellation to end it promptly.
 func longBnbSearch(t *testing.T) SearchRequest {
 	t.Helper()
-	work := make([]int64, 14)
-	files := make([]int64, 13)
-	for i := range work {
-		work[i] = int64(100 + 37*i)
-	}
-	for i := range files {
-		files[i] = int64(40 + 11*i)
-	}
 	return SearchRequest{
-		Pipeline: mustPipeline(t, work, files),
-		Platform: mustPlatformN(56),
+		Pipeline: fixture.Pipeline(14),
+		Platform: fixture.TwoSpeedPlatform(56),
 		Model:    "overlap",
 		Algo:     "bnb",
 	}

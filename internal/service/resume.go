@@ -108,7 +108,7 @@ func (s *Server) resumePlan(rec checkpoint.Record) (jobRunner, func(), error) {
 	}
 	switch {
 	case rec.Kind == "search" && sub.Search != nil:
-		var replay map[int]bnb.SubResult
+		var replay map[int]bnb.Finished
 		if len(rec.Roots) > 0 {
 			replay = rec.Roots
 		}

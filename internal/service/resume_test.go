@@ -13,6 +13,7 @@ import (
 	"repro/internal/bnb"
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
+	"repro/internal/fixture"
 	"repro/internal/jobs"
 	"repro/internal/model"
 	"repro/internal/sched"
@@ -20,22 +21,14 @@ import (
 
 // resumableSearch is a bnb search small enough to finish in test time but
 // big enough that the greedy warm start does not prune the whole tree: on
-// the two-speed platform of mustPlatformN the frontier survives with over a
+// the two-speed platform of fixture.TwoSpeedPlatform the frontier survives with over a
 // hundred roots, so an interrupted checkpoint has work both to replay and
 // to re-execute.
 func resumableSearch(t *testing.T) SearchRequest {
 	t.Helper()
-	work := make([]int64, 8)
-	files := make([]int64, 7)
-	for i := range work {
-		work[i] = int64(100 + 37*i)
-	}
-	for i := range files {
-		files[i] = int64(40 + 11*i)
-	}
 	return SearchRequest{
-		Pipeline: mustPipeline(t, work, files),
-		Platform: mustPlatformN(16),
+		Pipeline: fixture.Pipeline(8),
+		Platform: fixture.TwoSpeedPlatform(16),
 		Model:    "overlap",
 		Algo:     "bnb",
 	}
@@ -61,17 +54,11 @@ func waitRecord(t *testing.T, m *checkpoint.Manager, id string, accept func(chec
 	}
 }
 
-// TestCheckpointResumeByteIdentical is the kill-mid-job acceptance test: a
-// bnb job interrupted after finishing part of its frontier is resumed on a
-// fresh server (the "restarted process"), re-executes only from its stored
-// body plus the finished-root replay, and answers bytes identical to the
-// same job run uninterrupted on a server that never crashed.
-func TestCheckpointResumeByteIdentical(t *testing.T) {
-	search := resumableSearch(t)
-	body := mustMarshal(t, JobSubmitRequest{Kind: "search", Search: &search})
-	jobID := JobKeyPrefix(body) + "-1"
-
-	// Uninterrupted reference run on a checkpoint-free server.
+// uninterruptedResult runs the search job on a checkpoint-free server and
+// returns its result bytes and job ID.
+func uninterruptedResult(t *testing.T, body []byte) (want []byte, jobID string) {
+	t.Helper()
+	jobID = JobKeyPrefix(body) + "-1"
 	_, ref := newTestServer(t, Options{Workers: 2})
 	j := submitJob(t, ref.URL, body)
 	if j.ID != jobID {
@@ -82,34 +69,38 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("reference result: status %d body %s", status, want)
 	}
+	return want, jobID
+}
 
-	// Capture the per-root results of the same deterministic search — the
-	// exact plan the server executes for this body.
+// captureRoots runs search in process with opts and returns every root it
+// finished, as the persister would have recorded them, and the frontier
+// size.
+func captureRoots(t *testing.T, search SearchRequest, opts bnb.Options) (map[int]bnb.Finished, int) {
+	t.Helper()
 	var mu sync.Mutex
-	captured := map[int]bnb.SubResult{}
+	captured := map[int]bnb.Finished{}
 	frontier := 0
+	opts.OnRootDone = func(f int, done bnb.Finished) {
+		mu.Lock()
+		captured[done.Root.Index] = done
+		frontier = f
+		mu.Unlock()
+	}
 	eng := engine.New(engine.Options{Workers: 2})
-	if _, err := sched.BranchAndBoundEngineOpts(t.Context(), eng, search.Pipeline, search.Platform, model.Overlap,
-		bnb.Options{OnRootDone: func(f int, root bnb.Root, res bnb.SubResult) {
-			mu.Lock()
-			captured[root.Index] = res
-			frontier = f
-			mu.Unlock()
-		}}); err != nil {
+	if _, err := sched.BranchAndBoundEngineOpts(t.Context(), eng, search.Pipeline, search.Platform, model.Overlap, opts); err != nil {
 		t.Fatal(err)
 	}
 	if frontier < 4 || len(captured) != frontier {
 		t.Fatalf("captured %d of %d roots; the fixture needs a real frontier", len(captured), frontier)
 	}
+	return captured, frontier
+}
 
-	// The "crash": a checkpoint record holding roughly half the finished
-	// roots, exactly as the persister would have left it mid-run.
-	done := map[int]bnb.SubResult{}
-	for idx, res := range captured {
-		if idx%2 == 0 {
-			done[idx] = res
-		}
-	}
+// resumeFrom writes a running checkpoint record holding done (the "crash"),
+// resumes it on a fresh server (the "restarted process") and returns the
+// resumed job's result bytes and its terminal record, once on disk.
+func resumeFrom(t *testing.T, body []byte, jobID string, done map[int]bnb.Finished, frontier int) ([]byte, checkpoint.Record) {
+	t.Helper()
 	sum := sha256.Sum256(body)
 	rec := checkpoint.Record{
 		JobID:     jobID,
@@ -130,7 +121,6 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The restarted process.
 	s, ts := newTestServer(t, Options{Workers: 2, CheckpointDir: dir})
 	if err := s.CheckpointErr(); err != nil {
 		t.Fatal(err)
@@ -147,15 +137,63 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("resumed result: status %d body %s", status, got)
 	}
+	after := waitRecord(t, s.ckpt, jobID, func(r checkpoint.Record) bool { return r.State == "done" })
+	return got, after
+}
+
+// TestCheckpointResumeByteIdentical is the kill-mid-job acceptance test: a
+// bnb job interrupted after finishing part of its frontier is resumed on a
+// fresh server (the "restarted process"), re-executes only from its stored
+// body plus the finished-root replay, and answers bytes identical to the
+// same job run uninterrupted on a server that never crashed.
+func TestCheckpointResumeByteIdentical(t *testing.T) {
+	search := resumableSearch(t)
+	body := mustMarshal(t, JobSubmitRequest{Kind: "search", Search: &search})
+	want, jobID := uninterruptedResult(t, body)
+
+	// Capture the per-root results of the same deterministic search — the
+	// exact plan the server executes for this body — and keep roughly half,
+	// exactly as the persister would have left them mid-run.
+	captured, frontier := captureRoots(t, search, bnb.Options{})
+	done := map[int]bnb.Finished{}
+	for idx, d := range captured {
+		if idx%2 == 0 {
+			done[idx] = d
+		}
+	}
+	got, after := resumeFrom(t, body, jobID, done, frontier)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed result differs from uninterrupted run:\nresumed: %s\nsolo:    %s", got, want)
 	}
 
 	// The terminal record replaced the working set on disk: state done, the
 	// result bytes retained, the root set gone.
-	after := waitRecord(t, s.ckpt, jobID, func(r checkpoint.Record) bool { return r.State == "done" })
 	if !bytes.Equal(after.Result, want) || len(after.Roots) != 0 {
 		t.Fatalf("terminal record after resume = %+v", after)
+	}
+}
+
+// TestCheckpointResumeOfAnotherPlanReruns: a job checkpointed by a build
+// that planned a different frontier (other bounds expand other roots under
+// the same indices) is resumed by this build. Its recorded roots must not
+// stand in for this plan's roots; they re-run, and the answer is
+// byte-identical to an uninterrupted run instead of merging subtrees that
+// were never explored.
+func TestCheckpointResumeOfAnotherPlanReruns(t *testing.T) {
+	search := resumableSearch(t)
+	body := mustMarshal(t, JobSubmitRequest{Kind: "search", Search: &search})
+	want, jobID := uninterruptedResult(t, body)
+
+	_, current := captureRoots(t, search, bnb.Options{})
+	// A smaller frontier target stands in for the other build's plan: the
+	// same instance, the same warm start, a different set of roots.
+	stale, frontier := captureRoots(t, search, bnb.Options{FrontierTarget: 8})
+	if frontier == current {
+		t.Fatalf("both plans have %d roots; the fixture needs two different frontiers", frontier)
+	}
+	got, _ := resumeFrom(t, body, jobID, stale, frontier)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resuming another plan's roots changed the answer:\nresumed: %s\nsolo:    %s", got, want)
 	}
 }
 

@@ -907,7 +907,7 @@ func (s *Server) searchPlan(req *SearchRequest) (jobRunner, func(), error) {
 // and the search replays them from disk instead of re-executing — the
 // tentpole guarantee that a resumed deterministic search is byte-identical
 // to an uninterrupted one while only the unfinished roots cost anything.
-func (s *Server) searchPlanReplay(req *SearchRequest, replay map[int]bnb.SubResult) (jobRunner, func(), error) {
+func (s *Server) searchPlanReplay(req *SearchRequest, replay map[int]bnb.Finished) (jobRunner, func(), error) {
 	var pinned []*store.Entry
 	cleanup := func() {
 		for _, e := range pinned {
@@ -1022,8 +1022,8 @@ func (s *Server) searchPlanReplay(req *SearchRequest, replay map[int]bnb.SubResu
 				// for jobs the persister never registered (inline requests),
 				// so the hook is safe on every path.
 				jobID := j.ID()
-				bopts.OnRootDone = func(frontier int, root bnb.Root, res bnb.SubResult) {
-					s.ckpt.RootDone(jobID, frontier, root, res)
+				bopts.OnRootDone = func(frontier int, done bnb.Finished) {
+					s.ckpt.RootDone(jobID, frontier, done)
 				}
 			}
 			var x sched.ExactResult
