@@ -43,8 +43,10 @@ FUZZTIME ?= 10s
 # the same operands (and a forced big fallback); it carries no gate.
 # BenchmarkContraction records the contraction + Karp engine on its scaled
 # int64 path next to the forced rational loops, on a grid-size strict TPN
-# and the m = 2520 net; it carries no gate either.
-BENCH_REGRESSION = BenchmarkPeriodStrict|BenchmarkPeriodOverlapPoly|BenchmarkPeriodBackends|BenchmarkSpectralBackends|BenchmarkEngines|BenchmarkEngineBatch|BenchmarkEngineMemoization|BenchmarkBnBSearch|BenchmarkBnBLeafRate|BenchmarkServeHitPath|BenchmarkRouterHitPath|BenchmarkJobSubmitPollOverhead|BenchmarkCheckpointOverhead|BenchmarkRat|BenchmarkContraction
+# and the m = 2520 net; it carries no gate either. BenchmarkBestOf records
+# cold best-of heuristic searches (allocs/op and column-solves/op, the
+# overlap walks' pattern-graph solves); no gate.
+BENCH_REGRESSION = BenchmarkPeriodStrict|BenchmarkPeriodOverlapPoly|BenchmarkPeriodBackends|BenchmarkSpectralBackends|BenchmarkEngines|BenchmarkEngineBatch|BenchmarkEngineMemoization|BenchmarkBnBSearch|BenchmarkBnBLeafRate|BenchmarkServeHitPath|BenchmarkRouterHitPath|BenchmarkJobSubmitPollOverhead|BenchmarkCheckpointOverhead|BenchmarkRat|BenchmarkContraction|BenchmarkBestOf
 ALLOC_GATE = 12
 LEAF_GATE = 5
 HITALLOC_GATE = 32
@@ -107,7 +109,7 @@ bench:
 # JOBALLOC_GATE allocs/op, or checkpointing costs the walker more than
 # CKPT_GATE x the same search without it.
 bench-regression:
-	@status=0; $(GO) test -run xxx -bench '$(BENCH_REGRESSION)' -benchtime 100x -benchmem . ./internal/bnb ./internal/service ./internal/cluster ./internal/checkpoint ./internal/rat ./internal/cycles > bench_regression.txt || status=$$?; \
+	@status=0; $(GO) test -run xxx -bench '$(BENCH_REGRESSION)' -benchtime 100x -benchmem . ./internal/bnb ./internal/service ./internal/cluster ./internal/checkpoint ./internal/rat ./internal/cycles ./internal/sched > bench_regression.txt || status=$$?; \
 	cat bench_regression.txt; \
 	if [ "$$status" != "0" ]; then echo "bench-regression: go test failed ($$status)"; exit $$status; fi
 	awk -v gate=$(ALLOC_GATE) -v leafgate=$(LEAF_GATE) -v hitgate=$(HITALLOC_GATE) -v speedupgate=$(SPEEDUP_GATE) -v routergate=$(ROUTER_GATE) -v joballocgate=$(JOBALLOC_GATE) -v ckptgate=$(CKPT_GATE) -f scripts/benchjson.awk bench_regression.txt > BENCH_10.json

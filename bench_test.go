@@ -409,8 +409,9 @@ func BenchmarkSpectralBackends(b *testing.B) {
 	}
 }
 
-// BenchmarkEngines ablates the three exact cycle-ratio engines on the
-// Figure 10 sub-TPN system.
+// BenchmarkEngines ablates the two exact cycle-ratio engines on the
+// Figure 10 sub-TPN system (the float Lawler search, a test-only helper, is
+// timed on the same system by internal/cycles' BenchmarkEngines).
 func BenchmarkEngines(b *testing.B) {
 	inst := examplesdata.ExampleB()
 	net, err := tpn.BuildOverlap(inst)
@@ -428,13 +429,6 @@ func BenchmarkEngines(b *testing.B) {
 	b.Run("howard", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := sys.MaxRatioHoward(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("lawler-float", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sys.MaxRatioLawler(1e-9); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -5,9 +5,12 @@
 // NP-hard optimization problem the paper cites as motivation [3], now with
 // a proven optimum to judge the heuristics against.
 //
-// All candidate evaluations route through the batch-evaluation engine: a
-// work-stealing worker pool with a memo cache shared across the searches,
-// so a partition revisited by a later search costs a lookup. Ctrl-C cancels
+// The exhaustive, greedy and branch-and-bound evaluations route through the
+// batch-evaluation engine: a work-stealing worker pool with a memo cache
+// shared across the searches, so a partition revisited by a later search
+// costs a lookup; the engine line at the end counts those. Overlap hill
+// climbing prices its candidates column by column (Theorem 1) in a memo of
+// its own, and strict hill climbing uses the engine. Ctrl-C cancels
 // the search cleanly; the branch and bound then reports its best incumbent
 // instead of the certificate.
 //

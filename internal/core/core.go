@@ -24,6 +24,7 @@ import (
 	"repro/internal/cycles"
 	"repro/internal/model"
 	"repro/internal/petri"
+	"repro/internal/platform"
 	"repro/internal/rat"
 )
 
@@ -120,10 +121,13 @@ func PeriodOverlapPoly(inst *model.Instance) (Result, error) {
 
 // CommPattern carries the gcd/lcm decomposition of one communication column
 // (the transmission of file F_i), following the proof of Theorem 1 and
-// Example C of the paper.
+// Example C of the paper, together with the column's source of transfer
+// times: a file of an Instance (NewCommPattern), or δ_i/b(u,v) over two
+// ordered replica lists on a platform (NewReplicaPattern). Both sources feed
+// the one pattern-graph builder, PatternGraphInto.
 type CommPattern struct {
-	Inst *model.Instance
-	File int // i: the file F_i, sent by S_i's replicas to S_(i+1)'s
+	Inst *model.Instance // nil for a pattern built from replica lists
+	File int             // i: the file F_i, sent by S_i's replicas to S_(i+1)'s
 	// P = gcd(m_i, m_{i+1}): number of connected components of the sub-TPN.
 	P int
 	// U = m_i/P senders and V = m_{i+1}/P receivers per component.
@@ -131,25 +135,51 @@ type CommPattern struct {
 	// LCM = lcm(m_i, m_{i+1}).
 	LCM int64
 	// C = m / LCM: number of u×v patterns chained in each component of the
-	// full unfolded sub-TPN.
+	// full unfolded sub-TPN (0 for replica lists, which carry no m).
 	C int64
+
+	// The replica-list source: F_File of size bytes from senders[a] to
+	// receivers[b] on plat.
+	plat               *platform.Platform
+	size               int64
+	senders, receivers []int
 }
 
-// NewCommPattern computes the decomposition for file i.
+// NewCommPattern computes the decomposition for file i of an instance.
 func NewCommPattern(inst *model.Instance, i int) CommPattern {
-	mi := int64(inst.Replication(i))
-	mj := int64(inst.Replication(i + 1))
-	p := rat.GCDInt(mi, mj)
-	l := rat.LCMInt(mi, mj)
+	cp := newPattern(inst.Replication(i), inst.Replication(i+1))
+	cp.Inst, cp.File, cp.C = inst, i, inst.PathCount()/cp.LCM
+	return cp
+}
+
+// NewReplicaPattern computes the decomposition of the column that
+// model.FromMapped would derive for file i of size bytes sent from the
+// ordered replica list senders to the ordered list receivers: replica a of
+// S_i runs on processor senders[a], and list order is round-robin order.
+// Every link senders[a] -> receivers[b] must exist on plat.
+func NewReplicaPattern(plat *platform.Platform, i int, size int64, senders, receivers []int) CommPattern {
+	cp := newPattern(len(senders), len(receivers))
+	cp.File, cp.plat, cp.size, cp.senders, cp.receivers = i, plat, size, senders, receivers
+	return cp
+}
+
+func newPattern(mi, mj int) CommPattern {
+	p := rat.GCDInt(int64(mi), int64(mj))
 	return CommPattern{
-		Inst: inst,
-		File: i,
-		P:    int(p),
-		U:    int(mi / p),
-		V:    int(mj / p),
-		LCM:  l,
-		C:    inst.PathCount() / l,
+		P:   int(p),
+		U:   mi / int(p),
+		V:   mj / int(p),
+		LCM: rat.LCMInt(int64(mi), int64(mj)),
 	}
+}
+
+// commTime is the transfer time of F_File from sender replica a to receiver
+// replica b, from whichever source the pattern carries.
+func (cp *CommPattern) commTime(a, b int) rat.Rat {
+	if cp.Inst != nil {
+		return cp.Inst.CommTime(cp.File, a, b)
+	}
+	return cp.plat.TransferTime(cp.size, cp.senders[a], cp.receivers[b])
 }
 
 // SenderIndex returns the stage-i replica index of component-local sender α.
@@ -195,7 +225,7 @@ func (cp CommPattern) PatternGraphInto(g int, s *cycles.System) *cycles.System {
 		a := (v * alpha) % u // component-local sender of grid row α
 		for beta := 0; beta < v; beta++ {
 			b := (u * beta) % v // component-local receiver of grid column β
-			cost := cp.Inst.CommTime(cp.File, cp.SenderIndex(g, a), cp.ReceiverIndex(g, b))
+			cost := cp.commTime(cp.SenderIndex(g, a), cp.ReceiverIndex(g, b))
 			// Receiver's round-robin: next reception of receiver β.
 			nextA, tokA := alpha+1, 0
 			if nextA == u {

@@ -109,14 +109,11 @@ func (s *Solver) PeriodOverlapPoly(inst *model.Instance) (Result, error) {
 	}
 	// Communication columns.
 	for i := 0; i < n-1; i++ {
-		pat := NewCommPattern(inst, i)
-		for g := 0; g < pat.P; g++ {
-			res, err := s.ws.MaxRatioBackend(pat.PatternGraphInto(g, &s.sys), s.Backend)
-			if err != nil {
-				return Result{}, fmt.Errorf("core: file F%d component %d: %w", i, g, err)
-			}
-			period = rat.Max(period, res.Ratio.DivInt(pat.LCM))
+		col, err := s.ColumnPeriod(NewCommPattern(inst, i))
+		if err != nil {
+			return Result{}, err
 		}
+		period = rat.Max(period, col)
 	}
 	return Result{
 		Model:     model.Overlap,
@@ -125,6 +122,22 @@ func (s *Solver) PeriodOverlapPoly(inst *model.Instance) (Result, error) {
 		PathCount: inst.PathCount(),
 		Method:    MethodPoly,
 	}, nil
+}
+
+// ColumnPeriod is one communication column's term of Theorem 1: the largest
+// component candidate maxCycleRatio(G′_g)/lcm(m_i, m_{i+1}) over the
+// pattern's gcd components, each pattern graph built into the solver's
+// reused system storage.
+func (s *Solver) ColumnPeriod(cp CommPattern) (rat.Rat, error) {
+	period := rat.Zero()
+	for g := 0; g < cp.P; g++ {
+		res, err := s.ws.MaxRatioBackend(cp.PatternGraphInto(g, &s.sys), s.Backend)
+		if err != nil {
+			return rat.Rat{}, fmt.Errorf("core: file F%d component %d: %w", cp.File, g, err)
+		}
+		period = rat.Max(period, res.Ratio.DivInt(cp.LCM))
+	}
+	return period, nil
 }
 
 // solverPool backs the package-level free functions: each call borrows a

@@ -2,9 +2,8 @@ package cycles
 
 // MaxRatioLawler approximates the maximum cycle ratio in float64 by Lawler's
 // binary search: λ is feasible (too small) iff the graph with edge weights
-// cost − λ·tokens contains a positive cycle. It exists for scale experiments
-// on instances where exact arithmetic is unnecessary; the exact engines are
-// authoritative.
+// cost − λ·tokens contains a positive cycle. Tests and benchmarks use it as
+// a float cross-check of the exact engines, which are authoritative.
 func (s *System) MaxRatioLawler(tol float64) (float64, error) {
 	if err := s.Validate(); err != nil {
 		return 0, err

@@ -18,7 +18,8 @@
 //   - MaxRatioHoward (policy iteration): exact, handles arbitrary token
 //     counts, and converges in a handful of sweeps on large event graphs —
 //     the large-graph default.
-//   - Lawler binary search: float64, for scale comparisons.
+//   - Lawler binary search: float64, a test-only cross-check
+//     (lawler_test.go).
 //   - BruteForce: exhaustive elementary-cycle enumeration, for tests.
 //
 // A fifth evaluator, ApproxMaxRatio (see float.go), is not an exact engine

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cycles"
+	"repro/internal/examplesdata"
 	"repro/internal/exper"
 	"repro/internal/model"
 	"repro/internal/rat"
@@ -135,4 +136,22 @@ func BenchmarkContraction(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkEngines times Lawler's float binary search on the Figure 10
+// sub-TPN system, the system the root package's BenchmarkEngines times the
+// exact engines on; the record keeps its BenchmarkEngines/lawler-float name.
+func BenchmarkEngines(b *testing.B) {
+	net, err := tpn.BuildOverlap(examplesdata.ExampleB())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys := net.System()
+	b.Run("lawler-float", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := sys.MaxRatioLawler(1e-9); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -21,7 +21,8 @@
 //     without a central queue.
 //
 //   - Memoization. Mapping search revisits the same replica partition many
-//     times (greedy enlargement, hill-climbing moves, annealing), and a
+//     times (greedy enlargement, strict hill-climbing and annealing moves;
+//     overlap walks memoize per column in package sched instead), and a
 //     partition's period does not depend on which heuristic proposed it.
 //     Evaluate canonicalizes the instance (model, replication vector, exact
 //     operation times) into a key and computes each distinct instance once.

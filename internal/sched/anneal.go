@@ -44,15 +44,21 @@ func Anneal(pipe *pipeline.Pipeline, plat *platform.Platform, cm model.CommModel
 	return AnnealEngine(context.Background(), defaultEngine(), pipe, plat, cm, rng, opts)
 }
 
-// AnnealEngine is Anneal with evaluations memoized by the engine. The
-// cooling walk is sequential by construction; the memo cache pays off when
-// the walk re-proposes a partition (frequent near convergence) and when the
-// engine is shared with the other heuristics. Float screening deliberately
-// does NOT apply: the acceptance rule consumes rng.Float64() only when the
-// exact delta demands it, so skipping an exact evaluation would shift the
-// rng stream and change the trajectory — the annealer stays exact even on a
+// AnnealEngine is Anneal on a shared engine, with candidates priced as in
+// RandomSearchEngine (see walkEval). The cooling walk is sequential by
+// construction; memoization pays off when the walk re-proposes a partition
+// (frequent near convergence). Float screening deliberately does NOT apply:
+// the acceptance rule consumes rng.Float64() only when the exact delta
+// demands it, so skipping an exact evaluation would shift the rng stream
+// and change the trajectory — the annealer stays exact even on a
 // float-screen engine.
 func AnnealEngine(ctx context.Context, eng *engine.Engine, pipe *pipeline.Pipeline, plat *platform.Platform, cm model.CommModel, rng *rand.Rand, opts AnnealOptions) (Result, error) {
+	return anneal(ctx, eng, walkEval(eng, pipe, plat, cm), pipe, plat, cm, rng, opts)
+}
+
+// anneal is the cooling walk from the greedy start, with candidates priced
+// by eval.
+func anneal(ctx context.Context, eng *engine.Engine, eval func([][]int) (rat.Rat, error), pipe *pipeline.Pipeline, plat *platform.Platform, cm model.CommModel, rng *rand.Rand, opts AnnealOptions) (Result, error) {
 	opts.defaults()
 	start, err := GreedyEngine(ctx, eng, pipe, plat, cm)
 	if err != nil {
@@ -84,7 +90,7 @@ func AnnealEngine(ctx context.Context, eng *engine.Engine, pipe *pipeline.Pipeli
 		if cand == nil {
 			continue
 		}
-		period, err := evalReplicasEngine(eng, pipe, plat, cand, cm)
+		period, err := eval(cand)
 		if err != nil {
 			continue
 		}
@@ -112,11 +118,11 @@ func BestOf(pipe *pipeline.Pipeline, plat *platform.Platform, cm model.CommModel
 	return BestOfEngine(context.Background(), defaultEngine(), pipe, plat, cm, rng)
 }
 
-// BestOfEngine runs every heuristic through one shared engine, so a
-// partition proposed by hill climbing after greedy already visited it costs
-// a cache lookup instead of a period computation. When the context expires
-// mid-search (a wall-clock budget), the best mapping found before the
-// deadline is returned rather than an error — an anytime search.
+// BestOfEngine runs every heuristic through one shared engine. Random
+// search and annealing share one candidate evaluator (see walkEval), so a
+// column either walk already solved costs a memo lookup. When the context
+// expires mid-search (a wall-clock budget), the best mapping found before
+// the deadline is returned rather than an error — an anytime search.
 func BestOfEngine(ctx context.Context, eng *engine.Engine, pipe *pipeline.Pipeline, plat *platform.Platform, cm model.CommModel, rng *rand.Rand) (Result, error) {
 	var best Result
 	consider := func(r Result, err error) error {
@@ -138,11 +144,12 @@ func BestOfEngine(ctx context.Context, eng *engine.Engine, pipe *pipeline.Pipeli
 	if err := consider(g, err); err != nil {
 		return Result{}, err
 	}
-	rs, err := RandomSearchEngine(ctx, eng, pipe, plat, cm, rng, 10, 50)
+	eval := walkEval(eng, pipe, plat, cm)
+	rs, err := randomSearch(ctx, eval, pipe, plat, rng, 10, 50)
 	if err := consider(rs, err); err != nil {
 		return Result{}, err
 	}
-	an, err := AnnealEngine(ctx, eng, pipe, plat, cm, rng, AnnealOptions{Steps: 1500})
+	an, err := anneal(ctx, eng, eval, pipe, plat, cm, rng, AnnealOptions{Steps: 1500})
 	if err := consider(an, err); err != nil {
 		return Result{}, err
 	}
@@ -152,16 +159,14 @@ func BestOfEngine(ctx context.Context, eng *engine.Engine, pipe *pipeline.Pipeli
 	return best, nil
 }
 
-// lowerBound computes a simple period lower bound for any mapping on the
-// platform: the fastest processor must still execute the heaviest stage at
-// full replication... more usefully, the total work of each stage spread
-// over all processors bounds the period from below:
+// LowerBound is a period lower bound for any mapping on the platform: with
+// stage k replicated on every processor, its work w_k still takes
+// w_k / Σ_u Π_u per data set, so
 //
-//	P >= w_k / Σ_u Π_u   for every stage k (perfect replication), and
-//	P >= w_k / (m_max · Π_max) for any bounded replication.
+//	P >= max_k w_k / Σ_u Π_u.
 //
-// Exposed for tests and for reporting optimality gaps of the heuristics.
-func lowerBound(pipe *pipeline.Pipeline, plat *platform.Platform) rat.Rat {
+// Tests use it to check that no heuristic reports a period below it.
+func LowerBound(pipe *pipeline.Pipeline, plat *platform.Platform) rat.Rat {
 	sumSpeed := int64(0)
 	for _, s := range plat.Speeds {
 		sumSpeed += s
@@ -173,9 +178,4 @@ func lowerBound(pipe *pipeline.Pipeline, plat *platform.Platform) rat.Rat {
 		}
 	}
 	return lb
-}
-
-// LowerBound is the exported form of the work-based period lower bound.
-func LowerBound(pipe *pipeline.Pipeline, plat *platform.Platform) rat.Rat {
-	return lowerBound(pipe, plat)
 }

@@ -78,10 +78,15 @@ func TestRandomSearchEngineIsRNGFaithful(t *testing.T) {
 	}
 }
 
+// TestBestOfEngineSharesCache checks that the heuristics of one best-of
+// search reuse each other's work. Strict candidates share the engine memo;
+// overlap walks price their candidates through the search's column
+// evaluator instead, so on an overlap problem the reuse shows as column-memo
+// hits.
 func TestBestOfEngineSharesCache(t *testing.T) {
 	pipe, plat := testProblem(9)
 	eng := engine.New(engine.Options{})
-	if _, err := BestOfEngine(context.Background(), eng, pipe, plat, model.Overlap, rand.New(rand.NewSource(1))); err != nil {
+	if _, err := BestOfEngine(context.Background(), eng, pipe, plat, model.Strict, rand.New(rand.NewSource(1))); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses := eng.CacheStats()
@@ -90,6 +95,17 @@ func TestBestOfEngineSharesCache(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Fatal("heuristics never reused a candidate: the shared memo cache is not wired in")
+	}
+
+	hits0, solves0 := columnHits.Load(), columnSolves.Load()
+	if _, err := BestOfEngine(context.Background(), engine.New(engine.Options{}), pipe, plat, model.Overlap, rand.New(rand.NewSource(1))); err != nil {
+		t.Fatal(err)
+	}
+	if columnSolves.Load() == solves0 {
+		t.Fatal("no overlap column solved")
+	}
+	if columnHits.Load() == hits0 {
+		t.Fatal("overlap walks never reused a column: the column memo is not wired in")
 	}
 }
 

@@ -336,16 +336,23 @@ func RandomSearch(pipe *pipeline.Pipeline, plat *platform.Platform, cm model.Com
 	return RandomSearchEngine(context.Background(), defaultEngine(), pipe, plat, cm, rng, restarts, movesPerRestart)
 }
 
-// RandomSearchEngine is RandomSearch with evaluations memoized by the
-// engine. Hill climbing is inherently sequential (each move depends on the
-// last accepted state), so the walk itself is untouched — the rng stream
-// and therefore the visited partitions match the serial path exactly — but
-// partitions revisited across moves and restarts are computed once. Float
-// screening never applies here (or in the annealer): the walk's trajectory
-// is coupled to exact accept/reject decisions, so skipping an exact
-// evaluation would change which partitions are visited next — screening is
-// reserved for the batch heuristics, whose winners are order-free.
+// RandomSearchEngine is RandomSearch on a shared engine. Hill climbing is
+// inherently sequential (each move depends on the last accepted state), so
+// the walk itself is untouched — the rng stream and therefore the visited
+// partitions match the serial path exactly. Overlap candidates are priced
+// by a column evaluator private to the search (see walkEval), strict ones by
+// the engine's memo, so partitions revisited across moves and restarts are
+// computed once. Float screening never applies here (or in the annealer):
+// the walk's trajectory is coupled to exact accept/reject decisions, so
+// skipping an exact evaluation would change which partitions are visited
+// next — screening is reserved for the batch heuristics, whose winners are
+// order-free.
 func RandomSearchEngine(ctx context.Context, eng *engine.Engine, pipe *pipeline.Pipeline, plat *platform.Platform, cm model.CommModel, rng *rand.Rand, restarts, movesPerRestart int) (Result, error) {
+	return randomSearch(ctx, walkEval(eng, pipe, plat, cm), pipe, plat, rng, restarts, movesPerRestart)
+}
+
+// randomSearch is the hill-climbing walk with candidates priced by eval.
+func randomSearch(ctx context.Context, eval func([][]int) (rat.Rat, error), pipe *pipeline.Pipeline, plat *platform.Platform, rng *rand.Rand, restarts, movesPerRestart int) (Result, error) {
 	n := pipe.NumStages()
 	p := plat.NumProcs()
 	if n > p {
@@ -360,7 +367,7 @@ func RandomSearchEngine(ctx context.Context, eng *engine.Engine, pipe *pipeline.
 			return Result{}, err
 		}
 		replicas := randomPartition(rng, n, p)
-		period, err := evalReplicasEngine(eng, pipe, plat, replicas, cm)
+		period, err := eval(replicas)
 		if err != nil {
 			continue
 		}
@@ -384,7 +391,7 @@ func RandomSearchEngine(ctx context.Context, eng *engine.Engine, pipe *pipeline.
 			if cand == nil {
 				continue
 			}
-			cperiod, err := evalReplicasEngine(eng, pipe, plat, cand, cm)
+			cperiod, err := eval(cand)
 			if err != nil {
 				continue
 			}

@@ -4,7 +4,8 @@
 # the branch and bound's tree sizes (the nodes/op, leaves/op and
 # screened/op custom metrics) gets them copied into its record as
 # nodesPerOp, leavesPerOp and screenedPerOp, ungated, so a change in tree
-# size shows in the artifact. The gates:
+# size shows in the artifact; BenchmarkBestOf's column-solves/op is copied
+# the same way, as columnSolvesPerOp. The gates:
 #
 #   * allocation gate — the strict-model Evaluate benchmarks must stay at
 #     or below `gate` allocs/op (the PR-2 zero-allocation refactor brought
@@ -76,6 +77,7 @@ BEGIN {
         if ($(i+1) == "nodes/op") tree[n] = tree[n] ", \"nodesPerOp\": " $i
         if ($(i+1) == "leaves/op") tree[n] = tree[n] ", \"leavesPerOp\": " $i
         if ($(i+1) == "screened/op") tree[n] = tree[n] ", \"screenedPerOp\": " $i
+        if ($(i+1) == "column-solves/op") tree[n] = tree[n] ", \"columnSolvesPerOp\": " $i
     }
     names[n] = name
     iters[n] = $2
