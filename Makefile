@@ -19,11 +19,10 @@ FUZZTIME ?= 10s
 # regressions as deterministic count jumps). The allocation gate
 # (ALLOC_GATE, allocs/op on the strict-model Evaluate benchmarks) guards
 # the PR-2 zero-allocation refactor; measured values sit at 6-7. The
-# leaf-rate gate (LEAF_GATE) requires the float-screened branch and bound
-# to rule out leaves at >= LEAF_GATE x the exact rate on the warm-started
-# BenchmarkBnBLeafRate family; twenty single runs read 6.75-10.1x, median
-# 7.4x (EXPERIMENTS.md, "Open-stage work bound, in-choose cuts and per-leaf
-# incumbents"). The serving
+# leaf-rate gate (LEAF_GATE) requires the branch and bound's leaf path to
+# rule out leaves at >= LEAF_GATE x the exact rate when float-screened, over
+# BenchmarkBnBLeafRate's fixed list of 193 leaves; twenty single runs read
+# 8.8-12.2x, median 10.4x (EXPERIMENTS.md, "Strict cycle-time bound"). The serving
 # hit-path gates guard the PR-7 content-addressed store: the by-ID
 # /v1/evaluate hit path must stay at or below HITALLOC_GATE allocs/op
 # (measured at 18) and run at least SPEEDUP_GATE x faster than the

@@ -10,6 +10,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/platform"
+	"repro/internal/rat"
 )
 
 // BenchmarkBnBSearch measures the exact search end to end: tree walk,
@@ -18,11 +19,18 @@ import (
 // population hit the cache. nodes/op and prunedPct track the tree the bound
 // actually leaves; they are deterministic for a fixed case, so regressions
 // in the bound or the symmetry breaking show up as count jumps, not noise.
+// The strict case is the search-jobs benchmark's leaf-heavy problem (seed
+// 2, 3 stages on 8 heterogeneous processors, float-screen), the tree the
+// strict cycle-time bound cuts.
 func BenchmarkBnBSearch(b *testing.B) {
+	strictRng := rand.New(rand.NewSource(2))
+	strictPipe := pipeline.Random(strictRng, 3, 50, 500)
 	cases := []struct {
-		name string
-		pipe *pipeline.Pipeline
-		plat *platform.Platform
+		name    string
+		pipe    *pipeline.Pipeline
+		plat    *platform.Platform
+		cm      model.CommModel
+		backend cycles.Backend
 	}{
 		{
 			name: "uniform-10x4",
@@ -34,14 +42,21 @@ func BenchmarkBnBSearch(b *testing.B) {
 			pipe: pipeline.Random(rand.New(rand.NewSource(2)), 3, 50, 500),
 			plat: platform.Random(rand.New(rand.NewSource(2)), 7, 5, 25, 20, 200),
 		},
+		{
+			name:    "strict-het-3x8",
+			pipe:    strictPipe,
+			plat:    platform.Random(strictRng, 8, 5, 25, 20, 200),
+			cm:      model.Strict,
+			backend: cycles.BackendFloatScreen,
+		},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			eng := engine.New(engine.Options{})
+			eng := engine.New(engine.Options{Backend: c.backend})
 			var last Result
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := Search(context.Background(), eng, c.pipe, c.plat, model.Overlap, Options{})
+				res, err := Search(context.Background(), eng, c.pipe, c.plat, c.cm, Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -61,27 +76,36 @@ func BenchmarkBnBSearch(b *testing.B) {
 }
 
 // BenchmarkBnBLeafRate isolates the leaf-evaluation throughput the
-// float-screening tier buys. The workload is re-verification: the search is
-// warm-started with the proven optimum, so every leaf must be ruled out —
-// by an exact evaluation on the exact backend, by the float screen (with
-// exact fallback for the ambiguous band) on float-screen. Memoization is
-// disabled: a shared memo cache would turn the exact run's repeat
+// float-screening tier buys: the walker's own leaf path (walker.leaf, the
+// reference at the proven optimum) over a fixed list of leaves, every one
+// of which must be ruled out — by an exact evaluation on the exact
+// backend, by the float screen (with exact fallback for the ambiguous band)
+// on float-screen. The list is built once, outside the timer: every
+// class-canonical leaf of the family whose computation bound
+// max_i w_i/(m_i·s_i) is below the optimum (leafRateLeaves), so the
+// search's other bounds do not decide which leaves are timed. Memoization
+// is disabled: a shared memo cache would turn the exact run's repeat
 // iterations into hash-map lookups and fake the comparison. The leaves/s
-// metric (leaves ruled out per second of search) is what the CI gate in
-// scripts/benchjson.awk checks: screened must be at least LEAF_GATE x the
-// exact rate. The strict model on a heterogeneous platform is the family
-// where exact arithmetic is at its most expensive — unfolded-TPN Karp
-// tables over rationals whose denominators mix speeds and bandwidths.
+// metric is what the CI gate in scripts/benchjson.awk checks: screened
+// must be at least LEAF_GATE x the exact rate. The strict model on a
+// heterogeneous platform is the family where exact arithmetic is at its
+// most expensive — unfolded-TPN Karp tables over rationals whose
+// denominators mix speeds and bandwidths.
 func BenchmarkBnBLeafRate(b *testing.B) {
 	pipe := pipeline.Random(rand.New(rand.NewSource(3)), 3, 50, 500)
 	plat := platform.Random(rand.New(rand.NewSource(3)), 8, 5, 25, 20, 200)
-	warm, err := Search(context.Background(), engine.New(engine.Options{}), pipe, plat, model.Strict, Options{})
+	opt, err := Search(context.Background(), engine.New(engine.Options{}), pipe, plat, model.Strict, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !warm.Proven {
+	if !opt.Proven {
 		b.Fatal("warm-up search did not prove its answer")
 	}
+	pr, err := newProblem(pipe, plat, model.Strict, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	leaves := leafRateLeaves(pr, opt.Period)
 	for _, bc := range []struct {
 		name    string
 		backend cycles.Backend
@@ -91,26 +115,68 @@ func BenchmarkBnBLeafRate(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			eng := engine.New(engine.Options{Backend: bc.backend, CacheEntries: -1})
-			opts := Options{Incumbent: warm.Mapping, IncumbentPeriod: warm.Period}
-			var last Result
+			root := &node{used: make([]int, len(pr.classes)), free: plat.NumProcs()}
+			w := newWalker(pr, context.Background(), eng, root, 0, pr.n, nil, opt.Period, true)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := Search(context.Background(), eng, pipe, plat, model.Strict, opts)
-				if err != nil {
-					b.Fatal(err)
+				w.st = Stats{}
+				for _, reps := range leaves {
+					copy(w.replicas, reps)
+					w.leaf()
 				}
-				last = res
 			}
 			b.StopTimer()
-			if !last.Proven || !last.Period.Equal(warm.Period) {
-				b.Fatalf("re-verification changed the answer: proven=%v period=%v", last.Proven, last.Period)
+			if w.best != nil || w.st.Leaves != int64(len(leaves)) {
+				b.Fatalf("re-verification changed the answer: best %v, %d of %d leaves evaluated", w.best, w.st.Leaves, len(leaves))
 			}
 			elapsed := b.Elapsed().Seconds()
 			if elapsed > 0 {
-				b.ReportMetric(float64(last.Stats.Leaves)*float64(b.N)/elapsed, "leaves/s")
+				b.ReportMetric(float64(w.st.Leaves)*float64(b.N)/elapsed, "leaves/s")
 			}
-			b.ReportMetric(float64(last.Stats.Screened), "screened/op")
-			b.ReportMetric(float64(last.Stats.Leaves), "leaves/op")
+			b.ReportMetric(float64(w.st.Screened), "screened/op")
+			b.ReportMetric(float64(w.st.Leaves), "leaves/op")
 		})
 	}
+}
+
+// leafRateLeaves lists the class-canonical leaves of pr — the complete
+// mappings the walker's enumeration reaches when nothing is pruned — whose
+// computation bound max_i w_i/(m_i·s_i), s_i the slowest speed in stage
+// i's set, is below period.
+func leafRateLeaves(pr *problem, period rat.Rat) [][][]int {
+	root := &node{used: make([]int, len(pr.classes)), free: pr.plat.NumProcs()}
+	w := newWalker(pr, context.Background(), nil, root, 0, pr.n, nil, rat.Rat{}, false)
+	var leaves [][][]int
+	var rec func(stage, c int, below bool)
+	rec = func(stage, c int, below bool) {
+		if c == len(pr.classes) {
+			set := w.replicas[stage]
+			if len(set) == 0 {
+				return
+			}
+			slowest := pr.plat.Speeds[set[0]]
+			for _, u := range set {
+				slowest = min(slowest, pr.plat.Speeds[u])
+			}
+			below = below && period.CmpFrac(pr.work(stage), int64(len(set)), slowest) > 0
+			if stage+1 < pr.n {
+				rec(stage+1, 0, below)
+			} else if below {
+				leaves = append(leaves, cloneReplicas(w.replicas))
+			}
+			return
+		}
+		maxT := max(0, min(w.free-(pr.n-stage-1), len(pr.classes[c].members)-w.used[c]))
+		for t := maxT; t >= 0; t-- {
+			if t > 0 {
+				w.take(stage, c, t)
+			}
+			rec(stage, c+1, below)
+			if t > 0 {
+				w.give(stage, c, t)
+			}
+		}
+	}
+	rec(0, 0, true)
+	return leaves
 }

@@ -24,9 +24,13 @@
 //     could still receive (free processors minus one per other open stage).
 //     Summing P·Σ_{u∈S_j} Π_u >= w_j over the open stages, whose replica
 //     sets are disjoint subsets of the free processors, adds
-//     P >= Σ_{j open} w_j / Σ_{u free} Π_u. A node whose bound already
-//     meets the incumbent period is cut, and so is a stage's partial class
-//     choice once it bounds every node that could complete it.
+//     P >= Σ_{j open} w_j / Σ_{u free} Π_u. Under the strict model the
+//     paper's P >= Mct adds the ports: once stages i−1 and i are assigned,
+//     each replica of stage i−1 has its exact cycle-time Cin + Ccomp + Cout
+//     and each replica of stage i its exact Cin + Ccomp, and the largest of
+//     these bounds every completion. A node whose bound already meets the
+//     incumbent period is cut, and so is a stage's partial class choice
+//     once it bounds every node that could complete it.
 //
 //   - Symmetry breaking. Processors that are provably interchangeable — equal
 //     speed, and swapping them leaves the bandwidth matrix invariant — are
@@ -412,6 +416,17 @@ type walker struct {
 	leafMapp  mapping.Mapping // the leaf under evaluation; its sets share leafProcs
 	leafProcs []int
 
+	// The strict cycle-time bound's state, kept only below the frontier
+	// under the strict model (cycle). Per assigned stage: its replica set in
+	// round-robin (ascending id) order, each replica's exact Cin + Ccomp in
+	// that order, and whether every link between consecutive stages so far
+	// exists. Each stage's scratch has room for every processor, so filling
+	// it never allocates.
+	cycle  bool
+	sorted [][]int
+	load   [][]rat.Rat
+	linked []bool
+
 	ref    rat.Rat // current pruning reference: min(warm start, local best)
 	hasRef bool
 	best   *incumbent // strictly better than the warm start, else nil
@@ -456,6 +471,18 @@ func newWalker(pr *problem, ctx context.Context, eng *engine.Engine, nd *node, d
 		hasRef:     hasRef,
 	}
 	copy(w.replicas, nd.replicas)
+	if out == nil && pr.cm == model.Strict {
+		p := pr.plat.NumProcs()
+		ids, times := make([]int, pr.n*p), make([]rat.Rat, pr.n*p)
+		w.cycle = true
+		w.sorted = make([][]int, pr.n)
+		w.load = make([][]rat.Rat, pr.n)
+		w.linked = make([]bool, pr.n)
+		for i := range w.sorted {
+			w.sorted[i] = ids[i*p : i*p : (i+1)*p]
+			w.load[i] = times[i*p : (i+1)*p]
+		}
+	}
 	for c := range pr.classes {
 		w.freeSpeed += int64(len(pr.classes[c].members)-w.used[c]) * pr.classes[c].speed
 	}
@@ -506,6 +533,15 @@ func (w *walker) choose(stage, c, taken int, slowest int64, parentLB rat.Rat) er
 		lb := parentLB
 		if parentLB.CmpFrac(work, int64(taken), slowest) < 0 {
 			lb = rat.New(work, int64(taken)).DivInt(slowest)
+		}
+		if w.cycle {
+			if ct, ok := w.cycleBound(stage); ok {
+				if w.hasRef && !ct.Less(w.ref) {
+					w.st.Pruned++
+					return nil
+				}
+				lb = rat.Max(lb, ct)
+			}
 		}
 		return w.dfs(stage+1, lb)
 	}
@@ -628,6 +664,75 @@ func (w *walker) openBound(firstOpen int) (work, speed int64) {
 // of them can raise its slowest speed.
 func (w *walker) stageBound(stage int, taken, slowest int64) (work, mMax, slow int64) {
 	return w.pr.work(stage), taken + int64(w.free-(w.pr.n-stage-1)), slowest
+}
+
+// cycleBound is the strict cycle-time bound of the node that just completed
+// stage: the largest of the cycle-time terms that assigning stage makes
+// exact. Once stages stage−1 and stage are both assigned, each
+// replica of stage−1 has its exact Cin + Ccomp + Cout, and each replica of
+// stage its exact Cin + Ccomp, a lower bound on its cycle-time since
+// Cout ≥ 0. Under the strict model P ≥ Mct ≥ every one of these (Section
+// 2), so the largest bounds every completion. The port sums are
+// model.Instance's: the δ/b terms over one lcm(m_{i−1}, m_i) of data sets,
+// divided by the lcm. At stage 0 the values are the replicas' Ccomp.
+//
+// It also records stage's round-robin order and each replica's Cin + Ccomp,
+// which the next stage's call reads. ok is false when a link between two
+// consecutive assigned stages is missing: every completion is infeasible
+// then, and the leaf, not the bound, rules it out.
+func (w *walker) cycleBound(stage int) (bound rat.Rat, ok bool) {
+	pr := w.pr
+	cur := append(w.sorted[stage][:0], w.replicas[stage]...)
+	slices.Sort(cur)
+	w.sorted[stage] = cur
+	load := w.load[stage]
+	mi := int64(len(cur))
+	work, speeds := pr.work(stage), pr.plat.Speeds
+	if stage == 0 {
+		w.linked[0] = true
+		for b, v := range cur {
+			load[b] = rat.New(work, speeds[v]).DivInt(mi)
+			bound = rat.Max(bound, load[b])
+		}
+		return bound, true
+	}
+	prev, bw := w.sorted[stage-1], pr.plat.Bandwidths
+	w.linked[stage] = w.linked[stage-1] && allLinked(pr.plat, prev, cur)
+	if !w.linked[stage] {
+		return rat.Rat{}, false
+	}
+	mp := int64(len(prev))
+	l := rat.LCMInt(mp, mi)
+	delta := pr.pipe.FileSizes[stage-1]
+	for a, u := range prev {
+		out := rat.Zero()
+		for j := int64(a); j < l; j += mp {
+			out = out.Add(rat.New(delta, bw[u][cur[j%mi]]))
+		}
+		bound = rat.Max(bound, w.load[stage-1][a].Add(out.DivInt(l)))
+	}
+	for b, v := range cur {
+		in := rat.Zero()
+		for j := int64(b); j < l; j += mi {
+			in = in.Add(rat.New(delta, bw[prev[j%mp]][v]))
+		}
+		load[b] = in.DivInt(l).Add(rat.New(work, speeds[v]).DivInt(mi))
+		bound = rat.Max(bound, load[b])
+	}
+	return bound, true
+}
+
+// allLinked reports whether every processor of from has a link to every
+// processor of to, as model.FromMapped requires of consecutive stages.
+func allLinked(plat *platform.Platform, from, to []int) bool {
+	for _, u := range from {
+		for _, v := range to {
+			if !plat.HasLink(u, v) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // leaf evaluates the complete assignment and, when it beats the pruning

@@ -110,15 +110,22 @@ func generatedFamilies(t *testing.T, seeds []int64) []family {
 		}
 		add("mixed", 3, mixed, model.Overlap)
 		// Sparse: drop ~1/3 of the links of a heterogeneous platform.
-		sp := platform.Random(rng, 5, 5, 25, 20, 200)
-		for u := range sp.Bandwidths {
-			for v := range sp.Bandwidths[u] {
-				if u != v && rng.Intn(3) == 0 {
-					sp.Bandwidths[u][v] = 0
+		sparse := func() *platform.Platform {
+			sp := platform.Random(rng, 5, 5, 25, 20, 200)
+			for u := range sp.Bandwidths {
+				for v := range sp.Bandwidths[u] {
+					if u != v && rng.Intn(3) == 0 {
+						sp.Bandwidths[u][v] = 0
+					}
 				}
 			}
+			return sp
 		}
-		add("sparse", 3, sp, model.Overlap)
+		add("sparse", 3, sparse(), model.Overlap)
+		// Three strict stages, so the cycle-time bound also cuts above the
+		// leaves, once on a complete interconnect and once on a sparse one.
+		add("het", 3, platform.Random(rng, 5, 5, 25, 20, 200), model.Strict)
+		add("sparse", 3, sparse(), model.Strict)
 	}
 	return out
 }

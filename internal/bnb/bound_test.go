@@ -3,6 +3,7 @@ package bnb
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -77,7 +78,10 @@ func maskOf(procs []int) uint {
 //   - at a partial choice: stageBound, the in-choose cut's bound, and
 //     openBound of the later stages at the current free speed;
 //   - at a node (the stage's choice complete): the stage's
-//     work/(taken·slowest), remainingBound and openBound of the open stages.
+//     work/(taken·slowest), remainingBound and openBound of the open stages,
+//     and on strict families cycleBound (the walker calls it at every node,
+//     so the previous stage's state is the prefix's) and the largest
+//     cycleBound over the prefix, which the walker hands down in lb.
 //
 // The completions here include non-canonical ones, a superset of what the
 // walker enumerates below the node, so the check is the stronger one.
@@ -127,6 +131,16 @@ func TestBoundsAdmissibleOnGeneratedFamilies(t *testing.T) {
 				}
 			}
 
+			// prefix[i] is the largest cycleBound of stages 0..i, as long as
+			// every link between them exists.
+			prefix := make([]rat.Rat, pr.n)
+			checkRat := func(what string, lo, bound rat.Rat) {
+				t.Helper()
+				checks++
+				if lo.Less(bound) {
+					t.Fatalf("%s bound %v exceeds the best completion %v (prefix %v)", what, bound, lo, w.replicas)
+				}
+			}
 			var rec func(stage, c, taken int, slowest int64)
 			rec = func(stage, c, taken int, slowest int64) {
 				open := pr.n - stage - 1
@@ -134,7 +148,22 @@ func TestBoundsAdmissibleOnGeneratedFamilies(t *testing.T) {
 					if taken == 0 {
 						return
 					}
+					cycle, linked := rat.Rat{}, false
+					if w.cycle {
+						cycle, linked = w.cycleBound(stage)
+						prefix[stage] = cycle
+						if stage > 0 {
+							prefix[stage] = rat.Max(prefix[stage-1], cycle)
+						}
+					}
 					if lo, ok := best(stage, 0); ok {
+						if w.cycle {
+							if !linked {
+								t.Fatalf("prefix %v has a feasible completion, but the cycle-time bound found a missing link", w.replicas)
+							}
+							checkRat("cycle-time", lo, cycle)
+							checkRat("prefix cycle-time", lo, prefix[stage])
+						}
 						check("stage", lo, pr.work(stage), int64(taken), slowest)
 						if open > 0 {
 							work, mMax, fastest := w.remainingBound(stage+1, open)
@@ -184,6 +213,74 @@ func TestBoundsAdmissibleOnGeneratedFamilies(t *testing.T) {
 				t.Fatal("no bound was checked")
 			}
 		})
+	}
+}
+
+// TestCycleBoundEqualsMct: at every complete mapping of the strict
+// families, the largest cycleBound over the stages is exactly the
+// instance's Mct under the strict model, so the walker's port sums and
+// model.Instance's cannot drift apart; and the bound finds a missing link
+// exactly where model.FromMapped refuses the mapping. Odd stages hand
+// their replica set over in descending id order, so the bound's own
+// round-robin sort is exercised (reversing every stage at once would not
+// change a single port sum).
+func TestCycleBoundEqualsMct(t *testing.T) {
+	mappings := 0
+	for _, f := range generatedFamilies(t, []int64{1, 2, 3, 4}) {
+		if f.cm != model.Strict {
+			continue
+		}
+		t.Run(f.name, func(t *testing.T) {
+			n, p := f.pipe.NumStages(), f.plat.NumProcs()
+			pr, err := newProblem(f.pipe, f.plat, f.cm, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := &node{used: make([]int, len(pr.classes)), free: p}
+			w := newWalker(pr, context.Background(), nil, root, 0, n, nil, rat.Rat{}, false)
+			var rec func(stage int, free uint)
+			rec = func(stage int, free uint) {
+				if stage == n {
+					mappings++
+					mct, linked := rat.Zero(), true
+					for i := 0; i < n && linked; i++ {
+						var ct rat.Rat
+						ct, linked = w.cycleBound(i)
+						mct = rat.Max(mct, ct)
+					}
+					reps := make([][]int, n)
+					for i, r := range w.replicas {
+						reps[i] = append([]int(nil), r...)
+						slices.Sort(reps[i])
+					}
+					inst, err := model.FromMapped(f.pipe, f.plat, mapping.MustNew(reps, p))
+					if (err == nil) != linked {
+						t.Fatalf("mapping %v: FromMapped error %v, cycle-time bound linked=%v", reps, err, linked)
+					}
+					if err == nil && !mct.Equal(inst.Mct(model.Strict)) {
+						t.Fatalf("mapping %v: cycle-time bound %v, Mct %v", reps, mct, inst.Mct(model.Strict))
+					}
+					return
+				}
+				for s := free; s != 0; s = (s - 1) & free {
+					w.replicas[stage] = w.replicas[stage][:0]
+					for k := 0; k < p; k++ {
+						u := k
+						if stage%2 == 1 {
+							u = p - 1 - k
+						}
+						if s&(1<<u) != 0 {
+							w.replicas[stage] = append(w.replicas[stage], u)
+						}
+					}
+					rec(stage+1, free&^s)
+				}
+			}
+			rec(0, (1<<p)-1)
+		})
+	}
+	if mappings == 0 {
+		t.Fatal("no strict mapping was checked")
 	}
 }
 

@@ -116,8 +116,9 @@ type Executor interface {
 // solver for. The returned Stats cover the expansion (Nodes/Pruned and the
 // Frontier size); the root depth is uniform across the slice.
 func Frontier(ctx context.Context, pipe *pipeline.Pipeline, plat *platform.Platform, warmPeriod string, target int) ([]Root, Stats, error) {
-	// The communication model never matters here: expansion stops short of
-	// the leaves, and only leaf evaluation consults it.
+	// The communication model never matters here, by design: the frontier
+	// is model-free. Only the walkers below it apply the strict cycle-time
+	// bound, LocalExecutor to a root's own stages before it walks.
 	pr, err := newProblem(pipe, plat, model.Overlap, Options{})
 	if err != nil {
 		return nil, Stats{}, err
@@ -186,7 +187,23 @@ func (e *LocalExecutor) RunRoot(ctx context.Context, root Root, warm string) (Su
 // read, never modified.
 func (e *LocalExecutor) run(ctx context.Context, nd *node, depth int, ref rat.Rat, hasRef bool) SubResult {
 	w := newWalker(e.pr, ctx, e.eng, nd, depth, e.pr.n, nil, ref, hasRef)
-	runErr := w.dfs(depth, nd.lb)
+	lb := nd.lb
+	// The frontier is model-free, so the root's own stage pairs get the
+	// strict cycle-time bound here, once, before the walk; a missing link
+	// turns it off for the whole subtree.
+	for i := 0; w.cycle && i < depth; i++ {
+		ct, ok := w.cycleBound(i)
+		if !ok {
+			break
+		}
+		if hasRef && !ct.Less(ref) {
+			w.st.Pruned++
+			w.publish()
+			return SubResult{Complete: true, Stats: w.st}
+		}
+		lb = rat.Max(lb, ct)
+	}
+	runErr := w.dfs(depth, lb)
 	w.publish()
 	res := SubResult{Complete: runErr == nil, Stats: w.st}
 	if w.best != nil {
@@ -256,9 +273,10 @@ func newProblem(pipe *pipeline.Pipeline, plat *platform.Platform, cm model.CommM
 
 // expandFrontier runs phase 1: breadth-first expansion of the first levels
 // until the frontier reaches target roots (or the tree runs out of depth).
-// The expansion prunes against the warm start only, so the result is a
-// pure function of the problem, warm period, and target — independent of
-// workers, engine, and backend. eng may be nil: expansion never reaches a
+// The expansion prunes against the warm start only, with the
+// model-free bounds, so the result is a pure function of the problem, warm
+// period, and target — independent of workers, engine, backend and
+// communication model. eng may be nil: expansion never reaches a
 // leaf (the depth limit stays below n), so the engine is never touched.
 func expandFrontier(ctx context.Context, pr *problem, eng *engine.Engine, target int) (frontier []*node, depth int, stats Stats, interrupted bool) {
 	frontier = []*node{{used: make([]int, len(pr.classes)), free: pr.plat.NumProcs()}}

@@ -253,16 +253,55 @@ func TestRacingReturnsSameProvenOptimum(t *testing.T) {
 
 // TestFrontierIsPureAndMatchesSearch: Frontier must be deterministic,
 // engine-free, JSON-stable, and produce exactly the FrontierTarget behavior
-// Search reports in Stats.Frontier.
+// Search reports in Stats.Frontier. The frontier is model-free, also for a
+// strict search, whose cycle-time bound applies only below it: Frontier
+// plus LocalExecutor.RunRoot on every root must add up to Search's Stats
+// for both models, without a warm start and warm-started at the optimum
+// (where the roots' own stage pairs are bounded before their walk).
 func TestFrontierIsPureAndMatchesSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pipe := pipeline.Random(rng, 3, 50, 500)
 	plat := platform.Random(rng, 6, 5, 25, 20, 200)
 	eng := engine.New(engine.Options{Workers: 2})
 
-	res, err := Search(context.Background(), eng, pipe, plat, model.Overlap, Options{FrontierTarget: 16})
-	if err != nil {
-		t.Fatal(err)
+	var res Result
+	for _, cm := range model.Models() {
+		cold, err := Search(context.Background(), eng, pipe, plat, cm, Options{FrontierTarget: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cm == model.Overlap {
+			res = cold
+		}
+		warm := Options{FrontierTarget: 16, Incumbent: cold.Mapping, IncumbentPeriod: cold.Period}
+		for _, o := range []Options{{FrontierTarget: 16}, warm} {
+			want, err := Search(context.Background(), eng, pipe, plat, cm, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warmPeriod := ""
+			if o.Incumbent != nil {
+				warmPeriod = o.IncumbentPeriod.String()
+			}
+			roots, got, err := Frontier(context.Background(), pipe, plat, warmPeriod, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exec, err := NewLocalExecutor(eng, pipe, plat, cm, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range roots {
+				sub, err := exec.RunRoot(context.Background(), r, warmPeriod)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.add(sub.Stats)
+			}
+			if got != want.Stats {
+				t.Fatalf("%v, warm %q: Frontier + RunRoot counted %+v, Search %+v", cm, warmPeriod, got, want.Stats)
+			}
+		}
 	}
 	roots, stats, err := Frontier(context.Background(), pipe, plat, "", 16)
 	if err != nil {

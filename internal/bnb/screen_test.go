@@ -2,10 +2,14 @@ package bnb
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cycles"
 	"repro/internal/engine"
+	"repro/internal/model"
+	"repro/internal/pipeline"
+	"repro/internal/platform"
 )
 
 // TestScreeningBitIdenticalAcrossWorkerCounts is the acceptance gate of the
@@ -22,7 +26,13 @@ func TestScreeningBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	// without a warm start.
 	opts := Options{FrontierTarget: 4}
 	var totalScreened int64
-	for _, f := range generatedFamilies(t, []int64{5, 6}) {
+	// The search-jobs benchmark's leaf-heavy problem (3 strict stages on 8
+	// heterogeneous processors, drawn from seed 2 as cmd/mapsearch does),
+	// whose few leaves left by the strict cycle-time bound still screen.
+	rng := rand.New(rand.NewSource(2))
+	leaves := family{name: "leaves-3x8", pipe: pipeline.Random(rng, 3, 50, 500), cm: model.Strict}
+	leaves.plat = platform.Random(rng, 8, 5, 25, 20, 200)
+	for _, f := range append(generatedFamilies(t, []int64{5, 6}), leaves) {
 		t.Run(f.name, func(t *testing.T) {
 			exactEng := engine.New(engine.Options{Workers: 2})
 			ref, refErr := Search(context.Background(), exactEng, f.pipe, f.plat, f.cm, opts)
