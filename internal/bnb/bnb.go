@@ -17,20 +17,20 @@
 // Three mechanisms keep the exponential tree tractable:
 //
 //   - Admissible bounding. Round-robin replication means every replica u of
-//     stage i handles one data set in m_i, so any completion of a node
-//     satisfies P >= w_i/(m_i·Π_u) for each assigned stage, and
-//     P >= max_{j remaining} w_j / (m_max·Π_fastest-free) for the stages
-//     still open, where m_max is the largest replica set a remaining stage
-//     could still receive (free processors minus one per other open stage).
-//     Summing P·Σ_{u∈S_j} Π_u >= w_j over the open stages, whose replica
-//     sets are disjoint subsets of the free processors, adds
-//     P >= Σ_{j open} w_j / Σ_{u free} Π_u. Under the strict model the
-//     paper's P >= Mct adds the ports: once stages i−1 and i are assigned,
-//     each replica of stage i−1 has its exact cycle-time Cin + Ccomp + Cout
-//     and each replica of stage i its exact Cin + Ccomp, and the largest of
-//     these bounds every completion. A node whose bound already meets the
-//     incumbent period is cut, and so is a stage's partial class choice
-//     once it bounds every node that could complete it.
+//     stage i handles one data set in m_i, so every completion has
+//     P >= w_i/(m_i·s_i), s_i the slowest speed in S_i. For an assigned
+//     stage that is a bound; for the open ones it is a test (the
+//     computation relaxation): below a reference R, stage j with threshold
+//     speed s needs ⌊w_j/(R·s)⌋ + 1 members no slower than s, and as the
+//     free processors at least as fast as s are nested, disjoint such sets
+//     exist iff Hall's condition holds at every threshold, which a dynamic
+//     program over (class, subset of open stages) decides. Under the
+//     strict model the paper's P >= Mct adds the ports: once stages i−1 and
+//     i are assigned, each replica of stage i−1 has its exact cycle-time
+//     Cin + Ccomp + Cout and each replica of stage i its exact Cin + Ccomp,
+//     and the largest of these bounds every completion. A node whose bound
+//     already meets the incumbent period is cut, and so is a stage's
+//     partial class choice once it bounds every node that could complete it.
 //
 //   - Symmetry breaking. Processors that are provably interchangeable — equal
 //     speed, and swapping them leaves the bandwidth matrix invariant — are
@@ -57,6 +57,7 @@ package bnb
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -215,9 +216,7 @@ type problem struct {
 	cm         model.CommModel
 	n          int
 	classes    []class // enumeration order: decreasing speed, then lowest id
-	maxWork    []int64 // maxWork[i] = max work of stages i..n-1; maxWork[n] = 0
-	sumWork    []int64 // sumWork[i] = Σ work of stages i..n-1, saturating; sumWork[n] = 0
-	openWork   bool    // Σ speeds fits in int64, so the open-stage work bound is sound
+	heavy      [][]int // heavy[i]: the relaxCap heaviest of stages i..n-1 (ties: lower index)
 	warm       *incumbent
 	onProgress func(Stats)
 }
@@ -408,10 +407,9 @@ type walker struct {
 	depthLimit int      // stage at which assignments are snapshotted instead of recursed (n = explore fully)
 	out        *[]*node // frontier accumulator for expansion walkers
 
-	replicas  [][]int
-	used      []int
-	free      int
-	freeSpeed int64 // Σ speeds of the free processors
+	replicas [][]int
+	used     []int
+	free     int
 
 	leafMapp  mapping.Mapping // the leaf under evaluation; its sets share leafProcs
 	leafProcs []int
@@ -431,6 +429,11 @@ type walker struct {
 	hasRef bool
 	best   *incumbent // strictly better than the warm start, else nil
 	screen bool       // engine backend is float-screen: screen leaves in float first
+
+	// The relaxation's state: demand[j·len(classes)+l] (see setRef), and dp,
+	// one entry per subset of the stages it weighs.
+	demand []int
+	dp     []int
 
 	st  Stats
 	pub Stats // counters already reported through problem.onProgress
@@ -467,8 +470,11 @@ func newWalker(pr *problem, ctx context.Context, eng *engine.Engine, nd *node, d
 		used:       append([]int(nil), nd.used...),
 		free:       nd.free,
 		screen:     eng != nil && eng.Backend() == cycles.BackendFloatScreen,
-		ref:        ref,
-		hasRef:     hasRef,
+		demand:     make([]int, pr.n*len(pr.classes)),
+		dp:         make([]int, 1<<(relaxCap+1)),
+	}
+	if hasRef {
+		w.setRef(ref)
 	}
 	copy(w.replicas, nd.replicas)
 	if out == nil && pr.cm == model.Strict {
@@ -482,9 +488,6 @@ func newWalker(pr *problem, ctx context.Context, eng *engine.Engine, nd *node, d
 			w.sorted[i] = ids[i*p : i*p : (i+1)*p]
 			w.load[i] = times[i*p : (i+1)*p]
 		}
-	}
-	for c := range pr.classes {
-		w.freeSpeed += int64(len(pr.classes[c].members)-w.used[c]) * pr.classes[c].speed
 	}
 	return w
 }
@@ -522,11 +525,12 @@ func (w *walker) choose(stage, c, taken int, slowest int64, parentLB rat.Rat) er
 			return nil
 		}
 		w.st.Nodes++
-		// The stage's bound work/(taken·slowest) stays an integer fraction:
-		// it is compared by cross-multiplication, and a Rat is formed only
-		// when it becomes the lb handed down.
+		// Cut when the column work/(taken·slowest) or parentLB meets the
+		// reference (a Rat is formed only for the lb handed down), or the
+		// relaxation rules out the open stages.
 		work := w.pr.work(stage)
-		if w.hasRef && w.prunes(stage, work, int64(taken), slowest, parentLB) {
+		if w.hasRef && (w.ref.CmpFrac(work, int64(taken), slowest) <= 0 || !parentLB.Less(w.ref) ||
+			stage+1 < w.pr.n && w.relaxMeets(stage+1, -1, 0, 0)) {
 			w.st.Pruned++
 			return nil
 		}
@@ -546,21 +550,15 @@ func (w *walker) choose(stage, c, taken int, slowest int64, parentLB rat.Rat) er
 		return w.dfs(stage+1, lb)
 	}
 	cl := &w.pr.classes[c]
-	freeC := len(cl.members) - w.used[c]
 	// Every later stage still needs a processor; w.free already excludes the
 	// members taken for this stage so far.
-	maxT := w.free - (w.pr.n - stage - 1)
-	if maxT > freeC {
-		maxT = freeC
-	}
-	if maxT < 0 {
-		maxT = 0
-	}
+	maxT := max(0, min(len(cl.members)-w.used[c], w.free-(w.pr.n-stage-1)))
 	// Largest counts first: the fastest classes are enumerated first and
 	// replication only helps, so good incumbents appear early in DFS order.
-	// A partial choice is checked right after it takes members: t = 0 hands
-	// the unchanged state down, and the last class completes the choice,
-	// which the node's own bound then judges.
+	// A partial choice is checked right after it takes members, by the
+	// relaxation with the stage included: t = 0 hands the unchanged state
+	// down, and the last class completes the choice, which the node's own
+	// bound then judges.
 	for t := maxT; t >= 0; t-- {
 		sl := slowest
 		if t > 0 {
@@ -568,7 +566,7 @@ func (w *walker) choose(stage, c, taken int, slowest int64, parentLB rat.Rat) er
 			if sl == 0 || cl.speed < sl {
 				sl = cl.speed
 			}
-			if c+1 < len(w.pr.classes) && w.hasRef && w.cuts(stage, int64(taken+t), sl) {
+			if c+1 < len(w.pr.classes) && w.hasRef && w.relaxMeets(stage+1, stage, taken+t, c) {
 				w.give(stage, c, t)
 				continue
 			}
@@ -586,84 +584,97 @@ func (w *walker) choose(stage, c, taken int, slowest int64, parentLB rat.Rat) er
 
 // take appends the first t free members of class c to stage's replica set.
 func (w *walker) take(stage, c, t int) {
-	cl := &w.pr.classes[c]
-	start := w.used[c]
-	w.replicas[stage] = append(w.replicas[stage], cl.members[start:start+t]...)
+	w.replicas[stage] = append(w.replicas[stage], w.pr.classes[c].members[w.used[c]:w.used[c]+t]...)
 	w.used[c] += t
 	w.free -= t
-	w.freeSpeed -= int64(t) * cl.speed
 }
 
 // give undoes take(stage, c, t).
 func (w *walker) give(stage, c, t int) {
 	w.used[c] -= t
 	w.free += t
-	w.freeSpeed += int64(t) * w.pr.classes[c].speed
 	w.replicas[stage] = w.replicas[stage][:len(w.replicas[stage])-t]
 }
 
-// prunes reports whether a node's bound, the largest of parentLB, the
-// stage's work/(taken·slowest), the open stages' remainingBound and their
-// openBound, meets the pruning reference.
-func (w *walker) prunes(stage int, work, taken, slowest int64, parentLB rat.Rat) bool {
-	if w.ref.CmpFrac(work, taken, slowest) <= 0 || !parentLB.Less(w.ref) {
-		return true
-	}
-	remaining := w.pr.n - stage - 1
-	if remaining == 0 {
-		return false
-	}
-	return w.ref.CmpFrac(w.remainingBound(stage+1, remaining)) <= 0 || w.openMeets(stage+1)
-}
+// relaxCap is the most open stages the relaxation weighs, the heaviest: it
+// takes (relaxCap+1)·2^(relaxCap+1) steps per class at most, and dropping a
+// stage only loosens Hall's condition.
+const relaxCap = 6
 
-// cuts reports whether every node that can complete stage's partial class
-// choice (taken members so far, the slowest at speed slowest) is pruned, so
-// the choices of the remaining classes need not be enumerated.
-func (w *walker) cuts(stage int, taken, slowest int64) bool {
-	if w.ref.CmpFrac(w.stageBound(stage, taken, slowest)) <= 0 {
-		return true
-	}
-	return stage+1 < w.pr.n && w.openMeets(stage+1)
-}
-
-// openMeets reports whether the open-stage work bound of stages
-// firstOpen..n-1 meets the pruning reference.
-func (w *walker) openMeets(firstOpen int) bool {
-	if !w.pr.openWork {
-		return false
-	}
-	work, speed := w.openBound(firstOpen)
-	return w.ref.CmpFrac(work, speed, 1) <= 0
-}
-
-// remainingBound is the optimistic completion bound for the open stages
-// firstOpen..n-1, as the fraction work/(mMax·fastest): the heaviest of them
-// runs on the largest replica set it could still receive, every member as
-// fast as the fastest free processor.
-func (w *walker) remainingBound(firstOpen, remaining int) (work, mMax, fastest int64) {
-	for c := range w.pr.classes {
-		if len(w.pr.classes[c].members)-w.used[c] > 0 {
-			fastest = w.pr.classes[c].speed
-			break // classes are sorted by decreasing speed
+// setRef makes r the pruning reference and refills demand[j][l]: the least
+// m <= numProcs with work_j/(m·speed_l) < r (exact CmpFrac), else
+// numProcs+1. Classes slow down in order, so each scan resumes the last.
+func (w *walker) setRef(r rat.Rat) {
+	w.ref, w.hasRef = r, true
+	limit := w.pr.plat.NumProcs() + 1
+	for j := 0; j < w.pr.n; j++ {
+		m := 1
+		for l, cl := range w.pr.classes {
+			for m < limit && r.CmpFrac(w.pr.work(j), int64(m), cl.speed) <= 0 {
+				m++
+			}
+			w.demand[j*len(w.pr.classes)+l] = m
 		}
 	}
-	return w.pr.maxWork[firstOpen], int64(w.free - (remaining - 1)), fastest
 }
 
-// openBound is the open-stage work bound of stages firstOpen..n-1 as the
-// fraction work/speed: every replica u of an open stage j serves one data
-// set in m_j, so P·Σ_{u∈S_j} Π_u >= w_j, and the sets S_j are disjoint
-// subsets of the free processors.
-func (w *walker) openBound(firstOpen int) (work, speed int64) {
-	return w.pr.sumWork[firstOpen], w.freeSpeed
-}
-
-// stageBound bounds every completion of stage's partial class choice as
-// the fraction work/(mMax·slowest): the stage may still gain at most mMax −
-// taken members (the free processors less one per later stage), and none
-// of them can raise its slowest speed.
-func (w *walker) stageBound(stage int, taken, slowest int64) (work, mMax, slow int64) {
-	return w.pr.work(stage), taken + int64(w.free-(w.pr.n-stage-1)), slowest
+// relaxMeets reports whether no disjoint free sets give each open stage
+// firstOpen..n-1 a column w_j/(m_j·slowest_j) below the reference, and,
+// when part >= 0, also let stage part (taken members of classes <= c, class
+// c slowest) reach one with free members of the classes after c. Placed at
+// class l, stage j needs demand[j][l] free members of classes <= l; these
+// sets are nested, so all sets exist iff the demands placed at or before
+// every class fit in its prefix (Hall's condition). The program keeps, per
+// subset of placed stages, their least total demand. Stage part places
+// after c only and must also fit in the classes after c; no undecided
+// processor is faster than a decided one, so that is Hall's for it too.
+func (w *walker) relaxMeets(firstOpen, part, taken, c int) bool {
+	pr, nc := w.pr, len(w.pr.classes)
+	kept := pr.heavy[firstOpen]
+	items := len(kept)
+	if part >= 0 && w.demand[part*nc+c] > taken {
+		items++ // else its column is below the reference already
+	}
+	dp := w.dp[:1<<items]
+	for s := range dp {
+		dp[s] = math.MaxInt
+	}
+	dp[0] = 0
+	full, avail, undecided := len(dp)-1, 0, 0
+	for l, cl := range pr.classes {
+		if dp[full] <= avail {
+			return false
+		}
+		f := len(cl.members) - w.used[l]
+		if f == 0 {
+			continue
+		}
+		avail += f
+		if l > c {
+			undecided += f
+		}
+		for s, d := range dp[:full] {
+			for i := 0; d <= avail && i < items; i++ {
+				k, bit := 0, 1<<i
+				switch {
+				case s&bit != 0:
+					continue
+				case i < len(kept):
+					k = w.demand[kept[i]*nc+l]
+				case l <= c:
+					continue
+				default:
+					if k = w.demand[part*nc+l] - taken; k > undecided {
+						continue
+					}
+				}
+				if t := d + k; t <= avail && t < dp[s|bit] {
+					dp[s|bit] = t
+				}
+			}
+		}
+	}
+	return dp[full] > avail
 }
 
 // cycleBound is the strict cycle-time bound of the node that just completed
@@ -777,8 +788,7 @@ func (w *walker) leaf() {
 	}
 	if !w.hasRef || res.Period.Less(w.ref) {
 		w.best = &incumbent{mapp: &mapping.Mapping{Replicas: cloneReplicas(reps)}, period: res.Period}
-		w.ref = res.Period
-		w.hasRef = true
+		w.setRef(res.Period)
 	}
 }
 

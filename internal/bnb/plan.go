@@ -12,8 +12,8 @@ package bnb
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
+	"sort"
 
 	"repro/internal/engine"
 	"repro/internal/mapping"
@@ -244,26 +244,16 @@ func newProblem(pipe *pipeline.Pipeline, plat *platform.Platform, cm model.CommM
 		cm:         cm,
 		n:          n,
 		classes:    classesOf(plat),
-		maxWork:    make([]int64, n+1),
-		sumWork:    make([]int64, n+1),
-		openWork:   true,
 		onProgress: opts.OnProgress,
 	}
-	for i := n - 1; i >= 0; i-- {
-		w := pr.work(i)
-		pr.maxWork[i] = max(pr.maxWork[i+1], w)
-		// Saturating keeps the bound admissible: it only shrinks the sum.
-		pr.sumWork[i] = pr.sumWork[i+1] + min(w, math.MaxInt64-pr.sumWork[i+1])
+	order := make([]int, n)
+	for j := range order {
+		order[j] = j
 	}
-	// The walkers track the free speed as an int64 running total; if the
-	// platform's whole speed does not fit, the open-stage work bound is off.
-	var speed int64
-	for _, s := range plat.Speeds {
-		if s > math.MaxInt64-speed {
-			pr.openWork = false
-			break
-		}
-		speed += s
+	sort.SliceStable(order, func(a, b int) bool { return pr.work(order[a]) > pr.work(order[b]) })
+	for i := 0; i <= n; i++ {
+		open := slices.DeleteFunc(slices.Clone(order), func(j int) bool { return j < i })
+		pr.heavy = append(pr.heavy, open[:min(len(open), relaxCap)])
 	}
 	if opts.Incumbent != nil {
 		pr.warm = &incumbent{mapp: opts.Incumbent, period: opts.IncumbentPeriod}

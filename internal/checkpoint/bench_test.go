@@ -11,6 +11,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/platform"
+	"repro/internal/sched"
 )
 
 // BenchmarkCheckpointOverhead measures what checkpointing costs the walker:
@@ -19,16 +20,25 @@ import (
 // default shape). The CI gate in scripts/benchjson.awk requires on/off
 // <= 1.05 in ns/op: checkpointing must cost at most 5% of walker
 // throughput, or the per-root bookkeeping has grown onto the hot path.
+// The search is the search-jobs benchmark's walker-4x10 problem (seed 2,
+// 4 stages on 10 heterogeneous processors, drawn as cmd/mapsearch draws
+// it), warm-started from greedy as a search job is: several milliseconds
+// per op, where the uniform search it replaced took under one.
 func BenchmarkCheckpointOverhead(b *testing.B) {
-	pipe := pipeline.Random(rand.New(rand.NewSource(7)), 4, 50, 500)
-	plat := platform.Uniform(9, 12, 100)
+	rng := rand.New(rand.NewSource(2))
+	pipe := pipeline.Random(rng, 4, 50, 500)
+	plat := platform.Random(rng, 10, 5, 25, 20, 200)
+	warm, err := sched.GreedyEngine(context.Background(), engine.New(engine.Options{}), pipe, plat, model.Overlap)
+	if err != nil {
+		b.Fatal(err)
+	}
 	run := func(b *testing.B, onRootDone func(int, bnb.Finished)) {
 		eng := engine.New(engine.Options{CacheEntries: -1})
 		var last bnb.Result
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			res, err := bnb.Search(context.Background(), eng, pipe, plat, model.Overlap,
-				bnb.Options{OnRootDone: onRootDone})
+				bnb.Options{OnRootDone: onRootDone, Incumbent: warm.Mapping, IncumbentPeriod: warm.Period})
 			if err != nil {
 				b.Fatal(err)
 			}

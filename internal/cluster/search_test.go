@@ -14,8 +14,8 @@ import (
 // distributableSearch is a fixture whose greedy warm start does NOT prove
 // optimality outright: the bnb frontier survives (over a hundred roots), so
 // a distributed run genuinely scatters subtrees while still finishing in
-// milliseconds. (Uniform fixtures collapse to frontier 0 — the open-stage
-// work bound proves greedy optimal during the expansion — and would test
+// milliseconds. (Uniform fixtures collapse to frontier 0 — the computation
+// relaxation proves greedy optimal during the expansion — and would test
 // nothing.)
 func distributableSearch(t *testing.T) service.SearchRequest {
 	t.Helper()

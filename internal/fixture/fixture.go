@@ -28,8 +28,8 @@ func Pipeline(n int) *pipeline.Pipeline {
 
 // TwoSpeedPlatform has n processors on uniform links of bandwidth 100, the
 // first half at speed 100 and the rest at 60. Two speed classes keep a
-// real search tree: on a uniform platform the open-stage work bound proves
-// the greedy warm start optimal while the frontier is still expanding.
+// real search tree: on a uniform platform the computation relaxation
+// proves the greedy warm start optimal while the frontier is still expanding.
 // Pipeline(8) on TwoSpeedPlatform(16) keeps over a hundred frontier roots
 // and finishes in milliseconds; Pipeline(14) on TwoSpeedPlatform(56) runs
 // for minutes, long enough to cancel.

@@ -29,6 +29,7 @@ import (
 	"math/big"
 	"math/bits"
 	"strconv"
+	"strings"
 )
 
 // Rat is an exact rational number. The zero value is 0, ready to use.
@@ -76,21 +77,31 @@ func FromFloat(f float64) (Rat, bool) {
 	return fromBig(new(big.Rat).SetFloat64(f)), true
 }
 
-// Parse converts the String form back into a Rat: "n" or "n/d" with an
-// optionally signed decimal numerator and positive denominator, at any
-// magnitude (values beyond int64 land on the big-rational representation,
-// so Parse∘String is the identity). The wire protocol uses it to carry
-// exact periods — subtree results and checkpoints round-trip through JSON
-// strings without losing exactness.
+// Parse converts the String form back into a Rat. It accepts exactly
+// [+-]?[0-9]+(/[0-9]+)?: an optionally signed decimal numerator and a
+// positive decimal denominator, at any magnitude (values beyond int64 land
+// on the big-rational representation, so Parse∘String is the identity).
+// Decimal points, exponents, base prefixes and underscores are refused: the
+// wire protocol uses Parse to carry exact periods — subtree results and
+// checkpoints round-trip through JSON strings without losing exactness —
+// and a grammar wider than String's output would let a peer or a file
+// spell one value many ways, or a huge one in a few bytes ("1e100000").
 func Parse(s string) (Rat, error) {
-	if s == "" {
-		return Rat{}, fmt.Errorf("rat: empty string")
+	num, den, frac := strings.Cut(s, "/")
+	if !frac {
+		den = "1"
 	}
-	br, ok := new(big.Rat).SetString(s)
-	if !ok {
+	// Base 10 admits an optional sign and digits only; the denominator's
+	// sign is refused separately.
+	n, okN := new(big.Int).SetString(num, 10)
+	d, okD := new(big.Int).SetString(den, 10)
+	if !okN || !okD || den[0] < '0' || den[0] > '9' {
 		return Rat{}, fmt.Errorf("rat: cannot parse %q", s)
 	}
-	return fromBig(br), nil
+	if d.Sign() == 0 {
+		return Rat{}, fmt.Errorf("rat: zero denominator in %q", s)
+	}
+	return fromBig(new(big.Rat).SetFrac(n, d)), nil
 }
 
 // New returns the rational n/d in lowest terms. It panics if d == 0.
