@@ -36,8 +36,9 @@ FUZZTIME ?= 10s
 # must stay at or below JOBALLOC_GATE allocs/op (measured at 13). The
 # checkpoint gate (CKPT_GATE) guards the PR-10 durability layer: the same
 # deterministic bnb search with per-root checkpointing on may cost at most
-# CKPT_GATE x the search with it off (BenchmarkCheckpointOverhead on/off in
-# ns/op), or the per-root bookkeeping has grown onto the walker's hot path.
+# CKPT_GATE x the search with it off (BenchmarkCheckpointOverhead's
+# on-ns/op over its off-ns/op, both timed in every iteration), or the
+# per-root bookkeeping has grown onto the walker's hot path.
 # BenchmarkRat records the rational kernel's int64 path next to math/big on
 # the same operands (and a forced big fallback); it carries no gate.
 # BenchmarkContraction records the contraction + Karp engine on its scaled
@@ -141,6 +142,7 @@ cover:
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzPeriodBackends -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzRatArith -fuzztime $(FUZZTIME) ./internal/rat
+	$(GO) test -run xxx -fuzz FuzzRatParse -fuzztime $(FUZZTIME) ./internal/rat
 
 fmt:
 	gofmt -l -w .

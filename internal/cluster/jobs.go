@@ -105,7 +105,7 @@ func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.mu.RUnlock()
 	if len(alive) == 0 {
-		rt.fail(w, name, errNoNodes.status, errNoNodes.msg)
+		rt.failErr(w, name, errNoNodes)
 		return
 	}
 	sort.Strings(alive)
@@ -242,7 +242,7 @@ func (rt *Router) jobFanoutByID(w http.ResponseWriter, r *http.Request, name str
 	}
 	rt.mu.RUnlock()
 	if len(alive) == 0 {
-		rt.fail(w, name, errNoNodes.status, errNoNodes.msg)
+		rt.failErr(w, name, errNoNodes)
 		return
 	}
 	sort.Strings(alive)

@@ -17,22 +17,9 @@ import (
 	"repro/internal/store"
 )
 
-// httpErr is an error with a dedicated HTTP status (the router's analogue
-// of the service's httpError).
-type httpErr struct {
-	status int
-	msg    string
-}
-
-func (e *httpErr) Error() string { return e.msg }
-
-func badReq(format string, args ...any) error {
-	return &httpErr{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
-}
-
 // errNoNodes is the whole-cluster-down verdict: every node is ejected, so
 // no candidate list exists for any key.
-var errNoNodes = &httpErr{status: http.StatusServiceUnavailable, msg: "no cluster nodes available"}
+var errNoNodes = &service.HTTPError{Status: http.StatusServiceUnavailable, Message: "no cluster nodes available"}
 
 // fail writes a router-originated failure in the service's unified error
 // envelope with the status's default code.
@@ -49,14 +36,15 @@ func (rt *Router) failCode(w http.ResponseWriter, name string, status int, code,
 	writeJSON(w, status, service.ErrorBody{Error: service.ErrorInfo{Code: code, Message: msg}})
 }
 
-// failErr maps an error to its status: httpErr carries its own, context
-// errors become 503 (the client's clock ran out while we proxied),
+// failErr maps an error to its status: service.HTTPError carries its own,
+// context errors become 503 (the client's clock ran out while we proxied),
 // everything else is a 502 — the router reached no node that could answer.
 func (rt *Router) failErr(w http.ResponseWriter, name string, err error) {
-	var he *httpErr
+	var he *service.HTTPError
 	switch {
 	case errors.As(err, &he):
-		rt.fail(w, name, he.status, he.msg)
+		info := he.Info()
+		rt.failCode(w, name, he.Status, info.Code, info.Message)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		rt.fail(w, name, http.StatusServiceUnavailable, "request deadline exceeded")
 	default:
@@ -99,9 +87,9 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, erro
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			return nil, &httpErr{status: http.StatusRequestEntityTooLarge, msg: err.Error()}
+			return nil, &service.HTTPError{Status: http.StatusRequestEntityTooLarge, Message: err.Error()}
 		}
-		return nil, badReq("reading request body: %v", err)
+		return nil, &service.HTTPError{Status: http.StatusBadRequest, Message: fmt.Sprintf("reading request body: %v", err)}
 	}
 	return body, nil
 }
@@ -110,7 +98,7 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, erro
 // router's parse verdicts read like a node's.
 func unmarshalStrict(body []byte, v any) error {
 	if err := service.DecodeStrict(bytes.NewReader(body), v); err != nil {
-		return badReq("%v", err)
+		return &service.HTTPError{Status: http.StatusBadRequest, Message: err.Error()}
 	}
 	return nil
 }
@@ -488,7 +476,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		owner, ok := rt.ring.Get(k)
 		if !ok {
 			rt.mu.RUnlock()
-			rt.fail(w, name, errNoNodes.status, errNoNodes.msg)
+			rt.failErr(w, name, errNoNodes)
 			return
 		}
 		g := groups[owner]
@@ -551,9 +539,9 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		sr := results[gi]
 		if sr.err != nil {
 			status, msg := http.StatusBadGateway, sr.err.Error()
-			var he *httpErr
+			var he *service.HTTPError
 			if errors.As(sr.err, &he) {
-				status, msg = he.status, he.msg
+				status, msg = he.Status, he.Message
 			}
 			recordFail(g.idxs[0], status, "", msg)
 			continue
@@ -704,7 +692,7 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		owner, ok := rt.ring.Get(fmt.Sprintf("sweep\x00%d\x00%d\x00%v", req.Seed, i, pairs[i]))
 		if !ok {
 			rt.mu.RUnlock()
-			rt.fail(w, name, errNoNodes.status, errNoNodes.msg)
+			rt.failErr(w, name, errNoNodes)
 			return
 		}
 		if _, seen := groups[owner]; !seen {
@@ -760,9 +748,9 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		sr := results[gi]
 		if sr.err != nil {
 			status, msg := http.StatusBadGateway, sr.err.Error()
-			var he *httpErr
+			var he *service.HTTPError
 			if errors.As(sr.err, &he) {
-				status, msg = he.status, he.msg
+				status, msg = he.Status, he.Message
 			}
 			recordFail(idxs[0], status, "", msg)
 			continue

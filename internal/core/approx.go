@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/cycles"
@@ -30,9 +29,9 @@ func (s *Solver) PeriodApprox(inst *model.Instance, m model.CommModel) (cycles.F
 }
 
 // periodTPNApprox is PeriodTPN with the float sweep in place of the exact
-// backend: same builder, same unfolded net, same system — only the final
-// critical-cycle arithmetic runs in float64 with error tracking, on the
-// float plan of the net's shape.
+// backend: same builder, same unfolded net, same system, same cached plan —
+// only the final critical-cycle arithmetic runs in float64 with error
+// tracking.
 func (s *Solver) periodTPNApprox(inst *model.Instance, m model.CommModel) (cycles.FloatResult, error) {
 	s.builder.MaxRows = s.MaxRows
 	net, err := s.builder.Build(inst, m)
@@ -40,48 +39,11 @@ func (s *Solver) periodTPNApprox(inst *model.Instance, m model.CommModel) (cycle
 		return cycles.FloatResult{}, err
 	}
 	sys := net.SystemInto(&s.sys)
-	crit, err := s.ws.ApproxMaxRatioPlan(s.floatPlan(inst, m, sys), sys)
+	crit, err := s.ws.ApproxMaxRatioPlan(s.plan(inst, m, sys), sys)
 	if err != nil {
 		return cycles.FloatResult{}, fmt.Errorf("core: critical cycle: %w", err)
 	}
 	return crit.DivInt(inst.PathCount()), nil
-}
-
-// planBudget bounds the table entries (cycles.FloatPlan.Size) a Solver's
-// plan cache holds; a full cache is emptied before the next insertion.
-// 1<<18 entries is 2 MB, room for every replication vector of a branch
-// and bound over a few stages and a dozen processors.
-const planBudget = 1 << 18
-
-// floatPlan returns the float-sweep plan for sys, the unfolded net of inst
-// under m. The net's places, hence sys's edges, depend only on the model and
-// the replication counts (tpn.Builder), so plans are cached under that key
-// and the leaves of a search that share a replication vector pay the
-// structural work (liveness, SCCs, contraction scaffold, Karp SCCs) once.
-// A plan larger than the budget is compiled into reused scratch instead.
-func (s *Solver) floatPlan(inst *model.Instance, m model.CommModel, sys *cycles.System) *cycles.FloatPlan {
-	key := append(s.planKey[:0], byte(m))
-	for i := 0; i < inst.NumStages(); i++ {
-		key = binary.AppendUvarint(key, uint64(inst.Replication(i)))
-	}
-	s.planKey = key
-	if p, ok := s.plans[string(key)]; ok {
-		return p
-	}
-	s.ws.CompileFloat(sys, &s.scratchPlan)
-	size := s.scratchPlan.Size()
-	if size > planBudget {
-		return &s.scratchPlan
-	}
-	p := new(cycles.FloatPlan)
-	*p, s.scratchPlan = s.scratchPlan, cycles.FloatPlan{} // the cache takes the storage
-	if s.plans == nil || s.planSize+size > planBudget {
-		s.plans = make(map[string]*cycles.FloatPlan)
-		s.planSize = 0
-	}
-	s.plans[string(key)] = p
-	s.planSize += size
-	return p
 }
 
 // periodOverlapApprox is PeriodOverlapPoly in float64: the running maximum

@@ -92,6 +92,12 @@ func PeriodTPN(inst *model.Instance, m model.CommModel) (Result, error) {
 
 func periodFromNet(inst *model.Instance, m model.CommModel, net *petri.Net) (Result, error) {
 	crit, err := net.MaxCycleRatio()
+	return tpnResult(inst, m, crit, err)
+}
+
+// tpnResult turns the critical cycle of the unfolded net of inst under m
+// into the per-data-set period: the ratio divided by the path count m.
+func tpnResult(inst *model.Instance, m model.CommModel, crit cycles.Result, err error) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("core: critical cycle: %w", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -12,11 +13,12 @@ import (
 
 // Solver is a stateful period-computation context: it owns every piece of
 // scratch one evaluation thread needs — a tpn.Builder constructing unfolded
-// nets into reused label-free storage, a cycles.System rebuilt in place, and
-// a cycles.Workspace holding the contraction and Karp tables. The first
-// evaluation pays the allocations; subsequent evaluations of similar size
-// run with near-zero allocation churn, which is what makes the batch
-// engine's fan-out of thousands of strict-model evaluations cheap.
+// nets into reused label-free storage, a cycles.System rebuilt in place, a
+// cycles.Workspace holding the contraction and Karp tables, and a bounded
+// cache of contraction plans per net shape. The first evaluation pays the
+// allocations; subsequent evaluations of similar size run with near-zero
+// allocation churn, which is what makes the batch engine's fan-out of
+// thousands of strict-model evaluations cheap.
 //
 // Results are bit-identical to the free functions (Period, PeriodTPN,
 // PeriodOverlapPoly): the Solver changes where scratch lives, not what is
@@ -48,11 +50,11 @@ type Solver struct {
 	ws      cycles.Workspace
 	sys     cycles.System
 
-	// Float-sweep plans per unfolded-net shape (see floatPlan).
-	plans       map[string]*cycles.FloatPlan
-	planSize    int
-	planKey     []byte
-	scratchPlan cycles.FloatPlan
+	// Contraction plans per unfolded-net shape (see plan), read by the
+	// exact Karp sweep of PeriodTPN and by the float screen.
+	plans    map[string]*cycles.Plan
+	planSize int
+	planKey  []byte
 }
 
 // NewSolver returns a ready Solver with the default row cap. The zero value
@@ -79,18 +81,14 @@ func (s *Solver) PeriodTPN(inst *model.Instance, m model.CommModel) (Result, err
 	if err != nil {
 		return Result{}, err
 	}
-	crit, err := s.ws.MaxRatioBackend(net.SystemInto(&s.sys), s.Backend)
-	if err != nil {
-		return Result{}, fmt.Errorf("core: critical cycle: %w", err)
+	sys := net.SystemInto(&s.sys)
+	var crit cycles.Result
+	if s.Backend.Resolve(sys) == cycles.BackendHoward {
+		crit, err = s.ws.MaxRatioHoward(sys)
+	} else {
+		crit, err = s.ws.MaxRatioPlan(s.plan(inst, m, sys), sys)
 	}
-	pc := inst.PathCount()
-	return Result{
-		Model:     m,
-		Period:    crit.Ratio.DivInt(pc),
-		Mct:       inst.Mct(m),
-		PathCount: pc,
-		Method:    MethodTPN,
-	}, nil
+	return tpnResult(inst, m, crit, err)
 }
 
 // PeriodOverlapPoly computes the OVERLAP ONE-PORT period with the
@@ -138,6 +136,51 @@ func (s *Solver) ColumnPeriod(cp CommPattern) (rat.Rat, error) {
 		period = rat.Max(period, res.Ratio.DivInt(cp.LCM))
 	}
 	return period, nil
+}
+
+// planBudget bounds the table entries (cycles.Plan.Size) a Solver's plan
+// cache holds; a full cache is emptied before the next insertion.
+// 1<<18 entries is 2 MB, room for every replication vector of a branch
+// and bound over a few stages and a dozen processors. planMax bounds one
+// cached plan: such a search's vectors stay below it ((3,4,5) takes about
+// 5,200 entries), while larger nets, Table 2's widest rows and the m = 2520
+// nets (over 200,000), cost several times more to evaluate than to compile
+// and seldom repeat, so caching them would only churn the cache.
+const (
+	planBudget = 1 << 18
+	planMax    = planBudget / 32
+)
+
+// plan returns the contraction plan for sys, the unfolded net of inst under
+// m. The net's places, hence sys's edges, depend only on the model and the
+// replication counts (tpn.Builder), so plans are cached under that key, and
+// the evaluations that share a replication vector pay the structural work
+// (liveness, SCCs, contraction scaffold, Karp SCCs) once. One cache, two
+// readers: PeriodTPN's exact Karp sweep and periodTPNApprox's float screen
+// evaluate the same plan. A plan larger than planMax stays in the
+// workspace's scratch.
+func (s *Solver) plan(inst *model.Instance, m model.CommModel, sys *cycles.System) *cycles.Plan {
+	key := append(s.planKey[:0], byte(m))
+	for i := 0; i < inst.NumStages(); i++ {
+		key = binary.AppendUvarint(key, uint64(inst.Replication(i)))
+	}
+	s.planKey = key
+	if p, ok := s.plans[string(key)]; ok {
+		return p
+	}
+	p := s.ws.Compile(sys)
+	size := p.Size()
+	if size > planMax {
+		return p
+	}
+	p = p.Compact()
+	if s.plans == nil || s.planSize+size > planBudget {
+		s.plans = make(map[string]*cycles.Plan)
+		s.planSize = 0
+	}
+	s.plans[string(key)] = p
+	s.planSize += size
+	return p
 }
 
 // solverPool backs the package-level free functions: each call borrows a

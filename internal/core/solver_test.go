@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cycles"
 	"repro/internal/model"
 	"repro/internal/tpn"
 )
@@ -149,15 +150,17 @@ func TestSolverReuseCutsAllocations(t *testing.T) {
 	}
 }
 
-// TestFloatPlanCacheMatchesFreshSolver runs the TPN float sweep for many
-// instances on one solver, whose plan cache then serves most of them from
-// plans compiled for other instances of the same replication vector, and
-// requires every enclosure to equal, bit for bit, the one a fresh solver
+// TestFloatPlanCacheMatchesFreshSolver runs the TPN float sweep and the
+// exact PeriodTPN (its Karp route) for many instances on one solver, whose
+// plan cache then serves most of them from plans compiled for other
+// instances of the same replication vector, and requires every enclosure
+// and every exact period to equal, bit for bit, what a fresh solver
 // computes by compiling the instance's own plan.
 func TestFloatPlanCacheMatchesFreshSolver(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	vectors := [][]int{{1, 2}, {2, 3, 1}, {3, 2, 3}, {2, 2, 2}, {4, 1, 3}}
 	cached := NewSolver()
+	cached.Backend = cycles.BackendKarp // small nets would route to Howard
 	for trial := 0; trial < 120; trial++ {
 		inst := randomInstanceWithReps(rng, vectors[rng.Intn(len(vectors))], 1, 200)
 		for _, cm := range model.Models() {
@@ -168,6 +171,17 @@ func TestFloatPlanCacheMatchesFreshSolver(t *testing.T) {
 			}
 			if got != want {
 				t.Fatalf("trial %d %v: cached plan gives %+v, fresh solver %+v", trial, cm, got, want)
+			}
+			fresh := NewSolver()
+			fresh.Backend = cycles.BackendKarp
+			gotP, gerr := cached.PeriodTPN(inst, cm)
+			wantP, werr := fresh.PeriodTPN(inst, cm)
+			if gerr != nil || werr != nil {
+				t.Fatalf("trial %d %v: exact errors %v / %v", trial, cm, gerr, werr)
+			}
+			if gotP.Period.String() != wantP.Period.String() || gotP.Period.IsBig() != wantP.Period.IsBig() ||
+				!gotP.Mct.Equal(wantP.Mct) || gotP.PathCount != wantP.PathCount {
+				t.Fatalf("trial %d %v: cached plan gives period %v, fresh solver %v", trial, cm, gotP.Period, wantP.Period)
 			}
 		}
 	}

@@ -93,11 +93,18 @@ func ParseBackend(s string) (Backend, error) {
 	}
 }
 
-// autoBackend resolves BackendAuto for a concrete system: Howard when token
-// edges make up at least AutoHowardTokenShareNum/Den of all edges (integer
-// cross-multiplication, no float drift), Karp otherwise. An empty system
-// goes to Karp for the historical error paths.
-func autoBackend(s *System) Backend {
+// Resolve returns the exact engine b runs on s, BackendKarp or
+// BackendHoward. BackendAuto routes to Howard when token edges make up at
+// least AutoHowardTokenShareNum/Den of all edges (integer
+// cross-multiplication, no float drift), to Karp otherwise; an empty system
+// goes to Karp for the historical error paths. BackendFloatScreen resolves
+// the same way — its exact computations ARE the auto engines, which is what
+// keeps screened results bit-identical. Screening itself is a caller
+// protocol built on ApproxMaxRatio, not a different exact engine.
+func (b Backend) Resolve(s *System) Backend {
+	if b != BackendAuto && b != BackendFloatScreen {
+		return b
+	}
 	tokenEdges := 0
 	for _, tk := range s.Tokens {
 		if tk > 0 {
@@ -110,17 +117,10 @@ func autoBackend(s *System) Backend {
 	return BackendKarp
 }
 
-// MaxRatioBackend computes the maximum cycle ratio of s with the selected
-// backend on the workspace's reused scratch. BackendAuto routes by
-// token-edge share (see AutoHowardTokenShareNum/Den); BackendFloatScreen
-// resolves the same way — its exact computations ARE the auto engines, which
-// is what keeps screened results bit-identical. Screening itself is a caller
-// protocol built on ApproxMaxRatio, not a different exact engine.
+// MaxRatioBackend computes the maximum cycle ratio of s with the engine b
+// resolves to (Resolve) on the workspace's reused scratch.
 func (ws *Workspace) MaxRatioBackend(s *System, b Backend) (Result, error) {
-	if b == BackendAuto || b == BackendFloatScreen {
-		b = autoBackend(s)
-	}
-	if b == BackendHoward {
+	if b.Resolve(s) == BackendHoward {
 		return ws.MaxRatioHoward(s)
 	}
 	return ws.MaxRatio(s)

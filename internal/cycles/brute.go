@@ -1,43 +1,5 @@
 package cycles
 
-import (
-	"repro/internal/rat"
-)
-
-// MaxRatioBrute enumerates every elementary cycle (Johnson-style DFS with a
-// blocked set) and returns the maximum cost/token ratio. Exponential; only
-// for small graphs, used as ground truth in tests and for the tiny
-// hand-worked examples of the paper.
-func (s *System) MaxRatioBrute() (Result, error) {
-	if err := s.Validate(); err != nil {
-		return Result{}, err
-	}
-	var (
-		found bool
-		best  rat.Rat
-		bestC []int
-	)
-	consider := func(cycle []int) error {
-		r, err := s.ratioOfCycle(cycle)
-		if err != nil {
-			return err
-		}
-		if !found || best.Less(r) {
-			best = r
-			bestC = append([]int(nil), cycle...)
-			found = true
-		}
-		return nil
-	}
-	if err := s.EnumerateElementaryCycles(consider); err != nil {
-		return Result{}, err
-	}
-	if !found {
-		return Result{}, ErrNoCycle
-	}
-	return Result{Ratio: best, Cycle: bestC}, nil
-}
-
 // EnumerateElementaryCycles calls fn for every elementary (simple) cycle of
 // the graph, passing the cycle as a slice of edge indices. Enumeration stops
 // early if fn returns an error.

@@ -31,42 +31,43 @@ func (s *System) MaxRatio() (Result, error) {
 }
 
 // MaxRatio computes the maximum cycle ratio of s on the workspace's reused
-// scratch. It is the same algorithm as System.MaxRatio with the same
-// iteration orders, so results — ratio and witness cycle — are
-// bit-identical; only the allocation behaviour differs. s is not mutated.
+// scratch: it compiles s's Plan into the workspace and evaluates it with
+// MaxRatioPlan. Results — ratio and witness cycle — are bit-identical to
+// System.MaxRatio; only the allocation behaviour differs. s is not mutated.
+func (ws *Workspace) MaxRatio(s *System) (Result, error) {
+	return ws.MaxRatioPlan(ws.Compile(s), s)
+}
+
+// MaxRatioPlan evaluates p, compiled from a system with s's structure, on
+// s's costs: the result MaxRatio(s) returns, ratio and witness, bit for
+// bit, and its errors.
 //
-// The sweep runs in one of two arithmetics, chosen by the input alone:
+// The sweep runs in one of two arithmetics, chosen by the costs alone:
 // scaled int64 integers when s passes the bound of scaleCosts (every
 // Table 2 system does), exact rationals otherwise. Both make the same
 // comparisons on the same values, so they pick the same maxima, the same
 // predecessors and the same witness; the ratio is formed through rat either
 // way, whose canonical form makes it bit-identical too.
-func (ws *Workspace) MaxRatio(s *System) (Result, error) {
+func (ws *Workspace) MaxRatioPlan(p *Plan, s *System) (Result, error) {
 	if err := negativeCost(s); err != nil {
 		return Result{}, err
 	}
-	if !ws.acyclic(s, true) {
-		return Result{}, ErrDeadlock
+	if p.err != nil {
+		return Result{}, p.err
 	}
 	ws.intMode = !ws.forceRat && ws.scaleCosts(s)
-	// No separate whole-graph acyclicity pass: an acyclic graph has only
-	// trivial components, none of which holds a token edge, so the loop
-	// below finds no cycle and reports ErrNoCycle.
-	comp, ncomp := ws.scc(s)
 	best := Result{}
 	found := false
-	for c := 0; c < ncomp; c++ {
-		lambda, witnessed, ok, err := ws.maxRatioSCC(s, comp, c)
-		if err != nil {
-			return Result{}, err
-		}
+	for i := range p.comps {
+		pc := &p.comps[i]
+		lambda, witnessed, ok := ws.sweep(s, pc)
 		if ok && (!found || best.Ratio.Less(lambda)) {
 			best = Result{Ratio: lambda}
 			if witnessed {
-				// The contraction state of component c is still in the
-				// workspace: rebuild the witness before the next component
-				// overwrites it.
-				best.Cycle = ws.witness(s)
+				// The component's distances are still in the workspace:
+				// rebuild the witness before the next component overwrites
+				// them.
+				best.Cycle = ws.witness(s, pc)
 			}
 			found = true
 		}
@@ -147,190 +148,181 @@ func (ws *Workspace) scaleCosts(s *System) bool {
 	return true
 }
 
+// Plan is the value-independent half of the contraction sweep for one
+// system structure, that is its edge list with endpoints, order and token
+// counts. It holds the outcome of the liveness check and, per strongly
+// connected component carrying a cycle, the contraction scaffold (token
+// edges, zero-token CSR, DAG order), the contracted edges, and the SCCs of
+// the token-expanded contracted graph with their hops in local ids.
+//
+// Compile builds it, and three sweeps read it: the exact one on scaled
+// int64 costs, the exact one in rationals (MaxRatioPlan picks between the
+// two by the costs) and the float screen (ApproxMaxRatioPlan); the witness
+// rebuild walks it back to system edges. Evaluation runs only the
+// arithmetic, in the order a fresh compile of the evaluated system would
+// give, so a plan compiled from one system serves every system of the same
+// structure with bit-identical results. A plan is read-only once compiled
+// and may be shared by workspaces.
+type Plan struct {
+	err   error // structural failure (ErrDeadlock), reported by every evaluation
+	comps []planComp
+	size  int
+}
+
+// planComp is one strongly connected component of the system carrying a
+// cycle.
+type planComp struct {
+	scc        int   // the component's id in Workspace.scc numbering
+	n          int   // local vertices
+	tokenEdges []int // system edge per token edge; its position is the contracted vertex
+	heads      []int // local head vertex per token edge
+	// Zero-token DAG over local vertices: CSR keyed by tail, with the head
+	// and the system edge of each item, its topological order and each
+	// vertex's position in it.
+	zeroStart, zeroSucc, zeroEdge []int
+	order, orderPos               []int
+	// Contracted edges in emission order; those leaving token edge pos are
+	// cedges[cstart[pos]:cstart[pos+1]].
+	cstart []int
+	cedges []contractedEdge
+	karp   []karpComp
+}
+
 // contractedEdge is an edge of the token-contracted graph: token edge
 // tokenEdges[from] followed by a longest zero-token path to local vertex v,
-// the tail of token edge tokenEdges[to]. Its cost lives in ws.ceInt or
-// ws.ceRat; the path itself is not stored (see witness).
+// the tail of token edge tokenEdges[to]. Its cost is computed per
+// evaluation; the path itself is not stored (see witness).
 type contractedEdge struct{ from, to, v int }
 
-// hop is an edge of the token-expanded contracted graph Karp runs on: every
-// hop carries one token, and ce is the contracted edge whose cost it
-// carries (-1 for the zero-cost hops of a multi-token edge).
+// karpComp is one SCC of the token-expanded contracted graph Karp runs on,
+// with n vertices.
+type karpComp struct {
+	n    int
+	hops []hop
+}
+
+// hop is an edge of a karpComp between local vertices: every hop carries
+// one token, and ce is the contracted edge whose cost it carries (-1 for the
+// zero-cost hops of a multi-token edge).
 type hop struct{ from, to, ce int }
 
-// maxRatioSCC contracts one strongly connected component and runs Karp on
-// it. ok reports a cycle; witnessed reports that ws.critCyc holds a
-// critical cycle of the contracted graph, for witness.
-func (ws *Workspace) maxRatioSCC(s *System, comp []int, c int) (lambda rat.Rat, witnessed, ok bool, err error) {
-	n, ok, err := ws.contractScaffold(s, comp, c)
-	if !ok || err != nil {
-		return rat.Rat{}, false, false, err
-	}
+// Size is the number of int table entries the plan holds, for callers that
+// bound a cache of plans.
+func (p *Plan) Size() int { return p.size }
 
-	// For each token edge, longest zero-token path from its head to every
-	// reachable vertex (DAG DP), generating contracted edges to every token
-	// edge tail reached.
-	ws.has = grow(ws.has, n)
-	ws.pred = grow(ws.pred, n)
-	if ws.intMode {
-		ws.idist = grow(ws.idist, n)
-		nz := len(ws.zeroEdges)
-		ws.zc = grow(ws.zc, nz)
-		for t, ei := range ws.zeroEdge[:nz] {
-			ws.zc[t] = ws.icost[ei]
-		}
-		ws.ceInt = ws.ceInt[:0]
-	} else {
-		ws.dist = grow(ws.dist, n)
-		ws.ceRat = ws.ceRat[:0]
-	}
-	ws.cedges = ws.cedges[:0]
-	for pos, ei := range ws.tokenEdges {
-		ws.zeroDP(s, ws.localID[s.G.Edges[ei].To], n)
-		for _, v := range ws.tailVerts {
-			if !ws.has[v] {
-				continue
-			}
-			for t := ws.tailStart[v]; t < ws.tailStart[v+1]; t++ {
-				ws.cedges = append(ws.cedges, contractedEdge{from: pos, to: ws.tailItems[t], v: v})
-				if ws.intMode {
-					ws.ceInt = append(ws.ceInt, ws.icost[ei]+ws.idist[v])
-				} else {
-					ws.ceRat = append(ws.ceRat, s.Cost[ei].Add(ws.dist[v]))
-				}
-			}
+// Compact returns a copy of p in exact-size storage, one backing array per
+// element type: a plan to keep beyond the next Compile on its workspace (a
+// cache entry) costs a handful of allocations and no append slack.
+func (p *Plan) Compact() *Plan {
+	var ints, nce, nkc, nh int
+	for i := range p.comps {
+		pc := &p.comps[i]
+		ints += len(pc.tokenEdges) + len(pc.heads) + len(pc.zeroStart) + len(pc.zeroSucc) +
+			len(pc.zeroEdge) + len(pc.order) + len(pc.orderPos) + len(pc.cstart)
+		nce += len(pc.cedges)
+		nkc += len(pc.karp)
+		for _, kc := range pc.karp {
+			nh += len(kc.hops)
 		}
 	}
-	if len(ws.cedges) == 0 {
-		return rat.Rat{}, false, false, nil
+	q := &Plan{err: p.err, size: p.size, comps: make([]planComp, len(p.comps))}
+	intArena := make([]int, 0, ints)
+	ceArena := make([]contractedEdge, 0, nce)
+	kcArena := make([]karpComp, 0, nkc)
+	hopArena := make([]hop, 0, nh)
+	for i := range p.comps {
+		pc, qc := &p.comps[i], &q.comps[i]
+		qc.scc, qc.n = pc.scc, pc.n
+		qc.tokenEdges = carve(&intArena, pc.tokenEdges)
+		qc.heads = carve(&intArena, pc.heads)
+		qc.zeroStart = carve(&intArena, pc.zeroStart)
+		qc.zeroSucc = carve(&intArena, pc.zeroSucc)
+		qc.zeroEdge = carve(&intArena, pc.zeroEdge)
+		qc.order = carve(&intArena, pc.order)
+		qc.orderPos = carve(&intArena, pc.orderPos)
+		qc.cstart = carve(&intArena, pc.cstart)
+		qc.cedges = carve(&ceArena, pc.cedges)
+		qc.karp = carve(&kcArena, pc.karp)
+		for k := range qc.karp {
+			qc.karp[k].hops = carve(&hopArena, pc.karp[k].hops)
+		}
 	}
-
-	// Expand multi-token contracted edges so Karp's uniform-token assumption
-	// holds. (The paper's TPNs only use single-token places; this keeps the
-	// engine general.)
-	var nv int
-	ws.hops, nv = expandTokens(ws.hops[:0], ws.cedges, ws.tokenEdges, s.Tokens)
-	lambda, witnessed, ok = ws.karpMaxMean(nv)
-	return lambda, witnessed, ok, nil
+	return q
 }
 
-// zeroDP runs the longest zero-token path DP from local vertex head over
-// the component's DAG, relaxing the edges out of the vertices before
-// position end of the topological order: afterwards has marks the vertices
-// reached, dist (or idist) holds their distances, and pred the CSR item of
-// the zero edge that last improved each one (-1 at head). Entries are final
-// for every vertex up to order[end], whose predecessors all come earlier.
-// The contraction sweep runs it once per token edge over the whole order,
-// the witness rebuild once per token edge of the critical cycle, up to the
-// path's end; it is the same DP with the same order and tie-breaks both
-// times.
-func (ws *Workspace) zeroDP(s *System, head, end int) {
-	clear(ws.has[:len(ws.verts)])
-	ws.has[head] = true
-	ws.pred[head] = -1
-	order := ws.order[ws.orderPos[head]:end]
-	if ws.intMode {
-		ws.zeroDPInt(head, order)
-	} else {
-		ws.zeroDPRat(s, head, order)
-	}
+// carve appends src to the arena and returns the appended part, capped so
+// that it cannot grow into its neighbour.
+func carve[T any](arena *[]T, src []T) []T {
+	start := len(*arena)
+	*arena = append(*arena, src...)
+	return (*arena)[start:len(*arena):len(*arena)]
 }
 
-// zeroDPInt is zeroDP's relax loop on scaled int64 costs (no overflow: see
-// scaleCosts).
-func (ws *Workspace) zeroDPInt(head int, order []int) {
-	dist, has, pred := ws.idist, ws.has, ws.pred
-	dist[head] = 0
-	for _, u := range order {
-		if !has[u] {
+// Compile compiles the contraction structure of s into the workspace's
+// scratch plan and returns it. s's costs are not read. The plan stays valid
+// until the next Compile on ws, which MaxRatio and ApproxMaxRatio also run;
+// Compact copies it out for keeps.
+func (ws *Workspace) Compile(s *System) *Plan {
+	p := &ws.plan
+	p.err = nil
+	p.comps = p.comps[:0]
+	p.size = 0
+	if !ws.acyclic(s, true) {
+		p.err = ErrDeadlock
+		return p
+	}
+	// No separate whole-graph acyclicity pass: an acyclic graph has only
+	// trivial components, none of which holds a token edge, so the plan has
+	// no component and evaluation reports ErrNoCycle.
+	comp, ncomp := ws.scc(s)
+	for c := 0; c < ncomp; c++ {
+		if len(p.comps) == cap(p.comps) {
+			p.comps = append(p.comps, planComp{})
+		} else {
+			p.comps = p.comps[:len(p.comps)+1]
+		}
+		pc := &p.comps[len(p.comps)-1]
+		ok, err := ws.contractScaffold(s, comp, c, pc)
+		if err != nil {
+			p.err = err
+			return p
+		}
+		if !ok || !ws.contractEdges(s, pc) {
+			p.comps = p.comps[:len(p.comps)-1]
 			continue
 		}
-		du := dist[u]
-		for t := ws.zeroStart[u]; t < ws.zeroStart[u+1]; t++ {
-			to := ws.zeroSucc[t]
-			cand := du + ws.zc[t]
-			if !has[to] || dist[to] < cand {
-				dist[to] = cand
-				has[to] = true
-				pred[to] = t
-			}
+		p.size += 2*len(pc.tokenEdges) + len(pc.cstart) + len(pc.zeroStart) + 2*len(pc.zeroSucc) + 2*pc.n + 3*len(pc.cedges)
+		for _, kc := range pc.karp {
+			p.size += 3 * len(kc.hops)
 		}
 	}
+	return p
 }
 
-// zeroDPRat is zeroDP's relax loop in exact rationals.
-func (ws *Workspace) zeroDPRat(s *System, head int, order []int) {
-	dist, has, pred := ws.dist, ws.has, ws.pred
-	dist[head] = rat.Zero()
-	for _, u := range order {
-		if !has[u] {
-			continue
-		}
-		for t := ws.zeroStart[u]; t < ws.zeroStart[u+1]; t++ {
-			to := ws.zeroSucc[t]
-			cand := dist[u].Add(s.Cost[ws.zeroEdge[t]])
-			if !has[to] || dist[to].Less(cand) {
-				dist[to] = cand
-				has[to] = true
-				pred[to] = t
-			}
-		}
-	}
-}
-
-// witness translates the critical contracted cycle in ws.critCyc back to
-// system edges: per contracted edge, its token edge, then the zero-token
-// path, recovered by re-running that token edge's zeroDP and walking pred
-// back. The sweep kept no paths; only the cycle's token edges pay the DP a
-// second time. The result is allocated once, at its final size.
-func (ws *Workspace) witness(s *System) []int {
-	ws.witTmp = ws.witTmp[:0]
-	for _, hi := range ws.critCyc {
-		ce := ws.hops[hi].ce
-		if ce < 0 {
-			continue
-		}
-		e := ws.cedges[ce]
-		ei := ws.tokenEdges[e.from]
-		ws.witTmp = append(ws.witTmp, ei)
-		ws.zeroDP(s, ws.localID[s.G.Edges[ei].To], ws.orderPos[e.v])
-		start := len(ws.witTmp)
-		for x := e.v; ws.pred[x] != -1; {
-			ze := ws.zeroEdge[ws.pred[x]]
-			ws.witTmp = append(ws.witTmp, ze)
-			x = ws.localID[s.G.Edges[ze].From]
-		}
-		slices.Reverse(ws.witTmp[start:])
-	}
-	return append(make([]int, 0, len(ws.witTmp)), ws.witTmp...)
-}
-
-// contractScaffold builds the structural state both the exact and the float
-// contraction sweeps run on: the component's token/zero edge lists, the local
-// vertex numbering, the zero-token DAG adjacency with its topological order
-// (ws.order), and the token-edge tail CSR. Keeping it in one place guarantees
-// the two sweeps walk identical structures in identical orders — the float
-// path's error bounds are only claims about the exact path if the candidate
-// sets match edge for edge. It returns the local vertex count; ok is false
-// when the component carries no token edge (no cycle to contribute).
-func (ws *Workspace) contractScaffold(s *System, comp []int, c int) (n int, ok bool, err error) {
+// contractScaffold fills the structural half of component c of s into pc:
+// its token edges, the local vertex numbering, the zero-token DAG adjacency
+// with its topological order, and (in workspace scratch, for contractEdges)
+// the token-edge tail CSR. ok is false when the component carries no token
+// edge (no cycle to contribute).
+func (ws *Workspace) contractScaffold(s *System, comp []int, c int, pc *planComp) (ok bool, err error) {
 	// Intra-component edges, split into token edges and zero-token edges.
-	ws.tokenEdges = ws.tokenEdges[:0]
+	pc.scc = c
+	pc.tokenEdges = pc.tokenEdges[:0]
 	ws.zeroEdges = ws.zeroEdges[:0]
 	for i, e := range s.G.Edges {
 		if comp[e.From] != c || comp[e.To] != c {
 			continue
 		}
 		if s.Tokens[e.ID] > 0 {
-			ws.tokenEdges = append(ws.tokenEdges, i)
+			pc.tokenEdges = append(pc.tokenEdges, i)
 		} else {
 			ws.zeroEdges = append(ws.zeroEdges, i)
 		}
 	}
-	if len(ws.tokenEdges) == 0 {
+	if len(pc.tokenEdges) == 0 {
 		// Component with no token edge: acyclic by liveness (validated), so
 		// it contributes no cycle.
-		return 0, false, nil
+		return false, nil
 	}
 
 	// Map component vertices to local ids (first-seen order: token edge
@@ -349,7 +341,7 @@ func (ws *Workspace) contractScaffold(s *System, comp []int, c int) (n int, ok b
 		ws.verts = append(ws.verts, v)
 		return id
 	}
-	for _, ei := range ws.tokenEdges {
+	for _, ei := range pc.tokenEdges {
 		local(s.G.Edges[ei].From)
 		local(s.G.Edges[ei].To)
 	}
@@ -357,44 +349,48 @@ func (ws *Workspace) contractScaffold(s *System, comp []int, c int) (n int, ok b
 		local(s.G.Edges[ei].From)
 		local(s.G.Edges[ei].To)
 	}
-	n = len(ws.verts)
+	n := len(ws.verts)
+	pc.n = n
 
 	// Zero-token DAG adjacency over local vertices and its topological order.
 	nz := len(ws.zeroEdges)
-	ws.zeroStart = grow(ws.zeroStart, n+1)
-	ws.zeroEdge = grow(ws.zeroEdge, nz)
+	pc.zeroStart = grow(pc.zeroStart, n+1)
+	pc.zeroEdge = grow(pc.zeroEdge, nz)
 	ws.keyTmp = grow(ws.keyTmp, nz)
 	for j, ei := range ws.zeroEdges {
 		ws.keyTmp[j] = ws.localID[s.G.Edges[ei].From]
 	}
-	ws.fillCSR(ws.zeroStart, ws.zeroEdge, n, ws.keyTmp[:nz], ws.zeroEdges)
+	ws.fillCSR(pc.zeroStart, pc.zeroEdge, n, ws.keyTmp[:nz], ws.zeroEdges)
 	// Successor view of the same CSR (parallel to zeroEdge), so the one Kahn
 	// implementation serves both the acyclicity checks and this topological
 	// order — the ordering discipline witness tie-breaking depends on lives
 	// in exactly one place.
-	ws.zeroSucc = grow(ws.zeroSucc, nz)
-	for t, ei := range ws.zeroEdge[:nz] {
-		ws.zeroSucc[t] = ws.localID[s.G.Edges[ei].To]
+	pc.zeroSucc = grow(pc.zeroSucc, nz)
+	for t, ei := range pc.zeroEdge {
+		pc.zeroSucc[t] = ws.localID[s.G.Edges[ei].To]
 	}
-	if ws.kahn(n, ws.zeroStart, ws.zeroSucc) != n {
-		return 0, false, ErrDeadlock
+	if ws.kahn(n, pc.zeroStart, pc.zeroSucc) != n {
+		return false, ErrDeadlock
 	}
 	// A DP from a token edge's head only reaches vertices after the head in
-	// this order, so both sweeps start their DAG pass at the head's position.
-	ws.orderPos = grow(ws.orderPos, n)
-	for k, v := range ws.order {
-		ws.orderPos[v] = k
+	// this order, so every sweep starts its DAG pass at the head's position.
+	pc.order = append(pc.order[:0], ws.order...)
+	pc.orderPos = grow(pc.orderPos, n)
+	for k, v := range pc.order {
+		pc.orderPos[v] = k
 	}
 
-	// Tails of token edges, for quick "is this vertex a contraction target",
-	// and the tail vertices in ascending order, the order both sweeps emit
-	// contracted edges in.
-	nt := len(ws.tokenEdges)
+	// Heads of token edges, where the DPs start, and their tails as a CSR
+	// keyed by local vertex, with the tail vertices in ascending order, the
+	// order contracted edges are emitted in.
+	nt := len(pc.tokenEdges)
+	pc.heads = grow(pc.heads, nt)
 	ws.tailStart = grow(ws.tailStart, n+1)
 	ws.tailItems = grow(ws.tailItems, nt)
 	ws.keyTmp = grow(ws.keyTmp, nt)
 	ws.valTmp = grow(ws.valTmp, nt)
-	for j, ei := range ws.tokenEdges {
+	for j, ei := range pc.tokenEdges {
+		pc.heads[j] = ws.localID[s.G.Edges[ei].To]
 		ws.keyTmp[j] = ws.localID[s.G.Edges[ei].From]
 		ws.valTmp[j] = j
 	}
@@ -405,7 +401,96 @@ func (ws *Workspace) contractScaffold(s *System, comp []int, c int) (n int, ok b
 			ws.tailVerts = append(ws.tailVerts, v)
 		}
 	}
-	return n, true, nil
+	return true, nil
+}
+
+// contractEdges completes pc from its scaffold: the contracted edges — per
+// token edge, one to every token-edge tail its zero-token paths reach, in
+// ascending tail order — and the SCCs of their token expansion. ok is false
+// when no token edge reaches a tail (no contracted edge, no cycle).
+func (ws *Workspace) contractEdges(s *System, pc *planComp) bool {
+	n, nt := pc.n, len(pc.tokenEdges)
+	// Which tails every vertex reaches on zero-token paths, as bitsets over
+	// the tail vertices (bit i stands for tailVerts[i]), in one pass against
+	// the DAG order: a vertex reaches what its successors reach, and itself
+	// when it is a tail. A token edge's head reaches exactly the tails its
+	// value DP will touch.
+	nw := (len(ws.tailVerts) + 63) / 64
+	ws.tailRank = grow(ws.tailRank, n)
+	for v := range ws.tailRank {
+		ws.tailRank[v] = -1
+	}
+	for i, v := range ws.tailVerts {
+		ws.tailRank[v] = i
+	}
+	ws.reach = grow(ws.reach, n*nw)
+	for k := n - 1; k >= 0; k-- {
+		u := pc.order[k]
+		row := ws.reach[u*nw : (u+1)*nw]
+		clear(row)
+		if i := ws.tailRank[u]; i >= 0 {
+			row[i/64] |= 1 << (i % 64)
+		}
+		for _, to := range pc.zeroSucc[pc.zeroStart[u]:pc.zeroStart[u+1]] {
+			for w, x := range ws.reach[to*nw : (to+1)*nw] {
+				row[w] |= x
+			}
+		}
+	}
+	pc.cstart = grow(pc.cstart, nt+1)
+	pc.cedges = pc.cedges[:0]
+	for pos, head := range pc.heads {
+		pc.cstart[pos] = len(pc.cedges)
+		for w, x := range ws.reach[head*nw : (head+1)*nw] {
+			for ; x != 0; x &= x - 1 {
+				v := ws.tailVerts[w*64+bits.TrailingZeros64(x)]
+				for _, to := range ws.tailItems[ws.tailStart[v]:ws.tailStart[v+1]] {
+					pc.cedges = append(pc.cedges, contractedEdge{from: pos, to: to, v: v})
+				}
+			}
+		}
+	}
+	pc.cstart[nt] = len(pc.cedges)
+	if len(pc.cedges) == 0 {
+		return false
+	}
+
+	// Expand multi-token contracted edges so Karp's uniform-token assumption
+	// holds (the paper's TPNs only use single-token places; this keeps the
+	// engine general), then keep each SCC of the expansion with a hop inside
+	// it, renumbered to local ids.
+	var nv int
+	ws.hops, nv = expandTokens(ws.hops[:0], pc.cedges, pc.tokenEdges, s.Tokens)
+	kcomp, nkc := ws.hopSCC(nv)
+	ws.karpID = grow(ws.karpID, nv)
+	pc.karp = pc.karp[:0]
+	for c := 0; c < nkc; c++ {
+		local := 0
+		for v := 0; v < nv; v++ {
+			ws.karpID[v] = -1
+			if kcomp[v] == c {
+				ws.karpID[v] = local
+				local++
+			}
+		}
+		if len(pc.karp) == cap(pc.karp) {
+			pc.karp = append(pc.karp, karpComp{})
+		} else {
+			pc.karp = pc.karp[:len(pc.karp)+1]
+		}
+		kc := &pc.karp[len(pc.karp)-1]
+		kc.n = local
+		kc.hops = kc.hops[:0]
+		for _, e := range ws.hops {
+			if kcomp[e.from] == c && kcomp[e.to] == c {
+				kc.hops = append(kc.hops, hop{ws.karpID[e.from], ws.karpID[e.to], e.ce})
+			}
+		}
+		if len(kc.hops) == 0 {
+			pc.karp = pc.karp[:len(pc.karp)-1] // trivial SCC without self loop
+		}
+	}
+	return true
 }
 
 // expandTokens appends to hops the token expansion of cedges: a contracted
@@ -449,53 +534,155 @@ func (ws *Workspace) hopSCC(nv int) ([]int, int) {
 	return ws.sccKarp.run(nv, ws.karpStart, ws.karpSucc)
 }
 
-// karpMaxMean computes the maximum mean-weight cycle over the nv-vertex
-// graph in ws.hops exactly, per SCC. witnessed reports that ws.critCyc
-// holds a maximum mean cycle (hop indices).
-func (ws *Workspace) karpMaxMean(nv int) (best rat.Rat, witnessed, found bool) {
-	comp, ncomp := ws.hopSCC(nv)
-	for c := 0; c < ncomp; c++ {
-		lambda, cyc, ok := ws.karpSCC(comp, c, nv)
-		if ok && (!found || best.Less(lambda)) {
-			best, found = lambda, true
-			witnessed = cyc
-			if cyc {
-				ws.critCyc = append(ws.critCyc[:0], ws.kcyc...)
+// sweep evaluates one compiled component on s's costs, in the arithmetic
+// MaxRatioPlan chose: the longest zero-token path DP from every token
+// edge's head prices the contracted edges, then Karp runs on every SCC of
+// their token expansion. ok reports a cycle; witnessed reports that
+// ws.critCyc holds the contracted edges of a critical cycle, for witness.
+func (ws *Workspace) sweep(s *System, pc *planComp) (lambda rat.Rat, witnessed, ok bool) {
+	n, nc := pc.n, len(pc.cedges)
+	ws.has = grow(ws.has, n)
+	ws.pred = grow(ws.pred, n)
+	if ws.intMode {
+		ws.idist = grow(ws.idist, n)
+		ws.zc = grow(ws.zc, len(pc.zeroEdge))
+		for t, ei := range pc.zeroEdge {
+			ws.zc[t] = ws.icost[ei]
+		}
+		ws.ceInt = grow(ws.ceInt, nc)
+	} else {
+		ws.dist = grow(ws.dist, n)
+		ws.ceRat = grow(ws.ceRat, nc)
+	}
+	for pos, ei := range pc.tokenEdges {
+		ws.zeroDP(s, pc, pc.heads[pos], n)
+		for k := pc.cstart[pos]; k < pc.cstart[pos+1]; k++ {
+			v := pc.cedges[k].v
+			if ws.intMode {
+				ws.ceInt[k] = ws.icost[ei] + ws.idist[v]
+			} else {
+				ws.ceRat[k] = s.Cost[ei].Add(ws.dist[v])
 			}
 		}
 	}
-	return best, witnessed, found
+	for i := range pc.karp {
+		kc := &pc.karp[i]
+		l, cyc, kok := ws.karpSCC(kc)
+		if !kok || (ok && !lambda.Less(l)) {
+			continue
+		}
+		lambda, witnessed, ok = l, cyc, true
+		if cyc {
+			ws.critCyc = ws.critCyc[:0]
+			for _, j := range ws.kcyc {
+				if ce := kc.hops[j].ce; ce >= 0 {
+					ws.critCyc = append(ws.critCyc, ce)
+				}
+			}
+		}
+	}
+	return lambda, witnessed, ok
 }
 
-// karpSCC runs Karp's algorithm on one strongly connected component of the
-// expanded contracted graph. cyc reports that ws.kcyc holds a cycle of mean
-// λ*.
-func (ws *Workspace) karpSCC(comp []int, c, nverts int) (lambda rat.Rat, cyc, ok bool) {
-	n := 0 // the component's vertex count
-	ws.karpID = grow(ws.karpID, nverts)
-	for v := 0; v < nverts; v++ {
-		ws.karpID[v] = -1
-		if comp[v] == c {
-			ws.karpID[v] = n
-			n++
-		}
+// zeroDP runs the longest zero-token path DP of pc from local vertex head
+// over the component's DAG, relaxing the edges out of the vertices before
+// position end of the topological order: afterwards has marks the vertices
+// reached, dist (or idist) holds their distances, and pred the CSR item of
+// the zero edge that last improved each one (-1 at head). Entries are final
+// for every vertex up to order[end], whose predecessors all come earlier.
+// The sweep runs it once per token edge over the whole order, the witness
+// rebuild once per token edge of the critical cycle, up to the path's end;
+// it is the same DP with the same order and tie-breaks both times.
+func (ws *Workspace) zeroDP(s *System, pc *planComp, head, end int) {
+	clear(ws.has[:pc.n])
+	ws.has[head] = true
+	ws.pred[head] = -1
+	order := pc.order[pc.orderPos[head]:end]
+	if ws.intMode {
+		ws.zeroDPInt(pc, head, order)
+	} else {
+		ws.zeroDPRat(s, pc, head, order)
 	}
-	ws.karpWithin = ws.karpWithin[:0]
-	ws.karpU, ws.karpV = ws.karpU[:0], ws.karpV[:0]
-	for i, e := range ws.hops {
-		if comp[e.from] == c && comp[e.to] == c {
-			ws.karpWithin = append(ws.karpWithin, i)
-			ws.karpU = append(ws.karpU, ws.karpID[e.from])
-			ws.karpV = append(ws.karpV, ws.karpID[e.to])
-		}
-	}
-	if len(ws.karpWithin) == 0 {
-		return rat.Rat{}, false, false // trivial SCC without self loop
-	}
+}
 
+// zeroDPInt is zeroDP's relax loop on scaled int64 costs (no overflow: see
+// scaleCosts).
+func (ws *Workspace) zeroDPInt(pc *planComp, head int, order []int) {
+	dist, has, pred := ws.idist, ws.has, ws.pred
+	start, succ, zc := pc.zeroStart, pc.zeroSucc, ws.zc
+	dist[head] = 0
+	for _, u := range order {
+		if !has[u] {
+			continue
+		}
+		du := dist[u]
+		for t := start[u]; t < start[u+1]; t++ {
+			to := succ[t]
+			cand := du + zc[t]
+			if !has[to] || dist[to] < cand {
+				dist[to] = cand
+				has[to] = true
+				pred[to] = t
+			}
+		}
+	}
+}
+
+// zeroDPRat is zeroDP's relax loop in exact rationals.
+func (ws *Workspace) zeroDPRat(s *System, pc *planComp, head int, order []int) {
+	dist, has, pred := ws.dist, ws.has, ws.pred
+	start, succ := pc.zeroStart, pc.zeroSucc
+	dist[head] = rat.Zero()
+	for _, u := range order {
+		if !has[u] {
+			continue
+		}
+		for t := start[u]; t < start[u+1]; t++ {
+			to := succ[t]
+			cand := dist[u].Add(s.Cost[pc.zeroEdge[t]])
+			if !has[to] || dist[to].Less(cand) {
+				dist[to] = cand
+				has[to] = true
+				pred[to] = t
+			}
+		}
+	}
+}
+
+// witness translates the critical cycle in ws.critCyc, a list of contracted
+// edges of pc, back to system edges: per contracted edge, its token edge,
+// then the zero-token path, recovered by re-running that token edge's
+// zeroDP and walking pred back. The sweep kept no paths; only the cycle's
+// token edges pay the DP a second time. The result is allocated once, at its
+// final size.
+func (ws *Workspace) witness(s *System, pc *planComp) []int {
+	ws.witTmp = ws.witTmp[:0]
+	for _, ce := range ws.critCyc {
+		e := pc.cedges[ce]
+		ws.witTmp = append(ws.witTmp, pc.tokenEdges[e.from])
+		ws.zeroDP(s, pc, pc.heads[e.from], pc.orderPos[e.v])
+		start := len(ws.witTmp)
+		for x := e.v; ws.pred[x] != -1; {
+			t := ws.pred[x]
+			ws.witTmp = append(ws.witTmp, pc.zeroEdge[t])
+			// Item t's tail is the vertex whose CSR range holds it: the
+			// last one starting at or before t.
+			x, _ = slices.BinarySearch(pc.zeroStart[:pc.n+1], t+1)
+			x--
+		}
+		slices.Reverse(ws.witTmp[start:])
+	}
+	return append(make([]int, 0, len(ws.witTmp)), ws.witTmp...)
+}
+
+// karpSCC runs Karp's algorithm on one SCC of the expanded contracted
+// graph. cyc reports that ws.kcyc holds a cycle of mean λ* (indices into
+// kc.hops).
+func (ws *Workspace) karpSCC(kc *karpComp) (lambda rat.Rat, cyc, ok bool) {
 	// D[k][v] = max weight of a k-edge progression from source to v,
 	// flattened row-major into reused tables; parent[k][v] is the hop that
 	// last improved it.
+	n := kc.n
 	size := (n + 1) * n
 	ws.kHas = grow(ws.kHas, size)
 	ws.kParent = grow(ws.kParent, size)
@@ -503,9 +690,9 @@ func (ws *Workspace) karpSCC(comp []int, c, nverts int) (lambda rat.Rat, cyc, ok
 	ws.kHas[0] = true
 	var bestV int
 	if ws.intMode {
-		lambda, bestV, ok = ws.karpInt(n)
+		lambda, bestV, ok = ws.karpInt(kc)
 	} else {
-		lambda, bestV, ok = ws.karpRat(n)
+		lambda, bestV, ok = ws.karpRat(kc)
 	}
 	if !ok {
 		return rat.Rat{}, false, false
@@ -513,13 +700,13 @@ func (ws *Workspace) karpSCC(comp []int, c, nverts int) (lambda rat.Rat, cyc, ok
 
 	// Witness: walk the n-edge progression ending at bestV back; some vertex
 	// repeats, and the enclosed sub-walk is a maximum mean cycle.
-	ws.pathV = grow(ws.pathV, n+1) // local vertices along the progression
+	ws.pathV = grow(ws.pathV, n+1) // vertices along the progression
 	ws.pathE = grow(ws.pathE, n+1) // hop arriving at pathV[k]
 	ws.pathV[n] = bestV
 	for k := n; k >= 1; k-- {
-		hi := ws.kParent[k*n+ws.pathV[k]]
-		ws.pathE[k] = hi
-		ws.pathV[k-1] = ws.karpID[ws.hops[hi].from]
+		j := ws.kParent[k*n+ws.pathV[k]]
+		ws.pathE[k] = j
+		ws.pathV[k-1] = kc.hops[j].from
 	}
 	ws.seenPos = grow(ws.seenPos, n)
 	for i := 0; i < n; i++ {
@@ -540,37 +727,39 @@ func (ws *Workspace) karpSCC(comp []int, c, nverts int) (lambda rat.Rat, cyc, ok
 	// tie situations; recompute its mean and, if it is below λ*, keep λ*
 	// (which is correct) but drop the witness — the caller then recovers
 	// one from the tight subgraph.
-	return lambda, ws.cycleMean().Equal(lambda), true
+	return lambda, ws.cycleMean(kc).Equal(lambda), true
 }
 
 // karpInt fills the Karp table on scaled int64 costs and evaluates
 // λ* = max_v min_k (D[n][v]−D[k][v])/(n−k), comparing the fractions by
 // 128-bit cross products. No table entry overflows (see scaleCosts).
-func (ws *Workspace) karpInt(n int) (rat.Rat, int, bool) {
+func (ws *Workspace) karpInt(kc *karpComp) (rat.Rat, int, bool) {
+	n := kc.n
 	size := (n + 1) * n
 	D, has, parent := grow(ws.kI, size), ws.kHas, ws.kParent
 	ws.kI = D
-	cost := grow(ws.kc, len(ws.karpWithin))
+	cost := grow(ws.kc, len(kc.hops))
 	ws.kc = cost
-	for j, hi := range ws.karpWithin {
+	for j, h := range kc.hops {
 		cost[j] = 0
-		if ce := ws.hops[hi].ce; ce >= 0 {
-			cost[j] = ws.ceInt[ce]
+		if h.ce >= 0 {
+			cost[j] = ws.ceInt[h.ce]
 		}
 	}
 	D[0] = 0
 	for k := 1; k <= n; k++ {
 		row, prev := k*n, (k-1)*n
-		for j, hi := range ws.karpWithin {
-			u := prev + ws.karpU[j]
+		for j := range kc.hops {
+			h := &kc.hops[j]
+			u := prev + h.from
 			if !has[u] {
 				continue
 			}
 			cand := D[u] + cost[j]
-			if v := row + ws.karpV[j]; !has[v] || D[v] < cand {
+			if v := row + h.to; !has[v] || D[v] < cand {
 				D[v] = cand
 				has[v] = true
-				parent[v] = hi
+				parent[v] = j
 			}
 		}
 	}
@@ -608,26 +797,28 @@ func (ws *Workspace) karpInt(n int) (rat.Rat, int, bool) {
 }
 
 // karpRat is karpInt in exact rationals.
-func (ws *Workspace) karpRat(n int) (rat.Rat, int, bool) {
+func (ws *Workspace) karpRat(kc *karpComp) (rat.Rat, int, bool) {
+	n := kc.n
 	size := (n + 1) * n
 	D, has, parent := grow(ws.kD, size), ws.kHas, ws.kParent
 	ws.kD = D
 	D[0] = rat.Zero()
 	for k := 1; k <= n; k++ {
 		row, prev := k*n, (k-1)*n
-		for j, hi := range ws.karpWithin {
-			u := prev + ws.karpU[j]
+		for j := range kc.hops {
+			h := &kc.hops[j]
+			u := prev + h.from
 			if !has[u] {
 				continue
 			}
 			cand := D[u]
-			if ce := ws.hops[hi].ce; ce >= 0 {
-				cand = cand.Add(ws.ceRat[ce])
+			if h.ce >= 0 {
+				cand = cand.Add(ws.ceRat[h.ce])
 			}
-			if v := row + ws.karpV[j]; !has[v] || D[v].Less(cand) {
+			if v := row + h.to; !has[v] || D[v].Less(cand) {
 				D[v] = cand
 				has[v] = true
-				parent[v] = hi
+				parent[v] = j
 			}
 		}
 	}
@@ -665,20 +856,20 @@ func (ws *Workspace) karpRat(n int) (rat.Rat, int, bool) {
 }
 
 // cycleMean returns the mean hop cost of the cycle in ws.kcyc.
-func (ws *Workspace) cycleMean() rat.Rat {
+func (ws *Workspace) cycleMean(kc *karpComp) rat.Rat {
 	hops := int64(len(ws.kcyc))
 	if ws.intMode {
 		var sum int64
-		for _, hi := range ws.kcyc {
-			if ce := ws.hops[hi].ce; ce >= 0 {
+		for _, j := range ws.kcyc {
+			if ce := kc.hops[j].ce; ce >= 0 {
 				sum += ws.ceInt[ce]
 			}
 		}
 		return rat.New(sum, hops).DivInt(ws.scale)
 	}
 	sum := rat.Zero()
-	for _, hi := range ws.kcyc {
-		if ce := ws.hops[hi].ce; ce >= 0 {
+	for _, j := range ws.kcyc {
+		if ce := kc.hops[j].ce; ce >= 0 {
 			sum = sum.Add(ws.ceRat[ce])
 		}
 	}

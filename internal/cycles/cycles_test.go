@@ -168,7 +168,7 @@ func TestWitnessAchievesRatio(t *testing.T) {
 	if res.Cycle == nil {
 		t.Fatal("no witness returned")
 	}
-	got, err := s.ratioOfCycle(res.Cycle)
+	got, err := s.CycleRatio(res.Cycle)
 	if err != nil {
 		t.Fatal(err)
 	}

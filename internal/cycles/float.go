@@ -6,11 +6,12 @@ import (
 	"repro/internal/rat"
 )
 
-// This file is the float-screening tier (Backend float-screen): a float64
-// re-run of the contraction + Karp sweep that returns an approximate maximum
-// cycle ratio TOGETHER with a rigorous forward-error bound. The point is not
-// the approximation — it is the certificate attached to it: the exact ratio
-// provably lies in [Ratio-Err, Err+Ratio], so a caller ranking candidates can
+// This file is the float-screening tier (Backend float-screen): the
+// contraction + Karp sweep in float64, over the Plan the exact sweep reads,
+// returning an approximate maximum cycle ratio TOGETHER with a rigorous
+// forward-error bound. The point is not the approximation — it is the
+// certificate attached to it: the exact ratio provably lies in
+// [Ratio-Err, Err+Ratio], so a caller ranking candidates can
 // discard in float everything whose enclosure cannot beat an exact incumbent
 // and pay exact arithmetic only for the ambiguous band. Every discard is
 // justified by an exact-rational comparison of enclosure endpoints (floats
@@ -136,7 +137,7 @@ func (r FloatResult) AtLeast(x rat.Rat) bool {
 func (r FloatResult) DivInt(m int64) FloatResult {
 	f := float64(m)
 	if m <= 0 || int64(f) != m {
-		return FloatResult{Ratio: math.Inf(1), Err: math.Inf(1)}
+		return poisoned()
 	}
 	q := r.Ratio / f
 	return FloatResult{Ratio: q, Err: propagate(r.Err/f, 0, q)}
@@ -179,199 +180,23 @@ func MaxFloat(a, b FloatResult) FloatResult {
 // bound its own error.
 func poisoned() FloatResult { return FloatResult{Ratio: math.Inf(1), Err: math.Inf(1)} }
 
-// ApproxMaxRatio computes a float64 approximation of the maximum cycle ratio
-// with a rigorous error bound, allocating a fresh Workspace; hot loops use
-// Workspace.ApproxMaxRatio.
-func (s *System) ApproxMaxRatio() (FloatResult, error) {
-	var ws Workspace
-	return ws.ApproxMaxRatio(s)
-}
-
 // ApproxMaxRatio runs the float-screening sweep on the workspace's reused
-// scratch: the same contraction + Karp pipeline as MaxRatio (same SCCs, same
-// local numbering, same DAG orders — shared scaffolding code), with flat
-// float64 tables in place of the exact rational ones and a parallel running
-// error bound per table entry. The returned enclosure always contains the
-// exact MaxRatio/MaxRatioHoward ratio; structural failures (ErrNoCycle,
-// ErrDeadlock, negative costs) are reported exactly as the exact engines
-// report them, so a screened caller sees errors if and only if an exact
-// caller would. It compiles s's FloatPlan into workspace scratch and
-// evaluates it; callers that meet the same structure repeatedly keep the
-// plan (CompileFloat) and call ApproxMaxRatioPlan.
+// scratch: it compiles s's Plan, the one the exact sweep reads, and
+// evaluates it with ApproxMaxRatioPlan — same SCCs, same local numbering,
+// same DAG orders, with flat float64 tables in place of the exact ones and a
+// parallel running error bound per table entry. The returned enclosure
+// always contains the exact MaxRatio/MaxRatioHoward ratio; structural
+// failures (ErrNoCycle, ErrDeadlock, negative costs) are reported exactly as
+// the exact engines report them, so a screened caller sees errors if and
+// only if an exact caller would.
 func (ws *Workspace) ApproxMaxRatio(s *System) (FloatResult, error) {
-	ws.CompileFloat(s, &ws.fplan)
-	return ws.ApproxMaxRatioPlan(&ws.fplan, s)
+	return ws.ApproxMaxRatioPlan(ws.Compile(s), s)
 }
 
-// FloatPlan is the value-independent half of the float sweep for one system
-// structure — its edge list with endpoints, order and token counts. It
-// holds the outcome of the liveness check, the SCCs, every component's
-// contraction scaffold, the zero-token reachability of every token edge
-// (which contracted edges exist) and the SCCs of the contracted Karp graph.
-// Evaluating a plan (ApproxMaxRatioPlan) runs only the arithmetic, in the
-// same order as a fresh sweep, so the enclosure is bit-identical to
-// ApproxMaxRatio on the same system. A plan is read-only once compiled and
-// may be shared by workspaces.
-type FloatPlan struct {
-	err   error // structural failure (ErrDeadlock), reported by every evaluation
-	comps []floatComp
-	size  int
-}
-
-// floatComp is one strongly connected component carrying a cycle.
-type floatComp struct {
-	n          int   // local vertices
-	tokenEdges []int // system edge per token edge; its position is the contracted vertex
-	heads      []int // local head vertex per token edge
-	// Zero-token DAG over local vertices: CSR with successors and the system
-	// edge of each item, its topological order and each vertex's position.
-	zeroStart, zeroSucc, zeroEdge []int
-	order, orderPos               []int
-	// Contracted edges in emission order; those leaving token edge pos are
-	// cedges[cstart[pos]:cstart[pos+1]].
-	cstart []int
-	cedges []contractedEdge
-	karp   []floatKarpComp
-}
-
-// floatKarpComp is one SCC of the token-expanded contracted graph, its hops
-// in local ids.
-type floatKarpComp struct {
-	n     int
-	edges []hop
-}
-
-// Size is the number of int table entries the plan holds, for callers that
-// bound a cache of plans.
-func (p *FloatPlan) Size() int { return p.size }
-
-// CompileFloat compiles the float sweep's structure for s into p, reusing
-// p's storage. s's costs are not read.
-func (ws *Workspace) CompileFloat(s *System, p *FloatPlan) {
-	p.err = nil
-	p.comps = p.comps[:0]
-	p.size = 0
-	if !ws.acyclic(s, true) {
-		p.err = ErrDeadlock
-		return
-	}
-	// No separate whole-graph acyclicity pass: an acyclic graph has only
-	// trivial components, none of which holds a token edge, so the plan has
-	// no component and evaluation reports ErrNoCycle.
-	comp, ncomp := ws.scc(s)
-	for c := 0; c < ncomp; c++ {
-		n, ok, err := ws.contractScaffold(s, comp, c)
-		if err != nil {
-			p.err = err
-			return
-		}
-		if !ok {
-			continue
-		}
-		if len(p.comps) == cap(p.comps) {
-			p.comps = append(p.comps, floatComp{})
-		} else {
-			p.comps = p.comps[:len(p.comps)+1]
-		}
-		fc := &p.comps[len(p.comps)-1]
-		if !ws.compileComp(s, n, fc) {
-			p.comps = p.comps[:len(p.comps)-1]
-			continue
-		}
-		p.size += 2*len(fc.tokenEdges) + len(fc.cstart) + len(fc.zeroStart) + 2*len(fc.zeroSucc) + 2*n + 3*len(fc.cedges)
-		for _, kc := range fc.karp {
-			p.size += 3 * len(kc.edges)
-		}
-	}
-}
-
-// compileComp snapshots the scaffold contractScaffold just built, with the
-// contracted edges and the Karp SCCs it induces. ok is false when no token
-// edge reaches another's tail (no contracted edge, no cycle).
-func (ws *Workspace) compileComp(s *System, n int, fc *floatComp) bool {
-	nt, nz := len(ws.tokenEdges), len(ws.zeroEdges)
-	fc.n = n
-	fc.tokenEdges = append(fc.tokenEdges[:0], ws.tokenEdges...)
-	fc.heads = grow(fc.heads, nt)
-	for pos, ei := range ws.tokenEdges {
-		fc.heads[pos] = ws.localID[s.G.Edges[ei].To]
-	}
-	fc.zeroStart = append(fc.zeroStart[:0], ws.zeroStart[:n+1]...)
-	fc.zeroSucc = append(fc.zeroSucc[:0], ws.zeroSucc[:nz]...)
-	fc.zeroEdge = append(fc.zeroEdge[:0], ws.zeroEdge[:nz]...)
-	fc.order = append(fc.order[:0], ws.order[:n]...)
-	fc.orderPos = append(fc.orderPos[:0], ws.orderPos[:n]...)
-
-	// Which tails each token edge's zero-token paths reach: the vertices the
-	// value DP will have touched, in the order it emits contracted edges.
-	ws.has = grow(ws.has, n)
-	fc.cstart = grow(fc.cstart, nt+1)
-	fc.cedges = fc.cedges[:0]
-	for pos, head := range fc.heads {
-		clear(ws.has[:n])
-		ws.has[head] = true
-		for _, u := range fc.order[fc.orderPos[head]:] {
-			if !ws.has[u] {
-				continue
-			}
-			for t := fc.zeroStart[u]; t < fc.zeroStart[u+1]; t++ {
-				ws.has[fc.zeroSucc[t]] = true
-			}
-		}
-		fc.cstart[pos] = len(fc.cedges)
-		for _, v := range ws.tailVerts {
-			if !ws.has[v] {
-				continue
-			}
-			for t := ws.tailStart[v]; t < ws.tailStart[v+1]; t++ {
-				fc.cedges = append(fc.cedges, contractedEdge{from: pos, to: ws.tailItems[t], v: v})
-			}
-		}
-	}
-	fc.cstart[nt] = len(fc.cedges)
-	if len(fc.cedges) == 0 {
-		return false
-	}
-
-	// The token expansion and its SCCs, as the exact sweep builds them.
-	var nv int
-	ws.hops, nv = expandTokens(ws.hops[:0], fc.cedges, fc.tokenEdges, s.Tokens)
-	kcomp, nkc := ws.hopSCC(nv)
-	ws.karpID = grow(ws.karpID, nv)
-	fc.karp = fc.karp[:0]
-	for c := 0; c < nkc; c++ {
-		local := 0
-		for v := 0; v < nv; v++ {
-			ws.karpID[v] = -1
-			if kcomp[v] == c {
-				ws.karpID[v] = local
-				local++
-			}
-		}
-		if len(fc.karp) == cap(fc.karp) {
-			fc.karp = append(fc.karp, floatKarpComp{})
-		} else {
-			fc.karp = fc.karp[:len(fc.karp)+1]
-		}
-		kc := &fc.karp[len(fc.karp)-1]
-		kc.n = local
-		kc.edges = kc.edges[:0]
-		for _, e := range ws.hops {
-			if kcomp[e.from] == c && kcomp[e.to] == c {
-				kc.edges = append(kc.edges, hop{ws.karpID[e.from], ws.karpID[e.to], e.ce})
-			}
-		}
-		if len(kc.edges) == 0 {
-			fc.karp = fc.karp[:len(fc.karp)-1] // trivial SCC without self loop
-		}
-	}
-	return true
-}
-
-// ApproxMaxRatioPlan evaluates p, compiled from a system with s's structure,
-// on s's costs: the enclosure ApproxMaxRatio(s) returns, bit for bit, and
-// its errors. Only the value arithmetic runs.
-func (ws *Workspace) ApproxMaxRatioPlan(p *FloatPlan, s *System) (FloatResult, error) {
+// ApproxMaxRatioPlan evaluates p, compiled from a system with s's
+// structure, on s's costs: the enclosure ApproxMaxRatio(s) returns, bit for
+// bit, and its errors. Only the value arithmetic runs.
+func (ws *Workspace) ApproxMaxRatioPlan(p *Plan, s *System) (FloatResult, error) {
 	if err := negativeCost(s); err != nil {
 		return FloatResult{}, err
 	}
@@ -400,23 +225,16 @@ func (ws *Workspace) ApproxMaxRatioPlan(p *FloatPlan, s *System) (FloatResult, e
 	return best, nil
 }
 
-// approxComp is maxRatioSCC in float64 over a compiled component: identical
-// structure and iteration orders, float tables, running error bounds, no
-// witness reconstruction.
-func (ws *Workspace) approxComp(s *System, fc *floatComp) (FloatResult, bool) {
-	n, nt, nz := fc.n, len(fc.tokenEdges), len(fc.zeroEdge)
+// approxComp is sweep in float64: identical structure and iteration
+// orders, float tables, running error bounds, no witness reconstruction.
+func (ws *Workspace) approxComp(s *System, pc *planComp) (FloatResult, bool) {
+	n, nz := pc.n, len(pc.zeroEdge)
 
-	// Convert the component's edge costs once; the DAG DP reads each zero
-	// edge up to nt times, from arrays parallel to the CSR items.
-	ws.fcost = grow(ws.fcost, nt)
-	ws.fcerr = grow(ws.fcerr, nt)
-	for pos, ei := range fc.tokenEdges {
-		f := s.Cost[ei].Float64()
-		ws.fcost[pos], ws.fcerr[pos] = f, convErr(f)
-	}
+	// Convert the zero edges' costs once: the DAG DP reads each up to once
+	// per token edge, from arrays parallel to the CSR items.
 	ws.fzc = grow(ws.fzc, nz)
 	ws.fze = grow(ws.fze, nz)
-	for t, ei := range fc.zeroEdge {
+	for t, ei := range pc.zeroEdge {
 		f := s.Cost[ei].Float64()
 		ws.fzc[t], ws.fze[t] = f, convErr(f)
 	}
@@ -427,18 +245,18 @@ func (ws *Workspace) approxComp(s *System, fc *floatComp) (FloatResult, bool) {
 	ws.fdist = grow(ws.fdist, n)
 	ws.fderr = grow(ws.fderr, n)
 	ws.has = grow(ws.has, n)
-	ws.fce = grow(ws.fce, len(fc.cedges))
-	ws.fceErr = grow(ws.fceErr, len(fc.cedges))
-	for pos, head := range fc.heads {
+	ws.fce = grow(ws.fce, len(pc.cedges))
+	ws.fceErr = grow(ws.fceErr, len(pc.cedges))
+	for pos, head := range pc.heads {
 		clear(ws.has[:n])
 		ws.has[head] = true
 		ws.fdist[head], ws.fderr[head] = 0, 0
-		for _, u := range fc.order[fc.orderPos[head]:] {
+		for _, u := range pc.order[pc.orderPos[head]:] {
 			if !ws.has[u] {
 				continue
 			}
-			for t := fc.zeroStart[u]; t < fc.zeroStart[u+1]; t++ {
-				to := fc.zeroSucc[t]
+			for t := pc.zeroStart[u]; t < pc.zeroStart[u+1]; t++ {
+				to := pc.zeroSucc[t]
 				cand := ws.fdist[u] + ws.fzc[t]
 				cerr := propagate(ws.fderr[u], ws.fze[t], cand)
 				if !ws.has[to] {
@@ -457,26 +275,19 @@ func (ws *Workspace) approxComp(s *System, fc *floatComp) (FloatResult, bool) {
 				}
 			}
 		}
-		for k := fc.cstart[pos]; k < fc.cstart[pos+1]; k++ {
-			v := fc.cedges[k].v
-			cost := ws.fcost[pos] + ws.fdist[v]
-			ws.fce[k], ws.fceErr[k] = cost, propagate(ws.fcerr[pos], ws.fderr[v], cost)
+		tc := s.Cost[pc.tokenEdges[pos]].Float64()
+		tcErr := convErr(tc)
+		for k := pc.cstart[pos]; k < pc.cstart[pos+1]; k++ {
+			v := pc.cedges[k].v
+			cost := tc + ws.fdist[v]
+			ws.fce[k], ws.fceErr[k] = cost, propagate(tcErr, ws.fderr[v], cost)
 		}
 	}
 
 	var best FloatResult
 	found := false
-	for i := range fc.karp {
-		kc := &fc.karp[i]
-		ws.fkEdges = ws.fkEdges[:0]
-		for _, e := range kc.edges {
-			cost, errB := 0.0, 0.0
-			if e.ce >= 0 {
-				cost, errB = ws.fce[e.ce], ws.fceErr[e.ce]
-			}
-			ws.fkEdges = append(ws.fkEdges, floatMeanEdge{e.from, e.to, cost, errB})
-		}
-		r, ok := ws.floatKarp(kc.n)
+	for i := range pc.karp {
+		r, ok := ws.floatKarp(&pc.karp[i])
 		if !ok {
 			continue
 		}
@@ -489,19 +300,21 @@ func (ws *Workspace) approxComp(s *System, fc *floatComp) (FloatResult, bool) {
 	return best, found
 }
 
-// floatMeanEdge is a unit-token edge for the float Karp stage.
-type floatMeanEdge struct {
-	from, to  int
-	cost, err float64
-}
-
 // floatKarp runs Karp's recurrence in float64 on one SCC of the expanded
-// contracted graph: n local vertices, edges in ws.fkEdges. The reachability
-// structure (kHas) is value-independent, so the candidate set of the λ
-// formula matches the exact sweep's exactly; only the arithmetic differs.
-// Non-finite candidates — the one place Inf-Inf can manufacture a NaN —
-// poison the component.
-func (ws *Workspace) floatKarp(n int) (FloatResult, bool) {
+// contracted graph. The reachability structure (kHas) is value-independent,
+// so the candidate set of the λ formula matches the exact sweep's exactly;
+// only the arithmetic differs. Non-finite candidates — the one place Inf-Inf
+// can manufacture a NaN — poison the component.
+func (ws *Workspace) floatKarp(kc *karpComp) (FloatResult, bool) {
+	n := kc.n
+	ws.fkc = grow(ws.fkc, len(kc.hops))
+	ws.fke = grow(ws.fke, len(kc.hops))
+	for j, h := range kc.hops {
+		ws.fkc[j], ws.fke[j] = 0, 0
+		if h.ce >= 0 {
+			ws.fkc[j], ws.fke[j] = ws.fce[h.ce], ws.fceErr[h.ce]
+		}
+	}
 	size := (n + 1) * n
 	ws.fkD = grow(ws.fkD, size)
 	ws.fkErr = grow(ws.fkErr, size)
@@ -511,24 +324,24 @@ func (ws *Workspace) floatKarp(n int) (FloatResult, bool) {
 	ws.fkD[0], ws.fkErr[0] = 0, 0
 	for k := 1; k <= n; k++ {
 		row, prev := k*n, (k-1)*n
-		for i := range ws.fkEdges {
-			me := &ws.fkEdges[i]
-			u, v := me.from, me.to
-			if !ws.kHas[prev+u] {
+		for j := range kc.hops {
+			h := &kc.hops[j]
+			u, v := prev+h.from, row+h.to
+			if !ws.kHas[u] {
 				continue
 			}
-			cand := ws.fkD[prev+u] + me.cost
-			cerr := propagate(ws.fkErr[prev+u], me.err, cand)
-			if !ws.kHas[row+v] {
-				ws.fkD[row+v], ws.fkErr[row+v] = cand, cerr
-				ws.kHas[row+v] = true
+			cand := ws.fkD[u] + ws.fkc[j]
+			cerr := propagate(ws.fkErr[u], ws.fke[j], cand)
+			if !ws.kHas[v] {
+				ws.fkD[v], ws.fkErr[v] = cand, cerr
+				ws.kHas[v] = true
 				continue
 			}
-			if cand > ws.fkD[row+v] {
-				ws.fkD[row+v] = cand
+			if cand > ws.fkD[v] {
+				ws.fkD[v] = cand
 			}
-			if cerr > ws.fkErr[row+v] {
-				ws.fkErr[row+v] = cerr
+			if cerr > ws.fkErr[v] {
+				ws.fkErr[v] = cerr
 			}
 		}
 	}

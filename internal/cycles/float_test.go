@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -282,49 +283,76 @@ func TestAtLeastMatchesExactEndpoint(t *testing.T) {
 	}
 }
 
-// TestFloatPlanReuse evaluates a plan compiled from one system on a
-// sibling with the same edges and tokens but other costs, with the
-// workspace's scratch clobbered in between: the enclosure must be the one a
-// fresh sweep of the sibling returns, bit for bit, and structural errors
-// must carry over.
+// TestFloatPlanReuse evaluates a plan compiled from one system on
+// siblings with the same edges and tokens but other costs, with the
+// workspace's scratch clobbered in between, through all three sweeps that
+// read a plan: the exact one on scaled int64 costs and in rationals must
+// return what a fresh MaxRatio of the sibling returns, ratio and witness bit
+// for bit, and the float screen the enclosure a fresh ApproxMaxRatio
+// returns. Structural errors must carry over.
 func TestFloatPlanReuse(t *testing.T) {
 	var ws Workspace
-	var plan FloatPlan
 	for seed := int64(0); seed < 500; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := randomLiveSystem(rng, 2+rng.Intn(10))
-		ws.CompileFloat(s, &plan)
-		sib := NewSystem(s.G.N)
-		for i, e := range s.G.Edges {
-			sib.AddEdge(e.From, e.To, rat.New(int64(rng.Intn(50)), int64(1+rng.Intn(7))), s.Tokens[i])
-		}
-		if _, err := ws.ApproxMaxRatio(randomLiveSystem(rng, 3+rng.Intn(10))); err != nil {
-			t.Fatal(err)
-		}
-		got, gerr := ws.ApproxMaxRatioPlan(&plan, sib)
-		var fresh Workspace
-		want, werr := fresh.ApproxMaxRatio(sib)
-		if (gerr == nil) != (werr == nil) || math.Float64bits(got.Ratio) != math.Float64bits(want.Ratio) ||
-			math.Float64bits(got.Err) != math.Float64bits(want.Err) {
-			t.Fatalf("seed %d: plan gives %v (%v), fresh sweep %v (%v)", seed, got, gerr, want, werr)
-		}
+		plan := ws.Compile(s).Compact()
 		if plan.Size() <= 0 {
 			t.Fatalf("seed %d: compiled plan reports size %d", seed, plan.Size())
+		}
+		for sibling := 0; sibling < 2; sibling++ {
+			sib := NewSystem(s.G.N)
+			for i, e := range s.G.Edges {
+				sib.AddEdge(e.From, e.To, rat.New(int64(rng.Intn(50)), int64(1+rng.Intn(7))), s.Tokens[i])
+			}
+			if _, err := ws.MaxRatio(randomLiveSystem(rng, 3+rng.Intn(10))); err != nil {
+				t.Fatal(err)
+			}
+			want, werr := sib.MaxRatio()
+			for _, forceRat := range []bool{false, true} {
+				ws.SetForceRational(forceRat)
+				got, gerr := ws.MaxRatioPlan(plan, sib)
+				ws.SetForceRational(false)
+				if ws.UsedInt() == forceRat && gerr == nil {
+					t.Fatalf("seed %d: forced rational %v, yet int64 path %v", seed, forceRat, ws.UsedInt())
+				}
+				if (gerr == nil) != (werr == nil) || got.Ratio.String() != want.Ratio.String() ||
+					got.Ratio.IsBig() != want.Ratio.IsBig() || !slices.Equal(got.Cycle, want.Cycle) {
+					t.Fatalf("seed %d (rational %v): plan gives %v %v (%v), fresh MaxRatio %v %v (%v)",
+						seed, forceRat, got.Ratio, got.Cycle, gerr, want.Ratio, want.Cycle, werr)
+				}
+			}
+
+			if _, err := ws.ApproxMaxRatio(randomLiveSystem(rng, 3+rng.Intn(10))); err != nil {
+				t.Fatal(err)
+			}
+			got, gerr := ws.ApproxMaxRatioPlan(plan, sib)
+			var fresh Workspace
+			wantF, werrF := fresh.ApproxMaxRatio(sib)
+			if (gerr == nil) != (werrF == nil) || math.Float64bits(got.Ratio) != math.Float64bits(wantF.Ratio) ||
+				math.Float64bits(got.Err) != math.Float64bits(wantF.Err) {
+				t.Fatalf("seed %d: plan gives %v (%v), fresh sweep %v (%v)", seed, got, gerr, wantF, werrF)
+			}
 		}
 	}
 
 	deadlock := NewSystem(2)
 	deadlock.AddEdge(0, 1, rat.One(), 0)
 	deadlock.AddEdge(1, 0, rat.One(), 0)
-	ws.CompileFloat(deadlock, &plan)
-	if _, err := ws.ApproxMaxRatioPlan(&plan, deadlock); !errors.Is(err, ErrDeadlock) {
+	plan := ws.Compile(deadlock)
+	if _, err := ws.ApproxMaxRatioPlan(plan, deadlock); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("deadlocked plan: err = %v, want ErrDeadlock", err)
+	}
+	if _, err := ws.MaxRatioPlan(plan, deadlock); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("deadlocked plan, exact sweep: err = %v, want ErrDeadlock", err)
 	}
 	negative := NewSystem(2)
 	negative.AddEdge(0, 1, rat.FromInt(-1), 0)
 	negative.AddEdge(1, 0, rat.One(), 1)
-	ws.CompileFloat(negative, &plan)
-	if _, err := ws.ApproxMaxRatioPlan(&plan, negative); err == nil {
+	plan = ws.Compile(negative)
+	if _, err := ws.ApproxMaxRatioPlan(plan, negative); err == nil {
 		t.Fatal("negative cost accepted by a plan evaluation")
+	}
+	if _, err := ws.MaxRatioPlan(plan, negative); err == nil {
+		t.Fatal("negative cost accepted by an exact plan evaluation")
 	}
 }

@@ -252,10 +252,10 @@ func TestMaxRatioBackendRouting(t *testing.T) {
 			t.Fatalf("%s: float enclosure [%g ± %g] (err %v) misses %v", name, fr.Ratio, fr.Err, err, want.Ratio)
 		}
 	}
-	if b := autoBackend(sparse); b != BackendKarp {
+	if b := BackendAuto.Resolve(sparse); b != BackendKarp {
 		t.Errorf("auto on sparse-token system routed to %v, want karp", b)
 	}
-	if b := autoBackend(dense); b != BackendHoward {
+	if b := BackendAuto.Resolve(dense); b != BackendHoward {
 		t.Errorf("auto on all-token system routed to %v, want howard", b)
 	}
 }

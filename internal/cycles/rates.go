@@ -21,17 +21,19 @@ func (s *System) VertexRates() ([]rat.Rat, error) {
 		return nil, err
 	}
 	comp, ncomp := s.G.SCC()
-	// Per-SCC max cycle ratio (zero when the SCC has no cycle).
+	// Per-SCC max cycle ratio (zero when the SCC has no cycle): the plan's
+	// components carry the SCC ids graph.Digraph.SCC assigns.
 	var ws Workspace
+	p := ws.Compile(s)
+	if p.err != nil {
+		return nil, p.err
+	}
 	ws.intMode = ws.scaleCosts(s)
 	sccRatio := make([]rat.Rat, ncomp)
-	for c := 0; c < ncomp; c++ {
-		r, _, ok, err := ws.maxRatioSCC(s, comp, c)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			sccRatio[c] = r
+	for i := range p.comps {
+		pc := &p.comps[i]
+		if r, _, ok := ws.sweep(s, pc); ok {
+			sccRatio[pc.scc] = r
 		}
 	}
 	// Propagate along the condensation: rate(C) = max(ratio(C),

@@ -14,19 +14,24 @@
 //     All TPNs built in this repository have an acyclic zero-token subgraph,
 //     so token edges can be contracted via longest-path DAG sweeps, after
 //     which every edge carries exactly one token and Karp's maximum mean
-//     cycle applies.
+//     cycle applies. The structural half of that work is compiled once
+//     into a Plan (Workspace.Compile), which three sweeps evaluate: exact
+//     on scaled int64 costs, exact in rationals (MaxRatioPlan) and the
+//     float screen below (ApproxMaxRatioPlan).
 //   - MaxRatioHoward (policy iteration): exact, handles arbitrary token
 //     counts, and converges in a handful of sweeps on large event graphs —
 //     the large-graph default.
 //   - Lawler binary search: float64, a test-only cross-check
 //     (lawler_test.go).
-//   - BruteForce: exhaustive elementary-cycle enumeration, for tests.
+//   - MaxRatioBrute: exhaustive elementary-cycle enumeration
+//     (EnumerateElementaryCycles), a test-only ground truth
+//     (brute_test.go).
 //
 // A fifth evaluator, ApproxMaxRatio (see float.go), is not an exact engine
-// but the float-screening tier: a float64 re-run of the contraction+Karp
-// sweep returning an enclosure [Ratio−Err, Ratio+Err] guaranteed to contain
-// the exact ratio, so search layers can rank candidates in floating point
-// and reserve exact arithmetic for the ambiguous band.
+// but the float-screening tier: the contraction+Karp sweep in float64 over
+// the same Plan, returning an enclosure [Ratio−Err, Ratio+Err] guaranteed
+// to contain the exact ratio, so search layers can rank candidates in
+// floating point and reserve exact arithmetic for the ambiguous band.
 //
 // Workspace.MaxRatioBackend selects between the two exact engines (Backend
 // enum: auto, karp, howard, float-screen); the auto heuristic routes by
@@ -142,11 +147,6 @@ func (s *System) CycleVertices(cycle []int) []int {
 // fuzz harnesses use it to certify that every backend's witness attains the
 // reported maximum.
 func (s *System) CycleRatio(cycle []int) (rat.Rat, error) {
-	return s.ratioOfCycle(cycle)
-}
-
-// ratioOfCycle computes cost(C)/tokens(C) for a cycle given by edge indices.
-func (s *System) ratioOfCycle(cycle []int) (rat.Rat, error) {
 	cost := rat.Zero()
 	tokens := int64(0)
 	for _, ei := range cycle {
@@ -170,10 +170,7 @@ func (s *System) VerifyRatio(lambda rat.Rat) error {
 	if !s.hasCycle() {
 		return ErrNoCycle
 	}
-	pos, tight, err := s.reducedCycleSignature(lambda)
-	if err != nil {
-		return err
-	}
+	pos, tight := s.reducedCycleSignature(lambda)
 	if pos {
 		return fmt.Errorf("cycles: ratio %v too small: positive reduced cycle exists", lambda)
 	}
@@ -186,86 +183,107 @@ func (s *System) VerifyRatio(lambda rat.Rat) error {
 // reducedCycleSignature runs exact Bellman–Ford-style longest-path analysis
 // with edge weights cost − λ·tokens, per SCC. It reports whether a strictly
 // positive cycle exists and whether some cycle has weight exactly zero.
-func (s *System) reducedCycleSignature(lambda rat.Rat) (positive, tight bool, err error) {
+func (s *System) reducedCycleSignature(lambda rat.Rat) (positive, tight bool) {
 	comp, ncomp := s.G.SCC()
 	for c := 0; c < ncomp; c++ {
-		p, t, e := s.sccReducedSignature(comp, c, lambda)
-		if e != nil {
-			return false, false, e
+		r, ok := s.reducedLongest(comp, c, lambda)
+		if !ok {
+			continue
 		}
-		positive = positive || p
-		tight = tight || t
-		if positive {
-			return positive, tight, nil
+		if r.positive {
+			return true, tight
 		}
+		// Tight cycle detection: edges with dist[u] + w == dist[v] form the
+		// tight subgraph; a zero-weight cycle exists iff that subgraph has a
+		// cycle.
+		tg := graph.New(len(r.dist))
+		for _, ei := range r.edges {
+			if u, v, ok := r.tightEdge(s, ei); ok {
+				tg.AddEdge(u, v, ei)
+			}
+		}
+		tight = tight || !tg.IsAcyclic()
 	}
-	return positive, tight, nil
+	return false, tight
 }
 
-func (s *System) sccReducedSignature(comp []int, c int, lambda rat.Rat) (positive, tight bool, err error) {
-	// Collect vertices and intra-SCC edges.
+// reduced is the longest-path state of one component under the reduced
+// weights cost − λ·tokens: its intra-component edges, the local vertex ids,
+// the distances from its first vertex, and whether a relaxation round past
+// the n−1 a longest path needs still improved (a positive cycle).
+type reduced struct {
+	lambda   rat.Rat
+	edges    []int
+	idx      map[int]int
+	dist     []rat.Rat
+	has      []bool
+	positive bool
+}
+
+// reducedLongest runs the Bellman–Ford-style longest-path relaxation of
+// component c of s under the reduced weights. ok is false for a component
+// without an edge.
+func (s *System) reducedLongest(comp []int, c int, lambda rat.Rat) (r reduced, ok bool) {
 	var verts []int
 	for v := 0; v < s.G.N; v++ {
 		if comp[v] == c {
 			verts = append(verts, v)
 		}
 	}
-	var edges []int
 	for i, e := range s.G.Edges {
 		if comp[e.From] == c && comp[e.To] == c {
-			edges = append(edges, i)
+			r.edges = append(r.edges, i)
 		}
 	}
-	if len(edges) == 0 {
-		return false, false, nil
+	if len(r.edges) == 0 {
+		return r, false
 	}
-	idx := make(map[int]int, len(verts))
+	r.lambda = lambda
+	r.idx = make(map[int]int, len(verts))
 	for i, v := range verts {
-		idx[v] = i
+		r.idx[v] = i
 	}
 	n := len(verts)
-	dist := make([]rat.Rat, n)
-	has := make([]bool, n)
-	dist[0] = rat.Zero()
-	has[0] = true
-	reduced := func(ei int) rat.Rat {
-		return s.Cost[ei].Sub(lambda.MulInt(int64(s.Tokens[ei])))
-	}
+	r.dist = make([]rat.Rat, n)
+	r.has = make([]bool, n)
+	r.dist[0] = rat.Zero()
+	r.has[0] = true
 	// Longest path relaxation; in an SCC everything is reachable from verts[0].
 	for iter := 0; iter < n; iter++ {
 		changed := false
-		for _, ei := range edges {
+		for _, ei := range r.edges {
 			e := s.G.Edges[ei]
-			u, v := idx[e.From], idx[e.To]
-			if !has[u] {
+			u, v := r.idx[e.From], r.idx[e.To]
+			if !r.has[u] {
 				continue
 			}
-			cand := dist[u].Add(reduced(ei))
-			if !has[v] || dist[v].Less(cand) {
-				dist[v] = cand
-				has[v] = true
+			cand := r.dist[u].Add(r.weight(s, ei))
+			if !r.has[v] || r.dist[v].Less(cand) {
+				r.dist[v] = cand
+				r.has[v] = true
 				changed = true
 			}
 		}
 		if !changed {
 			break
 		}
-		if iter == n-1 && changed {
-			// One more relaxation round would still improve: positive cycle.
-			return true, false, nil
-		}
+		// One more relaxation round would still improve: positive cycle.
+		r.positive = iter == n-1
 	}
-	// Tight cycle detection: edges with dist[u] + w == dist[v] form the tight
-	// subgraph; a zero-weight cycle exists iff that subgraph has a cycle.
-	tg := graph.New(n)
-	for _, ei := range edges {
-		e := s.G.Edges[ei]
-		u, v := idx[e.From], idx[e.To]
-		if has[u] && has[v] && dist[u].Add(reduced(ei)).Equal(dist[v]) {
-			tg.AddEdge(u, v, ei)
-		}
-	}
-	return false, !tg.IsAcyclic(), nil
+	return r, true
+}
+
+// weight is the reduced weight of system edge ei.
+func (r *reduced) weight(s *System, ei int) rat.Rat {
+	return s.Cost[ei].Sub(r.lambda.MulInt(int64(s.Tokens[ei])))
+}
+
+// tightEdge returns the local endpoints of system edge ei and whether it is
+// tight: both ends reached and dist[u] + w == dist[v].
+func (r *reduced) tightEdge(s *System, ei int) (u, v int, ok bool) {
+	e := s.G.Edges[ei]
+	u, v = r.idx[e.From], r.idx[e.To]
+	return u, v, r.has[u] && r.has[v] && r.dist[u].Add(r.weight(s, ei)).Equal(r.dist[v])
 }
 
 // tightCycleWitness returns a cycle (edge indices in the full system) whose
@@ -281,58 +299,15 @@ func (s *System) tightCycleWitness(lambda rat.Rat) []int {
 }
 
 func (s *System) sccTightWitness(comp []int, c int, lambda rat.Rat) []int {
-	var verts []int
-	for v := 0; v < s.G.N; v++ {
-		if comp[v] == c {
-			verts = append(verts, v)
-		}
-	}
-	var edges []int
-	for i, e := range s.G.Edges {
-		if comp[e.From] == c && comp[e.To] == c {
-			edges = append(edges, i)
-		}
-	}
-	if len(edges) == 0 {
+	r, ok := s.reducedLongest(comp, c, lambda)
+	if !ok {
 		return nil
 	}
-	idx := make(map[int]int, len(verts))
-	for i, v := range verts {
-		idx[v] = i
-	}
-	n := len(verts)
-	dist := make([]rat.Rat, n)
-	has := make([]bool, n)
-	dist[0] = rat.Zero()
-	has[0] = true
-	reduced := func(ei int) rat.Rat {
-		return s.Cost[ei].Sub(lambda.MulInt(int64(s.Tokens[ei])))
-	}
-	for iter := 0; iter < n; iter++ {
-		changed := false
-		for _, ei := range edges {
-			e := s.G.Edges[ei]
-			u, v := idx[e.From], idx[e.To]
-			if !has[u] {
-				continue
-			}
-			cand := dist[u].Add(reduced(ei))
-			if !has[v] || dist[v].Less(cand) {
-				dist[v] = cand
-				has[v] = true
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
+	n, idx := len(r.dist), r.idx
 	// Build tight subgraph, then walk it to find a cycle.
 	tightOut := make([][]int, n) // local vertex -> tight edge indices (global)
-	for _, ei := range edges {
-		e := s.G.Edges[ei]
-		u, v := idx[e.From], idx[e.To]
-		if has[u] && has[v] && dist[u].Add(reduced(ei)).Equal(dist[v]) {
+	for _, ei := range r.edges {
+		if u, _, ok := r.tightEdge(s, ei); ok {
 			tightOut[u] = append(tightOut[u], ei)
 		}
 	}

@@ -4,11 +4,12 @@ import (
 	"repro/internal/rat"
 )
 
-// Workspace owns every piece of scratch memory the contraction+Karp engine
-// needs: strongly-connected-component state, the zero-token DAG and its
-// topological order, the scaled integer costs, the per-token-edge
-// longest-path tables, the contracted edge list, Karp's dynamic-programming
-// tables and the witness rebuild.
+// Workspace owns every piece of scratch memory the cycle-ratio engines
+// need. For the contraction engine that is the compiler's staging (SCC,
+// Kahn and CSR state, local numbering, the token expansion), a scratch Plan,
+// and the value tables its three readers fill: the scaled integer costs,
+// the per-token-edge longest-path tables, the contracted-edge costs, Karp's
+// dynamic-programming tables and the witness rebuild, exact or float.
 //
 // A Workspace amortizes those buffers across calls: the first MaxRatio on a
 // given net size pays the allocations, subsequent calls of similar size run
@@ -16,9 +17,11 @@ import (
 // for concurrent use — give each solver thread its own (core.Solver and the
 // engine's worker pool do exactly that).
 //
-// Results are bit-identical to System.MaxRatio: the workspace path runs the
-// same algorithm with the same iteration orders, it only changes where the
-// scratch lives.
+// MaxRatio and ApproxMaxRatio compile the system into the workspace's
+// scratch plan (Compile) and evaluate it; callers that meet one structure
+// repeatedly keep a compacted copy of that plan (Plan.Compact) and evaluate
+// it (MaxRatioPlan, ApproxMaxRatioPlan). Either way the results are
+// bit-identical to a fresh Workspace's.
 type Workspace struct {
 	// epoch stamps the localID table so it never needs clearing: an entry is
 	// valid only when its stamp equals the current epoch. Monotonic across
@@ -47,22 +50,26 @@ type Workspace struct {
 	queue []int
 	order []int
 
-	// Per-SCC contraction state.
-	tokenEdges []int // edge indices with tokens > 0, ascending
-	zeroEdges  []int // token-free edge indices, ascending
-	localID    []int // global vertex -> local id, valid when stamp == epoch
-	localStamp []int
-	verts      []int // local id -> global vertex
-
-	// Zero-token DAG adjacency over local vertices (items are system edge
-	// indices, zeroSucc the parallel successor view) and token-edge tails
-	// per local vertex (positions into tokenEdges), with the tail vertices
-	// in ascending order.
-	zeroStart, zeroEdge, zeroSucc   []int
+	// Compiler staging per SCC: token-free edge indices (ascending), the
+	// local numbering (shared with Howard), the token-edge tails per local
+	// vertex (positions into the token edges) with the tail vertices in
+	// ascending order and each one's rank among them (-1 = not a tail), the
+	// tails each vertex reaches as bitsets over those ranks, and the token
+	// expansion with its SCCs and the per-SCC vertex ids (-1 = absent).
+	zeroEdges                       []int
+	localID                         []int // global vertex -> local id, valid when stamp == epoch
+	localStamp                      []int
+	verts                           []int // local id -> global vertex
 	tailStart, tailItems, tailVerts []int
-	orderPos                        []int // local vertex -> position in the DAG order
+	tailRank                        []int
+	reach                           []uint64
+	hops                            []hop
+	karpStart, karpSucc, karpID     []int
 
-	// Arithmetic of the current MaxRatio call (see scaleCosts): intMode
+	// plan is the scratch plan Compile fills and returns.
+	plan Plan
+
+	// Arithmetic of the current exact evaluation (see scaleCosts): intMode
 	// selects the scaled int64 loops, whose costs are icost (per system
 	// edge) and zc (parallel to the zero CSR items), in units of 1/scale.
 	// forceRat is a test hook that disables the int64 path.
@@ -78,31 +85,23 @@ type Workspace struct {
 	idist []int64
 	pred  []int
 
-	// Contracted edges with their costs (ceInt or ceRat by arithmetic), and
-	// the token-expanded hops Karp runs on (the float plan compilation
-	// builds its hops here too).
-	cedges []contractedEdge
-	ceInt  []int64
-	ceRat  []rat.Rat
-	hops   []hop
+	// Contracted-edge costs (ceInt or ceRat by arithmetic).
+	ceInt []int64
+	ceRat []rat.Rat
 
-	// Karp scratch: expanded-graph CSR, per-SCC vertex ids and hop list with
-	// the hops' local endpoints, the flattened D/has/parent tables (D as kI or
-	// kD by arithmetic, kc the int hop costs), the witness walk, the cycle
-	// it found (kcyc) and the critical cycle kept for the witness rebuild
-	// (critCyc, hop indices; witTmp stages its system edges).
-	karpStart, karpSucc []int
-	karpID              []int // expanded vertex -> per-SCC local id (-1 = absent)
-	karpWithin          []int
-	karpU, karpV        []int
-	kI, kc              []int64
-	kD                  []rat.Rat
-	kHas                []bool
-	kParent             []int
-	pathV, pathE        []int
-	seenPos             []int
-	kcyc, critCyc       []int
-	witTmp              []int
+	// Karp scratch: the flattened D/has/parent tables (D as kI or kD by
+	// arithmetic, kc the int hop costs), the witness walk, the cycle it
+	// found (kcyc, hop positions) and the contracted edges of the critical
+	// cycle kept for the witness rebuild (critCyc; witTmp stages its system
+	// edges).
+	kI, kc        []int64
+	kD            []rat.Rat
+	kHas          []bool
+	kParent       []int
+	pathV, pathE  []int
+	seenPos       []int
+	kcyc, critCyc []int
+	witTmp        []int
 
 	// Howard policy-iteration scratch. The policy tables live in their own
 	// struct and every entry a run reads is re-initialized at the start of
@@ -112,18 +111,15 @@ type Workspace struct {
 	howard howardScratch
 
 	// Float-screening scratch (see float.go): float costs with
-	// conversion-error bounds, the float DAG/Karp value+error tables, and
-	// the Karp edge list. Plans are compiled on the structural scratch
-	// (SCC, CSR, orders, has) shared with the exact sweep — the two never
-	// run interleaved within one call, and sharing it keeps their iteration
-	// structures identical by construction.
-	fplan        FloatPlan // ApproxMaxRatio's per-call plan
-	fcost, fcerr []float64 // token-edge costs and bounds, by position
+	// conversion-error bounds, and the float DAG/Karp value+error tables.
+	// The float sweep reads the same plan as the exact one, and the
+	// reachability table has, so their iteration structures are identical
+	// by construction.
 	fzc, fze     []float64 // zero-edge costs and bounds, parallel to the CSR items
 	fdist, fderr []float64
 	fce, fceErr  []float64 // contracted-edge costs and bounds
+	fkc, fke     []float64 // one Karp component's hop costs and bounds
 	fkD, fkErr   []float64
-	fkEdges      []floatMeanEdge // one Karp component's edges in local ids
 }
 
 // grow returns s with length n, reusing capacity when possible. New backing

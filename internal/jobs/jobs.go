@@ -22,9 +22,11 @@
 //
 //   - Bounded registry. Non-terminal detached jobs are capped (Submit
 //     refuses past MaxActive — back-pressure, like a full solve queue);
-//     terminal jobs move, cold, into a bounded internal/clock cache where a
-//     Get sets the reference bit. A 10x oversubmission therefore cannot grow
-//     the registry past MaxActive + TerminalEntries jobs.
+//     terminal jobs move into a bounded internal/clock cache where a Get
+//     sets the reference bit. They enter it cold, unless a Get saw them
+//     active: a job someone is polling must survive until it is fetched. A
+//     10x oversubmission therefore cannot grow the registry past
+//     MaxActive + TerminalEntries jobs.
 //
 //   - Lock-cheap progress. Progress is a fixed struct of atomic counters
 //     the solve loops add to and pollers read without any lock.
@@ -145,6 +147,7 @@ type Job struct {
 	// Guarded by m.mu.
 	state           State
 	cancelRequested bool
+	watched         bool // Get saw the job active: it enters the registry referenced
 	result          []byte
 	failure         *Failure
 }
@@ -541,6 +544,12 @@ func (m *Manager) Deposit(j *Job, body []byte) {
 // The cache never pins, so the insert always succeeds.
 func (m *Manager) retain(j *Job) *Job {
 	_, victim, evicted, _ := m.terminal.Put(j.id, j)
+	if j.watched {
+		// A poller is waiting for this job's result: the lookup sets the
+		// reference bit the cold insert left clear, so the sweep of the next
+		// insert cannot recycle the job before its submitter fetches it.
+		m.terminal.Get(j.id)
+	}
 	if !evicted {
 		return nil
 	}
@@ -566,11 +575,16 @@ func lastDash(s string) int {
 	return -1
 }
 
-// Get looks a job up; a terminal job's lookup sets its reference bit.
+// Get looks a job up; a terminal job's lookup sets its reference bit, and
+// an active job's marks it to enter the terminal registry referenced.
 func (m *Manager) Get(id string) (*Job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.find(id)
+	if j, ok := m.active[id]; ok {
+		j.watched = true
+		return j, true
+	}
+	return m.terminal.Get(id)
 }
 
 // Cancel requests cooperative cancellation: the job's context is canceled

@@ -258,6 +258,29 @@ func TestClockPrefersUnreferenced(t *testing.T) {
 	}
 }
 
+// TestPolledJobSurvivesNextFinish pins the poll-then-fetch race: once every
+// older terminal entry has been fetched, the next insert's sweep clears
+// their bits and wraps round to the newest entry. A job a submitter polled
+// while it ran must not be that victim.
+func TestPolledJobSurvivesNextFinish(t *testing.T) {
+	m := New(Options{TerminalEntries: 4})
+	for i := 0; i < 3; i++ {
+		j, _ := m.Submit("search", "p", nil, nil, 0, true)
+		m.Finish(j, nil, nil)
+		m.Get(j.ID())
+	}
+	a, _ := m.Submit("search", "p", nil, nil, 0, true)
+	if _, ok := m.Get(a.ID()); !ok {
+		t.Fatal("active job a not found")
+	}
+	m.Finish(a, []byte(`{}`), nil)
+	b, _ := m.Submit("search", "p", nil, nil, 0, true)
+	m.Finish(b, nil, nil)
+	if _, ok := m.Get(a.ID()); !ok {
+		t.Fatal("job a, polled while active, was evicted before its result was fetched")
+	}
+}
+
 func TestPrefixAllocatorFreedOnEviction(t *testing.T) {
 	m := New(Options{TerminalEntries: 1})
 	for i := 0; i < 50; i++ {

@@ -119,14 +119,11 @@ func jobJSON(j *jobs.Job) Job {
 // retains, mirroring failErr's status mapping so a replayed result answer
 // matches what the synchronous endpoint would have sent.
 func failureOf(err error) *jobs.Failure {
-	var he *httpError
+	var he *HTTPError
 	switch {
 	case errors.As(err, &he):
-		code := he.code
-		if code == "" {
-			code = DefaultErrorCode(he.status)
-		}
-		return &jobs.Failure{Status: he.status, Code: code, Message: he.msg}
+		info := he.Info()
+		return &jobs.Failure{Status: he.Status, Code: info.Code, Message: info.Message}
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return &jobs.Failure{
 			Status:  http.StatusServiceUnavailable,
@@ -307,7 +304,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			s.failErr(w, name, &httpError{status: http.StatusRequestEntityTooLarge, msg: err.Error()})
+			s.failErr(w, name, &HTTPError{Status: http.StatusRequestEntityTooLarge, Message: err.Error()})
 			return
 		}
 		s.failErr(w, name, badRequest("bad request body: %v", err))
@@ -367,7 +364,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// The 202 describes the job as submitted: snapshot it before the runner
 	// can start it, so the answer is "pending" however the goroutines are
-	// scheduled.
+	// scheduled. It is the submitter's first status read, so it looks the
+	// job up through the manager: a job whose ID goes out to a poller is
+	// watched, and enters the terminal registry referenced however fast it
+	// finishes.
+	s.jobs.Get(j.ID())
 	accepted := jobJSON(j)
 	go s.runDetached(j, run, cleanup)
 	writeJSON(w, http.StatusAccepted, accepted)

@@ -258,26 +258,37 @@ func (s *Server) Store() *store.Store { return s.store }
 // be durable must not run undurable.
 func (s *Server) CheckpointErr() error { return s.ckptErr }
 
-// httpError is an error with a dedicated HTTP status and, optionally, a
-// machine-readable error code more specific than the status default.
-type httpError struct {
-	status int
-	code   string // "" = DefaultErrorCode(status)
-	msg    string
+// HTTPError is an error with a dedicated HTTP status and, optionally, a
+// machine-readable error code more specific than the status default. Node
+// and router both answer with it, in the ErrorBody envelope.
+type HTTPError struct {
+	Status  int
+	Code    string // "" = DefaultErrorCode(Status)
+	Message string
 }
 
-func (e *httpError) Error() string { return e.msg }
+func (e *HTTPError) Error() string { return e.Message }
+
+// Info returns the envelope fields of e: its code (the status default when
+// unset) and its message.
+func (e *HTTPError) Info() ErrorInfo {
+	code := e.Code
+	if code == "" {
+		code = DefaultErrorCode(e.Status)
+	}
+	return ErrorInfo{Code: code, Message: e.Message}
+}
 
 func badRequest(format string, args ...any) error {
-	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
+	return &HTTPError{Status: http.StatusBadRequest, Message: fmt.Sprintf(format, args...)}
 }
 
 func notFound(format string, args ...any) error {
-	return &httpError{status: http.StatusNotFound, msg: fmt.Sprintf(format, args...)}
+	return &HTTPError{Status: http.StatusNotFound, Message: fmt.Sprintf(format, args...)}
 }
 
 func codedError(status int, code, format string, args ...any) error {
-	return &httpError{status: status, code: code, msg: fmt.Sprintf(format, args...)}
+	return &HTTPError{Status: status, Code: code, Message: fmt.Sprintf(format, args...)}
 }
 
 // solveFunc is the compute half of a solve request, produced by a handler
@@ -408,17 +419,14 @@ func runSolve(solve solveFunc, ctx context.Context) (resp any, err error) {
 	return solve(ctx)
 }
 
-// failErr maps an error to its HTTP status: httpError carries its own,
+// failErr maps an error to its HTTP status: HTTPError carries its own,
 // context errors become 503, everything else 500.
 func (s *Server) failErr(w http.ResponseWriter, name string, err error) {
-	var he *httpError
+	var he *HTTPError
 	switch {
 	case errors.As(err, &he):
-		code := he.code
-		if code == "" {
-			code = DefaultErrorCode(he.status)
-		}
-		s.failCode(w, name, he.status, code, he.msg)
+		info := he.Info()
+		s.failCode(w, name, he.Status, info.Code, info.Message)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		s.fail(w, name, http.StatusServiceUnavailable, "request deadline exceeded")
 	default:
@@ -491,7 +499,7 @@ func DecodeStrict(body io.Reader, v any) error {
 	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			return &httpError{status: http.StatusRequestEntityTooLarge, msg: err.Error()}
+			return &HTTPError{Status: http.StatusRequestEntityTooLarge, Message: err.Error()}
 		}
 		return badRequest("bad request body: %v", err)
 	}
