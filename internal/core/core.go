@@ -92,12 +92,13 @@ func PeriodTPN(inst *model.Instance, m model.CommModel) (Result, error) {
 
 func periodFromNet(inst *model.Instance, m model.CommModel, net *petri.Net) (Result, error) {
 	crit, err := net.MaxCycleRatio()
-	return tpnResult(inst, m, crit, err)
+	return tpnResult(inst, m, inst.Mct(m), crit, err)
 }
 
 // tpnResult turns the critical cycle of the unfolded net of inst under m
-// into the per-data-set period: the ratio divided by the path count m.
-func tpnResult(inst *model.Instance, m model.CommModel, crit cycles.Result, err error) (Result, error) {
+// into the per-data-set period: the ratio divided by the path count m. mct
+// is inst.Mct(m).
+func tpnResult(inst *model.Instance, m model.CommModel, mct rat.Rat, crit cycles.Result, err error) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("core: critical cycle: %w", err)
 	}
@@ -105,7 +106,7 @@ func tpnResult(inst *model.Instance, m model.CommModel, crit cycles.Result, err 
 	return Result{
 		Model:     m,
 		Period:    crit.Ratio.DivInt(pc),
-		Mct:       inst.Mct(m),
+		Mct:       mct,
 		PathCount: pc,
 		Method:    MethodTPN,
 	}, nil

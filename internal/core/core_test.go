@@ -5,8 +5,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cycles"
 	"repro/internal/model"
 	"repro/internal/rat"
+	"repro/internal/tpn"
 )
 
 // randomInstance draws a random timed instance: n stages with replication in
@@ -68,17 +70,27 @@ func TestNoReplicationPeriodEqualsMct(t *testing.T) {
 	}
 }
 
+// TestPeriodAtLeastMct checks the lower bound P ≥ Mct against Karp's ratio
+// on the unfolded net, computed directly: PeriodTPN's potential check
+// returns Mct whenever it proves P ≤ Mct, so it relies on this bound and
+// could not detect an Mct that is too large.
 func TestPeriodAtLeastMct(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	var ws cycles.Workspace
 	for trial := 0; trial < 40; trial++ {
 		inst := randomInstance(rng, 2+rng.Intn(3), 3, 1, 30)
 		for _, cm := range model.Models() {
-			res, err := Period(inst, cm)
+			net, err := tpn.Build(inst, cm)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Period.Less(res.Mct) {
-				t.Fatalf("trial %d %v: period %v < Mct %v", trial, cm, res.Period, res.Mct)
+			crit, err := ws.MaxRatio(net.System())
+			if err != nil {
+				t.Fatal(err)
+			}
+			period, mct := crit.Ratio.DivInt(inst.PathCount()), inst.Mct(cm)
+			if period.Less(mct) {
+				t.Fatalf("trial %d %v: period %v < Mct %v", trial, cm, period, mct)
 			}
 		}
 	}

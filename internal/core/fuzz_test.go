@@ -4,7 +4,8 @@ package core_test
 // decode into a small timed instance (every byte string decodes into a
 // valid one, so no corpus entry is wasted on parse failures) and Karp,
 // Howard, the production solver paths and — on the overlap model — the
-// Theorem 1 polynomial algorithm must agree exactly; the float-screening
+// Theorem 1 polynomial algorithm must agree exactly, and the potential
+// check must hold at Karp's ratio and fail below it; the float-screening
 // sweep's enclosure must contain the shared answer, with a scale-mode byte
 // steering weights into float64 overflow and denormal territory. A seeded
 // corpus lives in testdata/fuzz/FuzzPeriodBackends; CI runs a short -fuzz
@@ -103,6 +104,18 @@ func FuzzPeriodBackends(f *testing.F) {
 			for name, res := range map[string]cycles.Result{"karp": karp, "howard": how} {
 				if wr, err := sys.CycleRatio(res.Cycle); err != nil || !wr.Equal(res.Ratio) {
 					t.Fatalf("%v: %s witness ratio %v (err %v) != %v", cm, name, wr, err, res.Ratio)
+				}
+			}
+			// The potential check splits exactly at Karp's ratio: it holds
+			// there and fails a hair below.
+			plan := karpWS.Compile(sys)
+			below := karp.Ratio.Sub(karp.Ratio.DivInt(1 << 40))
+			for _, c := range []struct {
+				lambda rat.Rat
+				want   bool
+			}{{karp.Ratio, true}, {below, false}} {
+				if ok, err := karpWS.RatioAtMostPlan(plan, sys, c.lambda); ok != c.want || err != nil {
+					t.Fatalf("%v: check at λ %v (karp %v): %v, %v; want %v", cm, c.lambda, karp.Ratio, ok, err, c.want)
 				}
 			}
 			period := karp.Ratio.DivInt(inst.PathCount())

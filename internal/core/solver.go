@@ -72,9 +72,11 @@ func (s *Solver) Period(inst *model.Instance, m model.CommModel) (Result, error)
 }
 
 // PeriodTPN computes the period by building the full unfolded TPN into the
-// solver's reused storage and extracting its critical cycle. Works for both
-// models; cost grows with m = lcm(m_i) and the builder rejects instances
-// beyond the solver's row cap.
+// solver's reused storage and extracting its critical cycle. On the Karp
+// route a potential check first tries to prove the period equal to Mct,
+// which spares the cycle computation whenever a resource is critical.
+// Works for both models; cost grows with m = lcm(m_i) and the builder
+// rejects instances beyond the solver's row cap.
 func (s *Solver) PeriodTPN(inst *model.Instance, m model.CommModel) (Result, error) {
 	s.builder.MaxRows = s.MaxRows
 	net, err := s.builder.Build(inst, m)
@@ -82,13 +84,23 @@ func (s *Solver) PeriodTPN(inst *model.Instance, m model.CommModel) (Result, err
 		return Result{}, err
 	}
 	sys := net.SystemInto(&s.sys)
+	mct := inst.Mct(m)
 	var crit cycles.Result
 	if s.Backend.Resolve(sys) == cycles.BackendHoward {
 		crit, err = s.ws.MaxRatioHoward(sys)
-	} else {
-		crit, err = s.ws.MaxRatioPlan(s.plan(inst, m, sys), sys)
+		return tpnResult(inst, m, mct, crit, err)
 	}
-	return tpnResult(inst, m, crit, err)
+	// Some resource cycle of the net reaches Mct, so λ* ≥ Mct·m always.
+	// A potential at λ = Mct·m proves λ* ≤ Mct·m as well: the period is
+	// Mct and no Karp table is built. Only a failed check (the check errs
+	// exactly where MaxRatioPlan does) pays for the full sweep.
+	p := s.plan(inst, m, sys)
+	lambda := mct.MulInt(inst.PathCount())
+	if ok, _ := s.ws.RatioAtMostPlan(p, sys, lambda); ok {
+		return tpnResult(inst, m, mct, cycles.Result{Ratio: lambda}, nil)
+	}
+	crit, err = s.ws.MaxRatioPlan(p, sys)
+	return tpnResult(inst, m, mct, crit, err)
 }
 
 // PeriodOverlapPoly computes the OVERLAP ONE-PORT period with the

@@ -144,7 +144,7 @@ func (ws *Workspace) scaleCosts(s *System) bool {
 	if hi, lo := bits.Mul64(sum, verts); hi != 0 || lo > intBound {
 		return false
 	}
-	ws.scale = d
+	ws.scale, ws.isum = d, int64(sum)
 	return true
 }
 
@@ -158,10 +158,11 @@ func (ws *Workspace) scaleCosts(s *System) bool {
 // Compile builds it, and three sweeps read it: the exact one on scaled
 // int64 costs, the exact one in rationals (MaxRatioPlan picks between the
 // two by the costs) and the float screen (ApproxMaxRatioPlan); the witness
-// rebuild walks it back to system edges. Evaluation runs only the
-// arithmetic, in the order a fresh compile of the evaluated system would
-// give, so a plan compiled from one system serves every system of the same
-// structure with bit-identical results. A plan is read-only once compiled
+// rebuild walks it back to system edges, and the potential check
+// (RatioAtMostPlan) relaxes its token edges and zero-token DAG. Evaluation
+// runs only the arithmetic, in the order a fresh compile of the evaluated
+// system would give, so a plan compiled from one system serves every
+// system of the same structure with bit-identical results. A plan is read-only once compiled
 // and may be shared by workspaces.
 type Plan struct {
 	err   error // structural failure (ErrDeadlock), reported by every evaluation
@@ -176,6 +177,7 @@ type planComp struct {
 	n          int   // local vertices
 	tokenEdges []int // system edge per token edge; its position is the contracted vertex
 	heads      []int // local head vertex per token edge
+	tails      []int // local tail vertex per token edge, read by RatioAtMostPlan
 	// Zero-token DAG over local vertices: CSR keyed by tail, with the head
 	// and the system edge of each item, its topological order and each
 	// vertex's position in it.
@@ -217,7 +219,7 @@ func (p *Plan) Compact() *Plan {
 	var ints, nce, nkc, nh int
 	for i := range p.comps {
 		pc := &p.comps[i]
-		ints += len(pc.tokenEdges) + len(pc.heads) + len(pc.zeroStart) + len(pc.zeroSucc) +
+		ints += len(pc.tokenEdges) + len(pc.heads) + len(pc.tails) + len(pc.zeroStart) + len(pc.zeroSucc) +
 			len(pc.zeroEdge) + len(pc.order) + len(pc.orderPos) + len(pc.cstart)
 		nce += len(pc.cedges)
 		nkc += len(pc.karp)
@@ -235,6 +237,7 @@ func (p *Plan) Compact() *Plan {
 		qc.scc, qc.n = pc.scc, pc.n
 		qc.tokenEdges = carve(&intArena, pc.tokenEdges)
 		qc.heads = carve(&intArena, pc.heads)
+		qc.tails = carve(&intArena, pc.tails)
 		qc.zeroStart = carve(&intArena, pc.zeroStart)
 		qc.zeroSucc = carve(&intArena, pc.zeroSucc)
 		qc.zeroEdge = carve(&intArena, pc.zeroEdge)
@@ -291,7 +294,7 @@ func (ws *Workspace) Compile(s *System) *Plan {
 			p.comps = p.comps[:len(p.comps)-1]
 			continue
 		}
-		p.size += 2*len(pc.tokenEdges) + len(pc.cstart) + len(pc.zeroStart) + 2*len(pc.zeroSucc) + 2*pc.n + 3*len(pc.cedges)
+		p.size += 3*len(pc.tokenEdges) + len(pc.cstart) + len(pc.zeroStart) + 2*len(pc.zeroSucc) + 2*pc.n + 3*len(pc.cedges)
 		for _, kc := range pc.karp {
 			p.size += 3 * len(kc.hops)
 		}
@@ -380,21 +383,21 @@ func (ws *Workspace) contractScaffold(s *System, comp []int, c int, pc *planComp
 		pc.orderPos[v] = k
 	}
 
-	// Heads of token edges, where the DPs start, and their tails as a CSR
-	// keyed by local vertex, with the tail vertices in ascending order, the
-	// order contracted edges are emitted in.
+	// Heads of token edges, where the DPs start, their tails, and the tails
+	// as a CSR keyed by local vertex, with the tail vertices in ascending
+	// order, the order contracted edges are emitted in.
 	nt := len(pc.tokenEdges)
 	pc.heads = grow(pc.heads, nt)
+	pc.tails = grow(pc.tails, nt)
 	ws.tailStart = grow(ws.tailStart, n+1)
 	ws.tailItems = grow(ws.tailItems, nt)
-	ws.keyTmp = grow(ws.keyTmp, nt)
 	ws.valTmp = grow(ws.valTmp, nt)
 	for j, ei := range pc.tokenEdges {
 		pc.heads[j] = ws.localID[s.G.Edges[ei].To]
-		ws.keyTmp[j] = ws.localID[s.G.Edges[ei].From]
+		pc.tails[j] = ws.localID[s.G.Edges[ei].From]
 		ws.valTmp[j] = j
 	}
-	ws.fillCSR(ws.tailStart, ws.tailItems, n, ws.keyTmp[:nt], ws.valTmp[:nt])
+	ws.fillCSR(ws.tailStart, ws.tailItems, n, pc.tails, ws.valTmp[:nt])
 	ws.tailVerts = ws.tailVerts[:0]
 	for v := 0; v < n; v++ {
 		if ws.tailStart[v] < ws.tailStart[v+1] {

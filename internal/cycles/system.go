@@ -33,6 +33,11 @@
 // to contain the exact ratio, so search layers can rank candidates in
 // floating point and reserve exact arithmetic for the ambiguous band.
 //
+// Workspace.RatioAtMostPlan is a decision procedure, not an engine: for one
+// given λ it reports exactly whether λ ≥ λ*, by relaxing a potential over
+// the same Plan. core.Solver runs it at the lower bound Mct·m before Karp,
+// so the usual case, a net whose period is Mct, builds no Karp table.
+//
 // Workspace.MaxRatioBackend selects between the two exact engines (Backend
 // enum: auto, karp, howard, float-screen); the auto heuristic routes by
 // token-edge share, and float-screen resolves identically to auto — the

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/cycles"
 	"repro/internal/examplesdata"
@@ -154,4 +155,73 @@ func BenchmarkEngines(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkMctCheckGrid runs the potential check at λ = Mct·m (the one
+// core.Solver.PeriodTPN runs before Karp) and the full contraction + Karp
+// sweep on every strict instance of seed 1's Table 2 grid, drawn as
+// exper.RunAllEngine draws them. Net builds and plan compiles are not
+// timed. It reports how often the check holds, how many calls left the
+// int64 path, and per call its rounds, its time and the sweep's time,
+// split by whether the check held (P = Mct) or failed (P > Mct).
+func BenchmarkMctCheckGrid(b *testing.B) {
+	var ws cycles.Workspace
+	var calls, hits, hitRounds, missRounds, ratCalls int
+	var checkHit, karpHit, checkMiss, karpMiss time.Duration
+	for i := 0; i < b.N; i++ {
+		cm := model.Strict
+		for r, row := range exper.Table2Rows(cm, 1, exper.DefaultMaxPathCount) {
+			rowSeed := 1 + int64(r)*1_000_003 + int64(cm)*7_000_009
+			for k := 0; k < row.Runs; k++ {
+				js := rowSeed + int64(k)
+				inst, err := row.Specs[int(js)%len(row.Specs)].Instance(rand.New(rand.NewSource(js)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				s := strictSystem(b, inst)
+				p := ws.Compile(s)
+				lambda := inst.Mct(cm).MulInt(inst.PathCount())
+				t0 := time.Now()
+				ok, err := ws.RatioAtMostPlan(p, s, lambda)
+				t1 := time.Now()
+				if err != nil {
+					b.Fatal(err)
+				}
+				calls++
+				rounds := ws.CheckRounds()
+				if !ws.UsedInt() {
+					ratCalls++
+				}
+				crit, err := ws.MaxRatioPlan(p, s)
+				t2 := time.Now()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if ok != crit.Ratio.Equal(lambda) {
+					b.Fatalf("row %d instance %d: check %v, Karp %v, Mct·m %v", r, k, ok, crit.Ratio, lambda)
+				}
+				if ok {
+					hits++
+					hitRounds += rounds
+					checkHit += t1.Sub(t0)
+					karpHit += t2.Sub(t1)
+				} else {
+					missRounds += rounds
+					checkMiss += t1.Sub(t0)
+					karpMiss += t2.Sub(t1)
+				}
+			}
+		}
+	}
+	perCall := func(x float64, n int) float64 { return x / float64(max(n, 1)) }
+	b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+	b.ReportMetric(float64(calls)/float64(b.N), "calls/op")
+	b.ReportMetric(perCall(float64(hitRounds), hits), "rounds/hit")
+	b.ReportMetric(perCall(float64(missRounds), calls-hits), "rounds/miss")
+	b.ReportMetric(float64(ratCalls)/float64(b.N), "rat-calls/op")
+	us := func(d time.Duration) float64 { return float64(d.Microseconds()) }
+	b.ReportMetric(perCall(us(checkHit), hits), "check-us/hit")
+	b.ReportMetric(perCall(us(karpHit), hits), "karp-us/hit")
+	b.ReportMetric(perCall(us(checkMiss), calls-hits), "check-us/miss")
+	b.ReportMetric(perCall(us(karpMiss), calls-hits), "karp-us/miss")
 }

@@ -71,11 +71,20 @@ type Workspace struct {
 
 	// Arithmetic of the current exact evaluation (see scaleCosts): intMode
 	// selects the scaled int64 loops, whose costs are icost (per system
-	// edge) and zc (parallel to the zero CSR items), in units of 1/scale.
-	// forceRat is a test hook that disables the int64 path.
+	// edge, summing to isum) and zc (parallel to the zero CSR items), in
+	// units of 1/scale. forceRat is a test hook that disables the int64
+	// path.
 	intMode, forceRat bool
-	scale             int64
+	scale, isum       int64
 	icost, zc         []int64
+
+	// Potential check (RatioAtMostPlan): the reduced weights of one
+	// component's token edges (tw or twRat by arithmetic) and the rounds the
+	// last check ran, summed over components. The potentials themselves
+	// live in idist or dist.
+	tw      []int64
+	twRat   []rat.Rat
+	pRounds int
 
 	// Longest-path DP over the zero-token DAG, reset per token edge: reached
 	// vertices, distances (dist or idist by arithmetic) and the CSR item of

@@ -5,8 +5,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bnb"
+	"repro/internal/cycles"
 	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/pipeline"
+	"repro/internal/platform"
 )
 
 // BenchmarkBestOf runs one cold best-of search per op (a fresh engine, the
@@ -40,6 +44,36 @@ func BenchmarkBestOf(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(columnSolves.Load()-solves)/float64(b.N), "column-solves/op")
+		})
+	}
+}
+
+// BenchmarkExactSearchBackends runs the leaves-3x8 search of
+// TestPinnedExactSearches (seed 2, 3 stages on 8 heterogeneous processors,
+// strict model) with one walker on a fresh engine per op, under
+// BackendAuto and under BackendFloatScreen, so the time the float screen
+// saves on top of the exact leaf path shows. With -count N the two
+// alternate.
+func BenchmarkExactSearchBackends(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	pipe := pipeline.Random(rng, 3, 50, 500)
+	plat := platform.Random(rng, 8, 5, 25, 20, 200)
+	for _, backend := range []cycles.Backend{cycles.BackendAuto, cycles.BackendFloatScreen} {
+		b.Run(backend.String(), func(b *testing.B) {
+			var res ExactResult
+			for i := 0; i < b.N; i++ {
+				eng := engine.New(engine.Options{Workers: 1, Backend: backend})
+				var err error
+				res, err = BranchAndBoundEngineOpts(context.Background(), eng, pipe, plat, model.Strict, bnb.Options{Workers: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			if !res.Proven || res.Period.String() != "55769913/10291120" {
+				b.Fatalf("search answered %v (proven %v)", res.Period, res.Proven)
+			}
+			b.ReportMetric(float64(res.Stats.Leaves), "leaves/op")
+			b.ReportMetric(float64(res.Stats.Screened), "screened/op")
 		})
 	}
 }
