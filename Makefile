@@ -143,6 +143,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzPeriodBackends -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzRatArith -fuzztime $(FUZZTIME) ./internal/rat
 	$(GO) test -run xxx -fuzz FuzzRatParse -fuzztime $(FUZZTIME) ./internal/rat
+	$(GO) test -run xxx -fuzz FuzzInstanceJSON -fuzztime $(FUZZTIME) ./internal/model
 
 fmt:
 	gofmt -l -w .

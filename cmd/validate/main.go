@@ -45,6 +45,7 @@ import (
 	"repro/internal/rat"
 	"repro/internal/sim"
 	"repro/internal/tpn"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -73,8 +74,9 @@ func main() {
 	fails := make([]error, *runs) // per-run verdicts, reported in run order
 	var done atomic.Int64
 	err = eng.ForEach(ctx, *runs, func(k int) {
-		rng := rand.New(rand.NewSource(*seed + int64(k)))
+		rng := workload.Seeded(*seed + int64(k))
 		inst := randomInstance(rng, 2+rng.Intn(*maxStages-1), *maxRep)
+		workload.Release(rng)
 		for _, cm := range model.Models() {
 			if cerr := check(inst, cm, backend); cerr != nil {
 				fails[k] = fmt.Errorf("(%v, reps %v): %w", cm, inst.ReplicationCounts(), cerr)

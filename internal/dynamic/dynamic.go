@@ -18,6 +18,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/rat"
+	"repro/internal/workload"
 )
 
 // Perturbation scales each operation time by (100 + U{-JitterPct..+JitterPct})/100.
@@ -115,8 +116,9 @@ func MonteCarloEngine(ctx context.Context, eng *engine.Engine, inst *model.Insta
 	}
 	outs := make([]outcome, runs)
 	if err := eng.ForEach(ctx, runs, func(k int) {
-		rng := rand.New(rand.NewSource(seed + int64(k)))
+		rng := workload.Seeded(seed + int64(k))
 		sample, err := pert.Sample(inst, rng)
+		workload.Release(rng)
 		if err != nil {
 			outs[k] = outcome{err: err}
 			return

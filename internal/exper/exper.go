@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"text/tabwriter"
 
 	"repro/internal/engine"
@@ -118,9 +117,10 @@ func RunEngine(ctx context.Context, eng *engine.Engine, row Row, seed int64) (Ro
 	outs := make([]outcome, row.Runs)
 	if err := eng.ForEach(ctx, row.Runs, func(k int) {
 		js := seed + int64(k)
-		rng := rand.New(rand.NewSource(js))
+		rng := workload.Seeded(js)
 		sp := row.Specs[int(js)%len(row.Specs)]
 		inst, err := sp.Instance(rng)
+		workload.Release(rng)
 		if err != nil {
 			outs[k] = outcome{err: err}
 			return

@@ -3,6 +3,7 @@ package model
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -96,6 +97,10 @@ func ParseRat(s string) (rat.Rat, error) {
 	}
 	if d == 0 {
 		return rat.Rat{}, fmt.Errorf("bad rational %q: zero denominator", s)
+	}
+	// Negating -2^63 leaves int64: MarshalJSON would write what this refuses.
+	if n == math.MinInt64 || d == math.MinInt64 {
+		return rat.Rat{}, fmt.Errorf("bad rational %q: out of range", s)
 	}
 	return rat.New(n, d), nil
 }

@@ -33,16 +33,18 @@ func TestInstanceJSONRoundTrip(t *testing.T) {
 	}
 }
 
+var badInstanceJSON = []string{
+	`{"comp": [], "comm": []}`,                            // no stages
+	`{"comp": [["1"],["2"]], "comm": []}`,                 // missing comm
+	`{"comp": [["1"],["x"]], "comm": [[["1"]]]}`,          // bad rational
+	`{"comp": [["1"],["2"]], "comm": [[["1","2"]]]}`,      // width mismatch
+	`{"comp": [["1"],["2"]], "comm": [[["1/0"]]]}`,        // zero denominator
+	`{"comp": [["-3"],["2"]], "comm": [[["1"]]]}`,         // negative time
+	`{"comp": [["-9223372036854775808/-1"]], "comm": []}`, // 2^63: beyond int64
+}
+
 func TestInstanceJSONRejectsBad(t *testing.T) {
-	cases := []string{
-		`{"comp": [], "comm": []}`,                       // no stages
-		`{"comp": [["1"],["2"]], "comm": []}`,            // missing comm
-		`{"comp": [["1"],["x"]], "comm": [[["1"]]]}`,     // bad rational
-		`{"comp": [["1"],["2"]], "comm": [[["1","2"]]]}`, // width mismatch
-		`{"comp": [["1"],["2"]], "comm": [[["1/0"]]]}`,   // zero denominator
-		`{"comp": [["-3"],["2"]], "comm": [[["1"]]]}`,    // negative time
-	}
-	for i, c := range cases {
+	for i, c := range badInstanceJSON {
 		var inst Instance
 		if err := json.Unmarshal([]byte(c), &inst); err == nil {
 			t.Errorf("case %d accepted: %s", i, c)
@@ -70,7 +72,7 @@ func TestParseRat(t *testing.T) {
 			t.Errorf("ParseRat(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
-	for _, bad := range []string{"", "a", "1/b", "1/0", "1/2/3"} {
+	for _, bad := range []string{"", "a", "1/b", "1/0", "1/2/3", "-9223372036854775808/-1", "1/-9223372036854775808"} {
 		if _, err := ParseRat(bad); err == nil {
 			t.Errorf("ParseRat(%q) accepted", bad)
 		}
@@ -131,4 +133,35 @@ func commStrings(comm [][][]rat.Rat) [][][]string {
 		out[i] = ratStrings(mat)
 	}
 	return out
+}
+
+// FuzzInstanceJSON: decoding never panics, and any accepted input re-encodes
+// to bytes that decode and re-encode to themselves.
+func FuzzInstanceJSON(f *testing.F) {
+	for _, s := range append([]string{
+		`{"comp": [["8/3","2"],["1"]], "comm": [[["8/3"],["1"]]]}`,
+		`{"comp":[["22"],["104","128"],["126","146","147"],["23"]],"comm":[[["186","192"]],[["57","68","77"],["13","157","165"]],[["67"],["73"],["73"]]]}`,
+		`{"comp": [["1"]], "comm": []}`,
+		`{"comp": [[" 10/5 "],["-7/-2"]], "comm": [[["0"]]]}`,
+	}, badInstanceJSON...) {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var in Instance
+		if in.UnmarshalJSON(data) != nil {
+			return
+		}
+		enc, err := in.MarshalJSON()
+		if err != nil {
+			t.Fatalf("accepted %q but cannot encode it: %v", data, err)
+		}
+		var back Instance
+		if err := back.UnmarshalJSON(enc); err != nil {
+			t.Fatalf("accepted %q but rejects its encoding %s: %v", data, enc, err)
+		}
+		again, err := back.MarshalJSON()
+		if err != nil || string(again) != string(enc) {
+			t.Fatalf("encoding of %q is not a fixed point: %s then %s (%v)", data, enc, again, err)
+		}
+	})
 }

@@ -60,21 +60,10 @@ func (s Spec) Replication(rng *rand.Rand) ([]int, error) {
 		}
 		if s.MaxPathCount > 0 {
 			counts := make([]int64, len(reps))
-			overflow := false
 			for i, r := range reps {
 				counts[i] = int64(r)
-				_ = i
 			}
-			m := func() (v int64) {
-				defer func() {
-					if recover() != nil {
-						overflow = true
-						v = 0
-					}
-				}()
-				return rat.LCMAll(counts)
-			}()
-			if overflow || m > s.MaxPathCount {
+			if m, ok := rat.LCMAllChecked(counts); !ok || m > s.MaxPathCount {
 				continue
 			}
 		}
