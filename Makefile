@@ -19,10 +19,12 @@ FUZZTIME ?= 10s
 # regressions as deterministic count jumps). The allocation gate
 # (ALLOC_GATE, allocs/op on the strict-model Evaluate benchmarks) guards
 # the PR-2 zero-allocation refactor; measured values sit at 6-7. The
-# leaf-rate gate (LEAF_GATE) requires the branch and bound's leaf path to
-# rule out leaves at >= LEAF_GATE x the exact rate when float-screened, over
+# leaf-rate gate (LEAF_GATE) requires the branch and bound's leaf path,
+# which evaluates each leaf under the exact cutoff, to rule out leaves at
+# >= LEAF_GATE x the rate of a full exact evaluation per leaf, over
 # BenchmarkBnBLeafRate's fixed list of 193 leaves; twenty single runs read
-# 8.8-12.2x, median 10.4x (EXPERIMENTS.md, "Strict cycle-time bound"). The serving
+# 4.96-7.28x, median 5.80x, one of them below the gate (EXPERIMENTS.md,
+# "Exact cutoff replaces the float screen"). The serving
 # hit-path gates guard the PR-7 content-addressed store: the by-ID
 # /v1/evaluate hit path must stay at or below HITALLOC_GATE allocs/op
 # (measured at 18) and run at least SPEEDUP_GATE x faster than the
@@ -101,7 +103,7 @@ bench:
 # bench-regression runs the period/backend/engine/bnb/serving/cluster/jobs/
 # checkpoint benchmarks at a fixed iteration count, converts them to
 # BENCH_10.json (uploaded as a CI artifact) and fails if the strict-model
-# Evaluate allocs/op regress above ALLOC_GATE, the screened leaf rate drops
+# Evaluate allocs/op regress above ALLOC_GATE, the cutoff leaf rate drops
 # below LEAF_GATE x exact, the by-ID serving hit path regresses above
 # HITALLOC_GATE allocs/op, the by-ID/inline hit-path speedup drops below
 # SPEEDUP_GATE x, the routed hit path costs more than ROUTER_GATE x the

@@ -98,20 +98,24 @@ type (
 // program where token edges are sparse and contraction shrinks the graph,
 // Howard policy iteration where they are plentiful and contraction would
 // degenerate — deterministically, so batch results stay bit-identical at
-// any choice. BackendFloatScreen adds the float-screening tier on top of
-// auto routing: batch searches (branch and bound, greedy, exhaustive) rank
-// candidates with a rigorously error-bounded float64 sweep and pay exact
-// arithmetic only for the ambiguous band — every returned period, mapping
-// and proven flag stays bit-identical to the exact backends.
+// any choice. Every backend serves the batch searches' exact cutoff (branch
+// and bound, greedy, exhaustive rule out a candidate as soon as its period
+// is proven at least their incumbent).
 const (
-	BackendAuto        = cycles.BackendAuto
-	BackendKarp        = cycles.BackendKarp
-	BackendHoward      = cycles.BackendHoward
-	BackendFloatScreen = cycles.BackendFloatScreen
+	BackendAuto   = cycles.BackendAuto
+	BackendKarp   = cycles.BackendKarp
+	BackendHoward = cycles.BackendHoward
 )
 
-// ParseBackend parses "auto", "karp", "howard" or "float-screen" — the
-// values the commands' -backend flags accept.
+// BackendFloatScreen named the float-screening tier, which the exact
+// cutoff replaced.
+//
+// Deprecated: it equals BackendAuto.
+const BackendFloatScreen = BackendAuto
+
+// ParseBackend parses "auto", "karp" or "howard" — the values the
+// commands' -backend flags accept; "float-screen" is a deprecated alias of
+// "auto".
 func ParseBackend(s string) (Backend, error) { return cycles.ParseBackend(s) }
 
 // Communication models.
@@ -194,9 +198,8 @@ func NewSolver(maxRows int) *Solver {
 }
 
 // SetBackend selects the solver's cycle-ratio backend (BackendAuto,
-// BackendKarp, BackendHoward or BackendFloatScreen) and returns the solver
-// for chaining. Results are identical across backends; only the running
-// time changes.
+// BackendKarp or BackendHoward) and returns the solver for chaining.
+// Results are identical across backends; only the running time changes.
 func (s *Solver) SetBackend(b Backend) *Solver {
 	s.s.Backend = b
 	return s

@@ -202,7 +202,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	rps := fs.Float64("rps", 0, "target aggregate requests/second (0 = unthrottled)")
 	duration := fs.Duration("duration", 10*time.Second, "measurement window")
 	modelName := fs.String("model", "strict", "communication model of the generated tasks")
-	backendName := fs.String("backend", "auto", "cycle-ratio backend requested: auto, karp, howard or float-screen")
+	backendName := fs.String("backend", "auto", "cycle-ratio backend requested: auto, karp or howard")
 	repsFlag := fs.String("reps", "2,3", "replication vector of the generated instances, e.g. 2,3")
 	instances := fs.Int("instances", 64, "distinct random instances rotated through")
 	batchSize := fs.Int("batch", 16, "tasks per request for -endpoint batch")

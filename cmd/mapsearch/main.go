@@ -46,7 +46,7 @@ func main() {
 	method := flag.String("method", "all", "search to run: all, exhaustive, greedy, random or bnb")
 	restarts := flag.Int("restarts", 20, "hill-climbing restarts")
 	workers := flag.Int("workers", 0, "engine worker-pool size (0 = GOMAXPROCS)")
-	backendName := flag.String("backend", "auto", "cycle-ratio backend: auto, karp, howard or float-screen")
+	backendName := flag.String("backend", "auto", "cycle-ratio backend: auto, karp or howard")
 	flag.Parse()
 
 	cm, err := model.Parse(*modelName)

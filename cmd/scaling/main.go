@@ -11,7 +11,7 @@
 //
 //	scaling [-seed 2009] [-workers 1] [-backend auto]
 //
-// -backend selects the cycle-ratio engine (auto, karp, howard, float-screen): the sweep's
+// -backend selects the cycle-ratio engine (auto, karp, howard): the sweep's
 // periods are identical under every backend, but the unfolded-TPN wall-time
 // column directly exposes the Karp-vs-Howard cost gap on growing nets.
 package main
@@ -31,7 +31,7 @@ import (
 func main() {
 	seed := flag.Int64("seed", 2009, "random seed for the instance times")
 	workers := flag.Int("workers", 1, "engine worker-pool size (1 = faithful per-point timings)")
-	backendName := flag.String("backend", "auto", "cycle-ratio backend: auto, karp, howard or float-screen")
+	backendName := flag.String("backend", "auto", "cycle-ratio backend: auto, karp or howard")
 	flag.Parse()
 
 	backend, err := cycles.ParseBackend(*backendName)

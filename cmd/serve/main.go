@@ -80,7 +80,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	inflight := fs.Int("inflight", 0, "max concurrent solve requests (0 = 2x workers)")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-request wall-clock ceiling")
 	maxRows := fs.Int("maxrows", 0, "unfolded-TPN row cap of the pooled solvers (0 = package default)")
-	backendName := fs.String("backend", "auto", "default cycle-ratio backend for requests that omit one: auto, karp, howard or float-screen")
+	backendName := fs.String("backend", "auto", "default cycle-ratio backend for requests that omit one: auto, karp or howard")
 	storeEntries := fs.Int("store-entries", 0, "instance-store bound for POST /v1/instances (0 = default 4096)")
 	respEntries := fs.Int("respmemo-entries", 0, "encoded-response memo bound (0 = default 8192, negative disables)")
 	jobEntries := fs.Int("job-entries", 0, "terminal-job retention bound for /v1/jobs (0 = default 1024)")

@@ -7,7 +7,7 @@
 //	table2 [-scale 0.1] [-seed 1] [-par 0] [-backend auto]
 //
 // -scale shrinks per-row run counts (1 = the paper's full 5,152-run grid).
-// -backend selects the cycle-ratio engine (auto, karp, howard, float-screen); every
+// -backend selects the cycle-ratio engine (auto, karp, howard); every
 // backend produces the identical table, only the wall time moves.
 package main
 
@@ -48,7 +48,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	scale := fs.Float64("scale", 1.0, "fraction of the paper's run counts (0 < scale <= 1)")
 	seed := fs.Int64("seed", 1, "base random seed")
 	par := fs.Int("par", 0, "engine worker-pool size (0 = GOMAXPROCS)")
-	backendName := fs.String("backend", "auto", "cycle-ratio backend: auto, karp, howard or float-screen")
+	backendName := fs.String("backend", "auto", "cycle-ratio backend: auto, karp or howard")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

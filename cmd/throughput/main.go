@@ -45,7 +45,7 @@ func main() {
 	modelName := flag.String("model", "both", "communication model: overlap, strict or both")
 	analyze := flag.Bool("analyze", false, "full report: critical cycle, utilization, slack, stream periods (unfolds the TPN)")
 	workers := flag.Int("workers", 0, "engine worker-pool size (0 = GOMAXPROCS)")
-	backendName := flag.String("backend", "auto", "cycle-ratio backend: auto, karp, howard or float-screen")
+	backendName := flag.String("backend", "auto", "cycle-ratio backend: auto, karp or howard")
 	flag.Parse()
 
 	backend, err := cycles.ParseBackend(*backendName)

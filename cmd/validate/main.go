@@ -9,9 +9,9 @@
 //  4. max-plus spectral radius of the net's recurrence matrix;
 //  5. exact unrolling of the net (steady-state firing rate);
 //  6. the from-first-principles operational simulator;
-//  7. the float-screening sweep, whose error-bounded enclosure must
-//     contain the exact period (containment, not equality: the sweep is
-//     float64 by design).
+//  7. the production solver's exact cutoff, which must rule the instance
+//     out at ref = P and at ref = Mct, and return check 0's result at
+//     ref = P + P/2^40.
 //
 // Any disagreement prints the offending instance and exits non-zero.
 //
@@ -29,6 +29,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -55,7 +56,7 @@ func main() {
 	maxStages := flag.Int("stages", 4, "maximum number of stages")
 	quiet := flag.Bool("quiet", false, "only print failures and the summary")
 	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-	backendName := flag.String("backend", "auto", "cycle-ratio backend of the production solver path: auto, karp, howard or float-screen")
+	backendName := flag.String("backend", "auto", "cycle-ratio backend of the production solver path: auto, karp or howard")
 	flag.Parse()
 
 	backend, err := cycles.ParseBackend(*backendName)
@@ -196,14 +197,20 @@ func check(inst *model.Instance, cm model.CommModel, backend cycles.Backend) err
 		}
 	}
 
-	// 7. float-screening sweep: the rigorous enclosure must contain the
-	// exact period (the soundness property every screened search relies on).
-	approx, err := solver.PeriodApprox(inst, cm)
-	if err != nil {
-		return fmt.Errorf("approx: %w", err)
+	// 7. exact cutoff: it must split exactly at the period (the property
+	// every search that passes its incumbent relies on).
+	for _, ref := range []rat.Rat{prod.Period, prod.Mct} {
+		if _, err := solver.PeriodBelow(inst, cm, ref); !errors.Is(err, core.ErrCutoff) {
+			return fmt.Errorf("cutoff at %v kept period %v (err %v)", ref, prod.Period, err)
+		}
 	}
-	if !approx.Contains(prod.Period) {
-		return fmt.Errorf("float enclosure [%g ± %g] misses exact period %v", approx.Ratio, approx.Err, prod.Period)
+	above := prod.Period.Add(prod.Period.DivInt(1 << 40))
+	below, err := solver.PeriodBelow(inst, cm, above)
+	if err != nil {
+		return fmt.Errorf("cutoff at %v: %w", above, err)
+	}
+	if below.Period.String() != prod.Period.String() || !below.Mct.Equal(prod.Mct) || below.Method != prod.Method {
+		return fmt.Errorf("cutoff at %v returned %+v, production path %+v", above, below, prod)
 	}
 
 	// Invariant: P >= Mct always.

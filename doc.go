@@ -25,11 +25,10 @@
 // Mct, i.e. whether the schedule has no critical resource — is decided
 // exactly rather than within floating-point noise. Three cycle-ratio
 // backends share that exact contract (BackendAuto, BackendKarp,
-// BackendHoward); a fourth, BackendFloatScreen, lets the batch searches
-// pre-rank candidate mappings with a rigorously error-bounded float64
-// sweep and fall back to exact arithmetic inside the error band, so
-// results — including proven-optimality certificates — stay bit-identical
-// while warm exact searches evaluate leaves several times faster.
+// BackendHoward). The batch searches rule a candidate mapping out with an
+// exact cutoff against their incumbent — first the bound P ≥ Mct, then a
+// potential check on the unfolded net — so most candidates never get a
+// full critical-cycle computation, and every result stays exact.
 //
 // # Quick start
 //

@@ -3,10 +3,11 @@ package bnb
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
-	"repro/internal/cycles"
 	"repro/internal/engine"
+	"repro/internal/mapping"
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/platform"
@@ -20,17 +21,16 @@ import (
 // actually leaves; they are deterministic for a fixed case, so regressions
 // in the bound or the symmetry breaking show up as count jumps, not noise.
 // The strict case is the search-jobs benchmark's leaf-heavy problem (seed
-// 2, 3 stages on 8 heterogeneous processors, float-screen), the tree the
-// strict cycle-time bound cuts.
+// 2, 3 stages on 8 heterogeneous processors), the tree the strict
+// cycle-time bound cuts.
 func BenchmarkBnBSearch(b *testing.B) {
 	strictRng := rand.New(rand.NewSource(2))
 	strictPipe := pipeline.Random(strictRng, 3, 50, 500)
 	cases := []struct {
-		name    string
-		pipe    *pipeline.Pipeline
-		plat    *platform.Platform
-		cm      model.CommModel
-		backend cycles.Backend
+		name string
+		pipe *pipeline.Pipeline
+		plat *platform.Platform
+		cm   model.CommModel
 	}{
 		{
 			name: "uniform-10x4",
@@ -43,16 +43,15 @@ func BenchmarkBnBSearch(b *testing.B) {
 			plat: platform.Random(rand.New(rand.NewSource(2)), 7, 5, 25, 20, 200),
 		},
 		{
-			name:    "strict-het-3x8",
-			pipe:    strictPipe,
-			plat:    platform.Random(strictRng, 8, 5, 25, 20, 200),
-			cm:      model.Strict,
-			backend: cycles.BackendFloatScreen,
+			name: "strict-het-3x8",
+			pipe: strictPipe,
+			plat: platform.Random(strictRng, 8, 5, 25, 20, 200),
+			cm:   model.Strict,
 		},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			eng := engine.New(engine.Options{Backend: c.backend})
+			eng := engine.New(engine.Options{})
 			var last Result
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -75,19 +74,19 @@ func BenchmarkBnBSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkBnBLeafRate isolates the leaf-evaluation throughput the
-// float-screening tier buys: the walker's own leaf path (walker.leaf, the
-// reference at the proven optimum) over a fixed list of leaves, every one
-// of which must be ruled out — by an exact evaluation on the exact
-// backend, by the float screen (with exact fallback for the ambiguous band)
-// on float-screen. The list is built once, outside the timer: every
-// class-canonical leaf of the family whose computation bound
-// max_i w_i/(m_i·s_i) is below the optimum (leafRateLeaves), so the
-// search's other bounds do not decide which leaves are timed. Memoization
-// is disabled: a shared memo cache would turn the exact run's repeat
+// BenchmarkBnBLeafRate isolates the leaf-evaluation throughput the exact
+// cutoff buys, over a fixed list of leaves every one of which must be ruled
+// out at the proven optimum: "exact" runs model.FromMapped and a full
+// engine Evaluate per leaf, the leaf path without a cutoff; "screened" runs
+// the walker's own leaf path (walker.leaf, the reference at the optimum),
+// which evaluates each leaf through engine.EvaluateBelow. The list is built
+// once, outside the timer: every class-canonical leaf of the family whose
+// computation bound max_i w_i/(m_i·s_i) is below the optimum
+// (leafRateLeaves), so the search's other bounds do not decide which leaves
+// are timed. Memoization is disabled: a shared memo cache would turn repeat
 // iterations into hash-map lookups and fake the comparison. The leaves/s
-// metric is what the CI gate in scripts/benchjson.awk checks: screened
-// must be at least LEAF_GATE x the exact rate. The strict model on a
+// metric is what the CI gate in scripts/benchjson.awk checks: screened must
+// be at least LEAF_GATE x the exact rate. The strict model on a
 // heterogeneous platform is the family where exact arithmetic is at its
 // most expensive — unfolded-TPN Karp tables over rationals whose
 // denominators mix speeds and bandwidths.
@@ -106,37 +105,56 @@ func BenchmarkBnBLeafRate(b *testing.B) {
 		b.Fatal(err)
 	}
 	leaves := leafRateLeaves(pr, opt.Period)
-	for _, bc := range []struct {
-		name    string
-		backend cycles.Backend
-	}{
-		{"exact", cycles.BackendAuto},
-		{"screened", cycles.BackendFloatScreen},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			eng := engine.New(engine.Options{Backend: bc.backend, CacheEntries: -1})
-			root := &node{used: make([]int, len(pr.classes)), free: plat.NumProcs()}
-			w := newWalker(pr, context.Background(), eng, root, 0, pr.n, nil, opt.Period, true)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.st = Stats{}
-				for _, reps := range leaves {
-					copy(w.replicas, reps)
-					w.leaf()
+	report := func(b *testing.B, ruledOut, screened int64) {
+		if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
+			b.ReportMetric(float64(ruledOut)*float64(b.N)/elapsed, "leaves/s")
+		}
+		b.ReportMetric(float64(screened), "screened/op")
+		b.ReportMetric(float64(ruledOut), "leaves/op")
+	}
+	b.Run("exact", func(b *testing.B) {
+		eng := engine.New(engine.Options{CacheEntries: -1})
+		mapps := make([]mapping.Mapping, len(leaves))
+		for k, reps := range leaves {
+			mapps[k].Replicas = cloneReplicas(reps)
+			for _, r := range mapps[k].Replicas {
+				slices.Sort(r)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k := range mapps {
+				inst, err := model.FromMapped(pipe, plat, &mapps[k])
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := eng.Evaluate(engine.Task{Inst: inst, Model: model.Strict})
+				if err != nil || res.Period.Less(opt.Period) {
+					b.Fatalf("leaf %v: period %v (err %v) beats the optimum %v", mapps[k].Replicas, res.Period, err, opt.Period)
 				}
 			}
-			b.StopTimer()
-			if w.best != nil || w.st.Leaves != int64(len(leaves)) {
-				b.Fatalf("re-verification changed the answer: best %v, %d of %d leaves evaluated", w.best, w.st.Leaves, len(leaves))
+		}
+		b.StopTimer()
+		report(b, int64(len(leaves)), 0)
+	})
+	b.Run("screened", func(b *testing.B) {
+		eng := engine.New(engine.Options{CacheEntries: -1})
+		root := &node{used: make([]int, len(pr.classes)), free: plat.NumProcs()}
+		w := newWalker(pr, context.Background(), eng, root, 0, pr.n, nil, opt.Period, true)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.st = Stats{}
+			for _, reps := range leaves {
+				copy(w.replicas, reps)
+				w.leaf()
 			}
-			elapsed := b.Elapsed().Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(w.st.Leaves)*float64(b.N)/elapsed, "leaves/s")
-			}
-			b.ReportMetric(float64(w.st.Screened), "screened/op")
-			b.ReportMetric(float64(w.st.Leaves), "leaves/op")
-		})
-	}
+		}
+		b.StopTimer()
+		if w.best != nil || w.st.Leaves != int64(len(leaves)) || w.st.Screened != w.st.Leaves {
+			b.Fatalf("re-verification changed the answer: best %v, %d of %d leaves evaluated, %d screened", w.best, w.st.Leaves, len(leaves), w.st.Screened)
+		}
+		report(b, w.st.Leaves, w.st.Screened)
+	})
 }
 
 // leafRateLeaves lists the class-canonical leaves of pr — the complete

@@ -56,6 +56,7 @@ package bnb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -63,7 +64,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cycles"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/mapping"
 	"repro/internal/model"
@@ -160,13 +161,12 @@ type Stats struct {
 	// Infeasible is the number of complete mappings rejected because the
 	// platform lacks a link the mapping requires.
 	Infeasible int64 `json:"infeasible"`
-	// Screened is the number of leaves the float-screening tier discarded
-	// without an exact evaluation: their enclosure's lower endpoint already
-	// met the incumbent, so they provably could not improve it. Zero unless
-	// the engine runs cycles.BackendFloatScreen. Screened leaves still count
-	// in Leaves — screening changes how a leaf is ruled out, not whether it
-	// was visited — so Nodes, Leaves, Pruned and the returned optimum are
-	// bit-identical to an exact-backend run of the same Options.
+	// Screened is the number of leaves whose exact period met the
+	// incumbent, ruled out by the exact cutoff (engine.EvaluateBelow)
+	// rather than evaluated in full. A leaf cut by Mct before a net build
+	// that would have failed counts here, not in Infeasible. Screened
+	// leaves still count in Leaves: the cutoff changes how a leaf is ruled
+	// out, not whether it was visited.
 	Screened int64 `json:"screened"`
 	// Frontier is the number of subtree roots the partitioning produced.
 	Frontier int `json:"frontier"`
@@ -428,7 +428,6 @@ type walker struct {
 	ref    rat.Rat // current pruning reference: min(warm start, local best)
 	hasRef bool
 	best   *incumbent // strictly better than the warm start, else nil
-	screen bool       // engine backend is float-screen: screen leaves in float first
 
 	// The relaxation's state: demand[j·len(classes)+l] (see setRef), and dp,
 	// one entry per subset of the stages it weighs.
@@ -469,7 +468,6 @@ func newWalker(pr *problem, ctx context.Context, eng *engine.Engine, nd *node, d
 		leafMapp:   mapping.Mapping{Replicas: make([][]int, pr.n)},
 		used:       append([]int(nil), nd.used...),
 		free:       nd.free,
-		screen:     eng != nil && eng.Backend() == cycles.BackendFloatScreen,
 		demand:     make([]int, pr.n*len(pr.classes)),
 		dp:         make([]int, 1<<(relaxCap+1)),
 	}
@@ -769,19 +767,20 @@ func (w *walker) leaf() {
 	}
 	w.st.Leaves++ // counted here so Leaves and Infeasible never overlap
 	task := engine.Task{Inst: inst, Model: w.pr.cm}
-	// Float screening: a leaf whose enclosure's lower endpoint already meets
-	// the reference has exact period >= ref, so it can never replace w.best,
-	// whose update below requires a strict improvement. Screening errors are
-	// impossible by error parity (the float sweep fails exactly when the
-	// exact path fails), but an errored enclosure falls through to the exact
-	// evaluation anyway so Infeasible stays exact-owned.
-	if w.screen && w.hasRef {
-		if fr, err := w.eng.EvaluateApprox(task); err == nil && fr.AtLeast(w.ref) {
-			w.st.Screened++
-			return
-		}
+	// With an incumbent, the leaf is evaluated under the exact cutoff: a
+	// leaf whose period is at least the reference can never replace
+	// w.best, whose update below requires a strict improvement, so the
+	// cutoff stops as soon as that is proven.
+	var res core.Result
+	if w.hasRef {
+		res, err = w.eng.EvaluateBelow(task, w.ref)
+	} else {
+		res, err = w.eng.Evaluate(task)
 	}
-	res, err := w.eng.Evaluate(task)
+	if errors.Is(err, core.ErrCutoff) {
+		w.st.Screened++
+		return
+	}
 	if err != nil {
 		w.st.Infeasible++
 		return

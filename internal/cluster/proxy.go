@@ -27,6 +27,17 @@ func (rt *Router) fail(w http.ResponseWriter, name string, status int, msg strin
 	rt.failCode(w, name, status, service.DefaultErrorCode(status), msg)
 }
 
+// badBackend answers 400 and reports true when backend is not a name the
+// nodes' backend parser accepts (empty means the node's default), so the
+// router rejects such a request before routing it, as a node would.
+func (rt *Router) badBackend(w http.ResponseWriter, name, backend string) bool {
+	if _, err := cycles.ParseBackend(backend); err != nil {
+		rt.fail(w, name, http.StatusBadRequest, err.Error())
+		return true
+	}
+	return false
+}
+
 // failCode writes a failure with an explicit code — used when the router
 // relays a node verdict whose code is more specific than the status default
 // (an unknown_instance 404 inside a rewritten batch message, say), so the
@@ -446,11 +457,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rt.fail(w, name, http.StatusBadRequest, "empty \"tasks\"")
 		return
 	}
-	if req.Backend != "" {
-		if _, err := cycles.ParseBackend(req.Backend); err != nil {
-			rt.fail(w, name, http.StatusBadRequest, err.Error())
-			return
-		}
+	if rt.badBackend(w, name, req.Backend) {
+		return
 	}
 	// Validate in global submission order with the node's own check: the
 	// first bad task wins, exactly as on a single node.
@@ -647,11 +655,8 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		rt.failErr(w, name, err)
 		return
 	}
-	if req.Backend != "" {
-		if _, err := cycles.ParseBackend(req.Backend); err != nil {
-			rt.fail(w, name, http.StatusBadRequest, err.Error())
-			return
-		}
+	if rt.badBackend(w, name, req.Backend) {
+		return
 	}
 	if len(req.Instances) > 0 || len(req.InstanceIDs) > 0 {
 		// Explicit instance population: route the sweep whole by body, with

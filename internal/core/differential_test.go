@@ -6,8 +6,9 @@ package core_test
 // internal/tpn/properties_test.go from "poly vs TPN" to the full backend
 // matrix: Howard policy iteration, token contraction + Karp, the Theorem 1
 // polynomial algorithm, the max-plus spectral radius, and the exact TPN
-// unrolling all run on every instance, and every witness cycle must attain
-// the ratio its engine reports.
+// unrolling all run on every instance, every witness cycle must attain the
+// ratio its engine reports, and the solver's cutoff must split exactly at
+// the period.
 
 import (
 	"math/rand"
@@ -102,10 +103,9 @@ func TestPeriodBackendsDifferential(t *testing.T) {
 
 			period := karp.Ratio.DivInt(m)
 
-			// The production solver path under every explicit backend —
-			// float-screen included: its exact results must be bit-identical
-			// (screening is a caller protocol, never a different answer).
-			for _, b := range []cycles.Backend{cycles.BackendAuto, cycles.BackendKarp, cycles.BackendHoward, cycles.BackendFloatScreen} {
+			// The production solver path under every explicit backend, with
+			// and without the cutoff.
+			for _, b := range []cycles.Backend{cycles.BackendAuto, cycles.BackendKarp, cycles.BackendHoward} {
 				s := core.NewSolver()
 				s.Backend = b
 				res, err := s.Period(inst, cm)
@@ -115,22 +115,8 @@ func TestPeriodBackendsDifferential(t *testing.T) {
 				if !res.Period.Equal(period) {
 					t.Fatalf("seed %d %v: solver(%v) period %v != %v", seed, cm, b, res.Period, period)
 				}
-			}
-
-			// The float-screening sweep: its rigorous enclosure must contain
-			// the exact period on every family the exact engines agree on.
-			{
-				s := core.NewSolver()
-				fr, err := s.PeriodApprox(inst, cm)
-				if err != nil {
-					t.Fatalf("seed %d %v: approx: %v", seed, cm, err)
-				}
-				if !fr.Contains(period) {
-					t.Fatalf("seed %d %v: float enclosure [%g ± %g] misses exact period %v",
-						seed, cm, fr.Ratio, fr.Err, period)
-				}
-				if !fr.Finite() {
-					t.Fatalf("seed %d %v: poisoned enclosure on a well-scaled family", seed, cm)
+				if msg := checkCutoff(s, inst, cm, res); msg != "" {
+					t.Fatalf("seed %d %v: solver(%v): %s", seed, cm, b, msg)
 				}
 			}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -51,7 +52,7 @@ type Solver struct {
 	sys     cycles.System
 
 	// Contraction plans per unfolded-net shape (see plan), read by the
-	// exact Karp sweep of PeriodTPN and by the float screen.
+	// potential checks and the exact Karp sweep of PeriodTPN.
 	plans    map[string]*cycles.Plan
 	planSize int
 	planKey  []byte
@@ -65,10 +66,64 @@ func NewSolver() *Solver { return &Solver{} }
 // choosing the best algorithm: the polynomial algorithm for OVERLAP, the
 // general TPN method for STRICT (for which polynomiality is open, Section 6).
 func (s *Solver) Period(inst *model.Instance, m model.CommModel) (Result, error) {
-	if m == model.Overlap {
-		return s.PeriodOverlapPoly(inst)
+	return s.period(inst, m, inst.Mct(m), cutoff{})
+}
+
+// ErrCutoff is PeriodBelow's answer for an instance whose period is at
+// least the cutoff; no Result comes with it.
+var ErrCutoff = errors.New("core: period at or above the cutoff")
+
+// PeriodBelow is Period with an exact cutoff: it returns Period's Result
+// when the period is below ref, and ErrCutoff exactly when the period is at
+// least ref. It is the same computation, stopped as soon as P ≥ ref is
+// proven:
+//
+//   - Mct ≥ ref cuts before anything is built, since P ≥ Mct (Section 2);
+//   - on the unfolded net, a potential that holds at Mct·m proves P = Mct,
+//     and one that fails at ref·m proves P > ref without a Karp table;
+//   - Theorem 1's column loop stops at the first column that reaches ref.
+//
+// An instance cut by Mct is cut even where Period would fail (on a net
+// beyond the row cap, say). Search layers call it with their incumbent: a
+// candidate that cannot strictly improve on it costs the least work that
+// proves so.
+func (s *Solver) PeriodBelow(inst *model.Instance, m model.CommModel, ref rat.Rat) (Result, error) {
+	return s.PeriodBelowMct(inst, m, inst.Mct(m), ref)
+}
+
+// PeriodBelowMct is PeriodBelow for a caller that holds mct = inst.Mct(m)
+// already, as the engine does once it has compared it with ref.
+func (s *Solver) PeriodBelowMct(inst *model.Instance, m model.CommModel, mct, ref rat.Rat) (Result, error) {
+	return s.period(inst, m, mct, cutoff{ref: ref, on: true})
+}
+
+// cutoff is PeriodBelow's reference; the zero value cuts nothing.
+type cutoff struct {
+	ref rat.Rat
+	on  bool
+}
+
+// reached reports whether a period of p is cut: the cutoff is on and
+// p ≥ ref.
+func (c cutoff) reached(p rat.Rat) bool { return c.on && !p.Less(c.ref) }
+
+// apply turns a computed period at or above the cutoff into ErrCutoff.
+func (c cutoff) apply(res Result, err error) (Result, error) {
+	if err == nil && c.reached(res.Period) {
+		return Result{}, ErrCutoff
 	}
-	return s.PeriodTPN(inst, m)
+	return res, err
+}
+
+// period dispatches on the model; mct is inst.Mct(m).
+func (s *Solver) period(inst *model.Instance, m model.CommModel, mct rat.Rat, c cutoff) (Result, error) {
+	if c.reached(mct) {
+		return Result{}, ErrCutoff
+	}
+	if m == model.Overlap {
+		return s.periodOverlap(inst, mct, c)
+	}
+	return s.periodTPN(inst, m, mct, c)
 }
 
 // PeriodTPN computes the period by building the full unfolded TPN into the
@@ -78,29 +133,41 @@ func (s *Solver) Period(inst *model.Instance, m model.CommModel) (Result, error)
 // Works for both models; cost grows with m = lcm(m_i) and the builder
 // rejects instances beyond the solver's row cap.
 func (s *Solver) PeriodTPN(inst *model.Instance, m model.CommModel) (Result, error) {
+	return s.periodTPN(inst, m, inst.Mct(m), cutoff{})
+}
+
+// periodTPN is PeriodTPN under a cutoff; mct is inst.Mct(m).
+func (s *Solver) periodTPN(inst *model.Instance, m model.CommModel, mct rat.Rat, c cutoff) (Result, error) {
 	s.builder.MaxRows = s.MaxRows
 	net, err := s.builder.Build(inst, m)
 	if err != nil {
 		return Result{}, err
 	}
 	sys := net.SystemInto(&s.sys)
-	mct := inst.Mct(m)
 	var crit cycles.Result
 	if s.Backend.Resolve(sys) == cycles.BackendHoward {
 		crit, err = s.ws.MaxRatioHoward(sys)
-		return tpnResult(inst, m, mct, crit, err)
+		return c.apply(tpnResult(inst, m, mct, crit, err))
 	}
 	// Some resource cycle of the net reaches Mct, so λ* ≥ Mct·m always.
 	// A potential at λ = Mct·m proves λ* ≤ Mct·m as well: the period is
 	// Mct and no Karp table is built. Only a failed check (the check errs
-	// exactly where MaxRatioPlan does) pays for the full sweep.
+	// exactly where MaxRatioPlan does) goes on, to a check at the cutoff,
+	// whose failure proves λ* > ref·m, and then to the full sweep.
 	p := s.plan(inst, m, sys)
-	lambda := mct.MulInt(inst.PathCount())
-	if ok, _ := s.ws.RatioAtMostPlan(p, sys, lambda); ok {
-		return tpnResult(inst, m, mct, cycles.Result{Ratio: lambda}, nil)
+	pc := inst.PathCount()
+	lambda := mct.MulInt(pc)
+	ok, err := s.ws.RatioAtMostPlan(p, sys, lambda)
+	if ok {
+		return c.apply(tpnResult(inst, m, mct, cycles.Result{Ratio: lambda}, nil))
+	}
+	if err == nil && c.on {
+		if ok, _ := s.ws.RatioAtMostPlan(p, sys, c.ref.MulInt(pc)); !ok {
+			return Result{}, ErrCutoff
+		}
 	}
 	crit, err = s.ws.MaxRatioPlan(p, sys)
-	return tpnResult(inst, m, mct, crit, err)
+	return c.apply(tpnResult(inst, m, mct, crit, err))
 }
 
 // PeriodOverlapPoly computes the OVERLAP ONE-PORT period with the
@@ -108,6 +175,14 @@ func (s *Solver) PeriodTPN(inst *model.Instance, m model.CommModel) (Result, err
 // solver's reused system storage. See the free PeriodOverlapPoly for the
 // algorithm.
 func (s *Solver) PeriodOverlapPoly(inst *model.Instance) (Result, error) {
+	return s.periodOverlap(inst, inst.Mct(model.Overlap), cutoff{})
+}
+
+// periodOverlap is PeriodOverlapPoly under a cutoff; mct is
+// inst.Mct(model.Overlap). A computation column is some resource's cycle
+// time, at most mct, so only the communication columns can reach the
+// cutoff.
+func (s *Solver) periodOverlap(inst *model.Instance, mct rat.Rat, c cutoff) (Result, error) {
 	n := inst.NumStages()
 	period := rat.Zero()
 	// Computation columns.
@@ -124,11 +199,14 @@ func (s *Solver) PeriodOverlapPoly(inst *model.Instance) (Result, error) {
 			return Result{}, err
 		}
 		period = rat.Max(period, col)
+		if c.reached(period) {
+			return Result{}, ErrCutoff
+		}
 	}
 	return Result{
 		Model:     model.Overlap,
 		Period:    period,
-		Mct:       inst.Mct(model.Overlap),
+		Mct:       mct,
 		PathCount: inst.PathCount(),
 		Method:    MethodPoly,
 	}, nil
@@ -167,10 +245,8 @@ const (
 // m. The net's places, hence sys's edges, depend only on the model and the
 // replication counts (tpn.Builder), so plans are cached under that key, and
 // the evaluations that share a replication vector pay the structural work
-// (liveness, SCCs, contraction scaffold, Karp SCCs) once. One cache, two
-// readers: PeriodTPN's exact Karp sweep and periodTPNApprox's float screen
-// evaluate the same plan. A plan larger than planMax stays in the
-// workspace's scratch.
+// (liveness, SCCs, contraction scaffold, Karp SCCs) once. A plan larger
+// than planMax stays in the workspace's scratch.
 func (s *Solver) plan(inst *model.Instance, m model.CommModel, sys *cycles.System) *cycles.Plan {
 	key := append(s.planKey[:0], byte(m))
 	for i := 0; i < inst.NumStages(); i++ {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cycles"
 	"repro/internal/model"
+	"repro/internal/rat"
 	"repro/internal/tpn"
 )
 
@@ -150,13 +151,13 @@ func TestSolverReuseCutsAllocations(t *testing.T) {
 	}
 }
 
-// TestFloatPlanCacheMatchesFreshSolver runs the TPN float sweep and the
-// exact PeriodTPN (its Karp route) for many instances on one solver, whose
-// plan cache then serves most of them from plans compiled for other
-// instances of the same replication vector, and requires every enclosure
-// and every exact period to equal, bit for bit, what a fresh solver
-// computes by compiling the instance's own plan.
-func TestFloatPlanCacheMatchesFreshSolver(t *testing.T) {
+// TestPlanCacheMatchesFreshSolver runs the exact PeriodTPN (its Karp
+// route), with and without a cutoff, for many instances on one solver,
+// whose plan cache then serves most of them from plans compiled for other
+// instances of the same replication vector, and requires every period and
+// every cutoff decision to equal, bit for bit, what a fresh solver computes
+// by compiling the instance's own plan.
+func TestPlanCacheMatchesFreshSolver(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	vectors := [][]int{{1, 2}, {2, 3, 1}, {3, 2, 3}, {2, 2, 2}, {4, 1, 3}}
 	cached := NewSolver()
@@ -164,14 +165,6 @@ func TestFloatPlanCacheMatchesFreshSolver(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		inst := randomInstanceWithReps(rng, vectors[rng.Intn(len(vectors))], 1, 200)
 		for _, cm := range model.Models() {
-			got, gerr := cached.periodTPNApprox(inst, cm)
-			want, werr := NewSolver().periodTPNApprox(inst, cm)
-			if gerr != nil || werr != nil {
-				t.Fatalf("trial %d %v: errors %v / %v", trial, cm, gerr, werr)
-			}
-			if got != want {
-				t.Fatalf("trial %d %v: cached plan gives %+v, fresh solver %+v", trial, cm, got, want)
-			}
 			fresh := NewSolver()
 			fresh.Backend = cycles.BackendKarp
 			gotP, gerr := cached.PeriodTPN(inst, cm)
@@ -182,6 +175,20 @@ func TestFloatPlanCacheMatchesFreshSolver(t *testing.T) {
 			if gotP.Period.String() != wantP.Period.String() || gotP.Period.IsBig() != wantP.Period.IsBig() ||
 				!gotP.Mct.Equal(wantP.Mct) || gotP.PathCount != wantP.PathCount {
 				t.Fatalf("trial %d %v: cached plan gives period %v, fresh solver %v", trial, cm, gotP.Period, wantP.Period)
+			}
+			// Cutoffs at the period, between Mct and the period (decided by
+			// the potential at the cutoff when P > Mct) and above it.
+			mct := wantP.Mct
+			for _, ref := range []rat.Rat{wantP.Period, mct.Add(wantP.Period).DivInt(2), wantP.Period.Add(rat.One())} {
+				c := cutoff{ref: ref, on: true}
+				got, gerr := cached.periodTPN(inst, cm, mct, c)
+				want, werr := fresh.periodTPN(inst, cm, mct, c)
+				if gerr != werr || got.Period.String() != want.Period.String() {
+					t.Fatalf("trial %d %v: cutoff %v: cached plan gives %v, %v; fresh solver %v, %v", trial, cm, ref, got.Period, gerr, want.Period, werr)
+				}
+				if (gerr == ErrCutoff) != !wantP.Period.Less(ref) {
+					t.Fatalf("trial %d %v: cutoff %v on period %v: err %v", trial, cm, ref, wantP.Period, gerr)
+				}
 			}
 		}
 	}

@@ -30,21 +30,20 @@ const (
 	BackendKarp
 	// BackendHoward forces Howard policy iteration.
 	BackendHoward
-	// BackendFloatScreen is the float-screening tier: exact computations
-	// resolve exactly like BackendAuto (MaxRatioBackend routes it by
-	// token-edge share, so results stay bit-identical to the exact
-	// backends), but callers that understand screening — the engine's
-	// ApproxBatch, the bnb leaf loop, the greedy/exhaustive heuristics —
-	// additionally run the float64 sweep with its rigorous error bound
-	// (Workspace.ApproxMaxRatio) to rank candidates in floating point and
-	// pay exact arithmetic only for the ambiguous band.
-	BackendFloatScreen
 
 	// NumBackends is the number of Backend values; callers sizing per-backend
 	// tables (the service keeps one engine per backend) use it so a new
 	// backend cannot silently overflow them.
 	NumBackends = iota
 )
+
+// BackendFloatScreen names the float-screening tier that search callers once
+// ran in front of the exact engines.
+//
+// Deprecated: the exact cutoff (core.Solver.PeriodBelow) replaced it, and
+// every engine now rules candidates out with it. BackendFloatScreen equals
+// BackendAuto, and ParseBackend still accepts "float-screen" as its alias.
+const BackendFloatScreen = BackendAuto
 
 // AutoHowardTokenShareNum/Den is the auto-heuristic crossover as an exact
 // fraction: BackendAuto routes to Howard when at least Num/Den of the
@@ -69,27 +68,23 @@ func (b Backend) String() string {
 		return "karp"
 	case BackendHoward:
 		return "howard"
-	case BackendFloatScreen:
-		return "float-screen"
 	default:
 		return fmt.Sprintf("Backend(%d)", uint8(b))
 	}
 }
 
-// ParseBackend parses "auto", "karp", "howard" or "float-screen" (the
-// -backend flag values of the commands).
+// ParseBackend parses "auto", "karp" or "howard" (the -backend flag values
+// of the commands); "float-screen" is a deprecated alias of "auto".
 func ParseBackend(s string) (Backend, error) {
 	switch s {
-	case "auto", "":
+	case "auto", "", "float-screen":
 		return BackendAuto, nil
 	case "karp":
 		return BackendKarp, nil
 	case "howard":
 		return BackendHoward, nil
-	case "float-screen":
-		return BackendFloatScreen, nil
 	default:
-		return BackendAuto, fmt.Errorf("cycles: unknown backend %q (want auto, karp, howard or float-screen)", s)
+		return BackendAuto, fmt.Errorf("cycles: unknown backend %q (want auto, karp or howard)", s)
 	}
 }
 
@@ -97,12 +92,9 @@ func ParseBackend(s string) (Backend, error) {
 // BackendHoward. BackendAuto routes to Howard when token edges make up at
 // least AutoHowardTokenShareNum/Den of all edges (integer
 // cross-multiplication, no float drift), to Karp otherwise; an empty system
-// goes to Karp for the historical error paths. BackendFloatScreen resolves
-// the same way — its exact computations ARE the auto engines, which is what
-// keeps screened results bit-identical. Screening itself is a caller
-// protocol built on ApproxMaxRatio, not a different exact engine.
+// goes to Karp for the historical error paths.
 func (b Backend) Resolve(s *System) Backend {
-	if b != BackendAuto && b != BackendFloatScreen {
+	if b != BackendAuto {
 		return b
 	}
 	tokenEdges := 0

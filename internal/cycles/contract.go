@@ -155,9 +155,9 @@ func (ws *Workspace) scaleCosts(s *System) bool {
 // edges, zero-token CSR, DAG order), the contracted edges, and the SCCs of
 // the token-expanded contracted graph with their hops in local ids.
 //
-// Compile builds it, and three sweeps read it: the exact one on scaled
-// int64 costs, the exact one in rationals (MaxRatioPlan picks between the
-// two by the costs) and the float screen (ApproxMaxRatioPlan); the witness
+// Compile builds it, and two sweeps read it: the exact one on scaled int64
+// costs and the exact one in rationals (MaxRatioPlan picks between the two
+// by the costs); the witness
 // rebuild walks it back to system edges, and the potential check
 // (RatioAtMostPlan) relaxes its token edges and zero-token DAG. Evaluation
 // runs only the arithmetic, in the order a fresh compile of the evaluated
@@ -263,7 +263,7 @@ func carve[T any](arena *[]T, src []T) []T {
 
 // Compile compiles the contraction structure of s into the workspace's
 // scratch plan and returns it. s's costs are not read. The plan stays valid
-// until the next Compile on ws, which MaxRatio and ApproxMaxRatio also run;
+// until the next Compile on ws, which MaxRatio also runs;
 // Compact copies it out for keeps.
 func (ws *Workspace) Compile(s *System) *Plan {
 	p := &ws.plan

@@ -1,6 +1,7 @@
 package cycles
 
 import (
+	"errors"
 	"math/big"
 	"math/rand"
 	"slices"
@@ -150,5 +151,72 @@ func TestIntBoundCountsExpandedVertices(t *testing.T) {
 	}
 	if want := rat.New(c, 6); !r.Ratio.Equal(want) {
 		t.Fatalf("ratio %v, want %v", r.Ratio, want)
+	}
+}
+
+// TestPlanReuse evaluates a plan compiled from one system on siblings with
+// the same edges and tokens but other costs, with the workspace's scratch
+// clobbered in between, through both exact sweeps that read a plan and the
+// potential check: the sweeps on scaled int64 costs and in rationals must
+// return what a fresh MaxRatio of the sibling returns, ratio and witness
+// bit for bit, and the check must hold at that ratio and fail a hair below
+// it. Structural errors must carry over.
+func TestPlanReuse(t *testing.T) {
+	var ws Workspace
+	for seed := int64(0); seed < 500; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := randomLiveSystem(rng, 2+rng.Intn(10))
+		plan := ws.Compile(s).Compact()
+		if plan.Size() <= 0 {
+			t.Fatalf("seed %d: compiled plan reports size %d", seed, plan.Size())
+		}
+		for sibling := 0; sibling < 2; sibling++ {
+			sib := NewSystem(s.G.N)
+			for i, e := range s.G.Edges {
+				sib.AddEdge(e.From, e.To, rat.New(int64(rng.Intn(50)), int64(1+rng.Intn(7))), s.Tokens[i])
+			}
+			if _, err := ws.MaxRatio(randomLiveSystem(rng, 3+rng.Intn(10))); err != nil {
+				t.Fatal(err)
+			}
+			want, werr := sib.MaxRatio()
+			for _, forceRat := range []bool{false, true} {
+				ws.forceRat = forceRat
+				got, gerr := ws.MaxRatioPlan(plan, sib)
+				ws.forceRat = false
+				if ws.intMode == forceRat && gerr == nil {
+					t.Fatalf("seed %d: forced rational %v, yet int64 path %v", seed, forceRat, ws.intMode)
+				}
+				if (gerr == nil) != (werr == nil) || got.Ratio.String() != want.Ratio.String() ||
+					got.Ratio.IsBig() != want.Ratio.IsBig() || !slices.Equal(got.Cycle, want.Cycle) {
+					t.Fatalf("seed %d (rational %v): plan gives %v %v (%v), fresh MaxRatio %v %v (%v)",
+						seed, forceRat, got.Ratio, got.Cycle, gerr, want.Ratio, want.Cycle, werr)
+				}
+			}
+			if werr != nil {
+				continue
+			}
+			below := want.Ratio.Sub(rat.New(1, 1<<40))
+			if ok, err := ws.RatioAtMostPlan(plan, sib, want.Ratio); !ok || err != nil {
+				t.Fatalf("seed %d: check at the ratio %v: %v, %v", seed, want.Ratio, ok, err)
+			}
+			if ok, err := ws.RatioAtMostPlan(plan, sib, below); ok || err != nil {
+				t.Fatalf("seed %d: check below the ratio %v: %v, %v", seed, want.Ratio, ok, err)
+			}
+		}
+	}
+
+	deadlock := NewSystem(2)
+	deadlock.AddEdge(0, 1, rat.One(), 0)
+	deadlock.AddEdge(1, 0, rat.One(), 0)
+	plan := ws.Compile(deadlock)
+	if _, err := ws.MaxRatioPlan(plan, deadlock); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("deadlocked plan, exact sweep: err = %v, want ErrDeadlock", err)
+	}
+	negative := NewSystem(2)
+	negative.AddEdge(0, 1, rat.FromInt(-1), 0)
+	negative.AddEdge(1, 0, rat.One(), 1)
+	plan = ws.Compile(negative)
+	if _, err := ws.MaxRatioPlan(plan, negative); err == nil {
+		t.Fatal("negative cost accepted by an exact plan evaluation")
 	}
 }

@@ -15,9 +15,8 @@
 //     so token edges can be contracted via longest-path DAG sweeps, after
 //     which every edge carries exactly one token and Karp's maximum mean
 //     cycle applies. The structural half of that work is compiled once
-//     into a Plan (Workspace.Compile), which three sweeps evaluate: exact
-//     on scaled int64 costs, exact in rationals (MaxRatioPlan) and the
-//     float screen below (ApproxMaxRatioPlan).
+//     into a Plan (Workspace.Compile), which two sweeps evaluate: exact
+//     on scaled int64 costs and exact in rationals (MaxRatioPlan).
 //   - MaxRatioHoward (policy iteration): exact, handles arbitrary token
 //     counts, and converges in a handful of sweeps on large event graphs —
 //     the large-graph default.
@@ -27,21 +26,16 @@
 //     (EnumerateElementaryCycles), a test-only ground truth
 //     (brute_test.go).
 //
-// A fifth evaluator, ApproxMaxRatio (see float.go), is not an exact engine
-// but the float-screening tier: the contraction+Karp sweep in float64 over
-// the same Plan, returning an enclosure [Ratio−Err, Ratio+Err] guaranteed
-// to contain the exact ratio, so search layers can rank candidates in
-// floating point and reserve exact arithmetic for the ambiguous band.
-//
 // Workspace.RatioAtMostPlan is a decision procedure, not an engine: for one
 // given λ it reports exactly whether λ ≥ λ*, by relaxing a potential over
 // the same Plan. core.Solver runs it at the lower bound Mct·m before Karp,
-// so the usual case, a net whose period is Mct, builds no Karp table.
+// so the usual case, a net whose period is Mct, builds no Karp table, and
+// at a caller's cutoff, so a net whose period is above it builds none
+// either.
 //
 // Workspace.MaxRatioBackend selects between the two exact engines (Backend
-// enum: auto, karp, howard, float-screen); the auto heuristic routes by
-// token-edge share, and float-screen resolves identically to auto — the
-// screening protocol lives in the callers, never in the exact results.
+// enum: auto, karp, howard); the auto heuristic routes by token-edge
+// share.
 package cycles
 
 import (

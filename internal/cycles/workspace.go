@@ -9,7 +9,7 @@ import (
 // Kahn and CSR state, local numbering, the token expansion), a scratch Plan,
 // and the value tables its three readers fill: the scaled integer costs,
 // the per-token-edge longest-path tables, the contracted-edge costs, Karp's
-// dynamic-programming tables and the witness rebuild, exact or float.
+// dynamic-programming tables and the witness rebuild.
 //
 // A Workspace amortizes those buffers across calls: the first MaxRatio on a
 // given net size pays the allocations, subsequent calls of similar size run
@@ -17,10 +17,10 @@ import (
 // for concurrent use — give each solver thread its own (core.Solver and the
 // engine's worker pool do exactly that).
 //
-// MaxRatio and ApproxMaxRatio compile the system into the workspace's
-// scratch plan (Compile) and evaluate it; callers that meet one structure
-// repeatedly keep a compacted copy of that plan (Plan.Compact) and evaluate
-// it (MaxRatioPlan, ApproxMaxRatioPlan). Either way the results are
+// MaxRatio compiles the system into the workspace's scratch plan (Compile)
+// and evaluates it; callers that meet one structure repeatedly keep a
+// compacted copy of that plan (Plan.Compact) and evaluate it (MaxRatioPlan,
+// RatioAtMostPlan). Either way the results are
 // bit-identical to a fresh Workspace's.
 type Workspace struct {
 	// epoch stamps the localID table so it never needs clearing: an entry is
@@ -118,17 +118,6 @@ type Workspace struct {
 	// workspace can never leak one engine's state into the other (see
 	// howardScratch).
 	howard howardScratch
-
-	// Float-screening scratch (see float.go): float costs with
-	// conversion-error bounds, and the float DAG/Karp value+error tables.
-	// The float sweep reads the same plan as the exact one, and the
-	// reachability table has, so their iteration structures are identical
-	// by construction.
-	fzc, fze     []float64 // zero-edge costs and bounds, parallel to the CSR items
-	fdist, fderr []float64
-	fce, fceErr  []float64 // contracted-edge costs and bounds
-	fkc, fke     []float64 // one Karp component's hop costs and bounds
-	fkD, fkErr   []float64
 }
 
 // grow returns s with length n, reusing capacity when possible. New backing

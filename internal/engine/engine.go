@@ -122,10 +122,9 @@ func New(opts Options) *Engine {
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// Backend returns the backend the engine's solvers were configured with.
-// Search layers consult it to decide whether float screening is on: only
-// cycles.BackendFloatScreen opts a batch into the ApproxBatch-then-exact
-// protocol.
+// Backend returns the backend the engine's solvers were configured with:
+// the exact engine of every evaluation, with or without a cutoff. It moves
+// running time only, never a Result.
 func (e *Engine) Backend() cycles.Backend { return e.backend }
 
 // CacheStats returns the cumulative memo-cache hit and miss counts.
@@ -237,38 +236,40 @@ func (e *Engine) evaluateSolver(t Task) (core.Result, error) {
 	return s.Period(t.Inst, t.Model)
 }
 
-// ApproxOutcome is the result of one float-screening evaluation: an
-// enclosure of the task's exact period, or the error the exact path would
-// also report (the float sweep fails exactly when the exact engines do).
-type ApproxOutcome struct {
-	Period cycles.FloatResult
-	Err    error
+// EvaluateBelow is Evaluate with an exact cutoff (core.Solver.PeriodBelow):
+// it returns Evaluate's Result when the period is below ref and
+// core.ErrCutoff exactly when it is at least ref, whether the period comes
+// from the memo or is computed. The Mct comparison runs before the memo key
+// is built, since it rules out most candidates of a search for less than
+// the key costs. Only exact Results are memoized.
+func (e *Engine) EvaluateBelow(t Task, ref rat.Rat) (core.Result, error) {
+	mct := t.Inst.Mct(t.Model)
+	if !mct.Less(ref) {
+		return core.Result{}, core.ErrCutoff
+	}
+	if e.memo == nil {
+		return e.solveBelow(t, mct, ref)
+	}
+	h, k := canonicalKey(t)
+	sh := e.shard(h)
+	if res, ok := sh.Get(k); ok {
+		if !res.Period.Less(ref) {
+			return core.Result{}, core.ErrCutoff
+		}
+		return res, nil
+	}
+	res, err := e.solveBelow(t, mct, ref)
+	if err != nil {
+		return res, err
+	}
+	sh.Put(k, res)
+	return res, nil
 }
 
-// EvaluateApprox computes a float64 enclosure of a task's period on a pooled
-// solver. Enclosures are never memoized: the cache stores exact Results
-// only, so a cached exact period can never be displaced by (or confused
-// with) a screening estimate.
-func (e *Engine) EvaluateApprox(t Task) (cycles.FloatResult, error) {
+func (e *Engine) solveBelow(t Task, mct, ref rat.Rat) (core.Result, error) {
 	s := e.solvers.Get().(*core.Solver)
 	defer e.solvers.Put(s)
-	return s.PeriodApprox(t.Inst, t.Model)
-}
-
-// ApproxBatch evaluates float enclosures for tasks on the worker pool;
-// out[i] corresponds to tasks[i] exactly as in EvaluateBatch. The float
-// sweep is deterministic (IEEE 754 operations in a fixed order), so out is
-// bit-identical at any worker count.
-func (e *Engine) ApproxBatch(ctx context.Context, tasks []Task) ([]ApproxOutcome, error) {
-	out := make([]ApproxOutcome, len(tasks))
-	err := e.ForEach(ctx, len(tasks), func(i int) {
-		fr, err := e.EvaluateApprox(tasks[i])
-		out[i] = ApproxOutcome{Period: fr, Err: err}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return s.PeriodBelowMct(t.Inst, t.Model, mct, ref)
 }
 
 // EvaluateBatch evaluates tasks on the worker pool. out[i] always
@@ -277,9 +278,20 @@ func (e *Engine) ApproxBatch(ctx context.Context, tasks []Task) ([]ApproxOutcome
 // cancellation: when ctx is done the partial outcomes are discarded and
 // ctx.Err() is returned.
 func (e *Engine) EvaluateBatch(ctx context.Context, tasks []Task) ([]Outcome, error) {
+	return e.batch(ctx, tasks, e.Evaluate)
+}
+
+// EvaluateBatchBelow is EvaluateBatch through EvaluateBelow: a task whose
+// period is at least ref gets core.ErrCutoff as its Err. A search passes
+// its running best, which such a task cannot strictly improve.
+func (e *Engine) EvaluateBatchBelow(ctx context.Context, tasks []Task, ref rat.Rat) ([]Outcome, error) {
+	return e.batch(ctx, tasks, func(t Task) (core.Result, error) { return e.EvaluateBelow(t, ref) })
+}
+
+func (e *Engine) batch(ctx context.Context, tasks []Task, eval func(Task) (core.Result, error)) ([]Outcome, error) {
 	out := make([]Outcome, len(tasks))
 	err := e.ForEach(ctx, len(tasks), func(i int) {
-		res, err := e.Evaluate(tasks[i])
+		res, err := eval(tasks[i])
 		out[i] = Outcome{Result: res, Err: err}
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -94,6 +95,57 @@ func TestEvaluateBatchMatchesSerial(t *testing.T) {
 					workers, i, got[i].Result, want[i].Result)
 			}
 		}
+	}
+}
+
+// TestEvaluateBatchBelowMatchesSerial: under a cutoff at the median period,
+// every task whose serial period is at least it must come back as
+// core.ErrCutoff and every other one with the serial Result, bit for bit,
+// whether the engine memoizes or not, at any worker count, and on a second
+// pass served from the memo. A cut is never memoized: a cutoff at zero cuts
+// every task on Mct alone, before the memo is consulted.
+func TestEvaluateBatchBelowMatchesSerial(t *testing.T) {
+	tasks := randomTasks(t, 43, 60)
+	want := serialOutcomes(tasks)
+	periods := make([]rat.Rat, len(want))
+	for i, o := range want {
+		if o.Err != nil {
+			t.Fatalf("task %d: %v", i, o.Err)
+		}
+		periods[i] = o.Result.Period
+	}
+	slices.SortFunc(periods, rat.Rat.Cmp)
+	ref := periods[len(periods)/2]
+	for _, opts := range []Options{{Workers: 1}, {Workers: 4}, {Workers: 4, CacheEntries: -1}} {
+		eng := New(opts)
+		for pass := 0; pass < 2; pass++ {
+			got, err := eng.EvaluateBatchBelow(context.Background(), tasks, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				cut := !want[i].Result.Period.Less(ref)
+				if cut != errors.Is(got[i].Err, core.ErrCutoff) || (!cut && got[i].Err != nil) {
+					t.Fatalf("%+v pass %d task %d: err %v for period %v at cutoff %v", opts, pass, i, got[i].Err, want[i].Result.Period, ref)
+				}
+				if !cut && !reflect.DeepEqual(got[i].Result, want[i].Result) {
+					t.Fatalf("%+v pass %d task %d: result %+v differs from serial %+v", opts, pass, i, got[i].Result, want[i].Result)
+				}
+			}
+		}
+	}
+	eng := New(Options{Workers: 2})
+	got, err := eng.EvaluateBatchBelow(context.Background(), tasks, rat.Zero())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range got {
+		if !errors.Is(o.Err, core.ErrCutoff) {
+			t.Fatalf("task %d at cutoff 0: err %v", i, o.Err)
+		}
+	}
+	if m := eng.CacheMetrics(); m.Hits+m.Misses+m.Entries != 0 {
+		t.Fatalf("cuts by Mct touched the memo: %+v", m)
 	}
 }
 

@@ -85,16 +85,21 @@ func (in *Instance) Resources() []Resource {
 }
 
 // resource computes the decomposition of replica a of stage i, without
-// its display name (Mct needs only the times).
+// its display name.
 func (in *Instance) resource(i, a int) Resource {
+	r := Resource{Stage: i, Replica: a, Proc: in.proc[i][a]}
+	r.Cin, r.Ccomp, r.Cout = in.ports(i, a)
+	r.CexecOverlap = rat.Max(r.Cin, rat.Max(r.Ccomp, r.Cout))
+	r.CexecStrict = r.Cin.Add(r.Ccomp).Add(r.Cout)
+	return r
+}
+
+// ports returns the per-data-set occupation times Cin, Ccomp and Cout of
+// replica a of stage i.
+func (in *Instance) ports(i, a int) (cin, ccomp, cout rat.Rat) {
 	mi := int64(in.m[i])
-	r := Resource{
-		Stage:   i,
-		Replica: a,
-		Proc:    in.proc[i][a],
-	}
 	// Compute: the replica runs one data set in m_i.
-	r.Ccomp = in.comp[i][a].DivInt(mi)
+	ccomp = in.comp[i][a].DivInt(mi)
 	// Input port: for each handled data set, the sender is the round-robin
 	// replica of stage i-1.
 	if i > 0 {
@@ -104,7 +109,7 @@ func (in *Instance) resource(i, a int) Resource {
 		for j := int64(a); j < l; j += mi {
 			sum = sum.Add(in.comm[i-1][j%mp][a])
 		}
-		r.Cin = sum.DivInt(l)
+		cin = sum.DivInt(l)
 	}
 	// Output port: receivers are round-robin replicas of stage i+1.
 	if i < in.n-1 {
@@ -114,24 +119,28 @@ func (in *Instance) resource(i, a int) Resource {
 		for j := int64(a); j < l; j += mi {
 			sum = sum.Add(in.comm[i][a][j%mn])
 		}
-		r.Cout = sum.DivInt(l)
+		cout = sum.DivInt(l)
 	}
-	r.CexecOverlap = rat.Max(r.Cin, rat.Max(r.Ccomp, r.Cout))
-	r.CexecStrict = r.Cin.Add(r.Ccomp).Add(r.Cout)
-	return r
+	return cin, ccomp, cout
 }
 
 // Mct returns the maximum cycle-time over all resources under the given
 // model. It is a lower bound for the period (Section 2) and equals the
 // period when no stage is replicated. It is computed on each call, in one
-// pass over the replicas that allocates nothing: an exact evaluation asks
-// for it once, and the float screen, which rules out most leaves of the
-// exact search, never does.
+// pass over the replicas that allocates nothing and forms only the model's
+// cycle times, which makes it the first test of the exact cutoff
+// (core.Solver.PeriodBelow): most candidates of a search are ruled out by
+// it before any net is built.
 func (in *Instance) Mct(m CommModel) rat.Rat {
 	mct := rat.Zero()
 	for i := 0; i < in.n; i++ {
 		for a := 0; a < in.m[i]; a++ {
-			mct = rat.Max(mct, in.resource(i, a).Cexec(m))
+			cin, ccomp, cout := in.ports(i, a)
+			if m == Overlap {
+				mct = rat.Max(mct, rat.Max(cin, rat.Max(ccomp, cout)))
+			} else {
+				mct = rat.Max(mct, cin.Add(ccomp).Add(cout))
+			}
 		}
 	}
 	return mct

@@ -50,9 +50,7 @@ func FromInt(n int64) Rat { return Rat{n, 1, nil} }
 
 // FromFloat returns the exact rational value of f. Every finite float64 is a
 // dyadic rational, so the conversion is lossless — no rounding happens here.
-// ok is false for NaN and the infinities, which have no rational value. The
-// float-screening layer uses it to compare float enclosure endpoints against
-// exact incumbents in exact arithmetic.
+// ok is false for NaN and the infinities, which have no rational value.
 func FromFloat(f float64) (Rat, bool) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return Rat{}, false

@@ -47,11 +47,8 @@ func Anneal(pipe *pipeline.Pipeline, plat *platform.Platform, cm model.CommModel
 // AnnealEngine is Anneal on a shared engine, with candidates priced as in
 // RandomSearchEngine (see walkEval). The cooling walk is sequential by
 // construction; memoization pays off when the walk re-proposes a partition
-// (frequent near convergence). Float screening deliberately does NOT apply:
-// the acceptance rule consumes rng.Float64() only when the exact delta
-// demands it, so skipping an exact evaluation would shift the rng stream
-// and change the trajectory — the annealer stays exact even on a
-// float-screen engine.
+// (frequent near convergence). The exact cutoff does not apply: the
+// acceptance rule needs the exact delta of a worse candidate too.
 func AnnealEngine(ctx context.Context, eng *engine.Engine, pipe *pipeline.Pipeline, plat *platform.Platform, cm model.CommModel, rng *rand.Rand, opts AnnealOptions) (Result, error) {
 	return anneal(ctx, eng, walkEval(eng, pipe, plat, cm), pipe, plat, cm, rng, opts)
 }

@@ -51,14 +51,14 @@ func BenchmarkBestOf(b *testing.B) {
 // BenchmarkExactSearchBackends runs the leaves-3x8 search of
 // TestPinnedExactSearches (seed 2, 3 stages on 8 heterogeneous processors,
 // strict model) with one walker on a fresh engine per op, under
-// BackendAuto and under BackendFloatScreen, so the time the float screen
-// saves on top of the exact leaf path shows. With -count N the two
-// alternate.
+// BackendAuto, whose leaves the cutoff's potential checks decide, and under
+// BackendHoward, whose leaves it cuts only after a full Howard evaluation,
+// so the time the checks save shows. With -count N the two alternate.
 func BenchmarkExactSearchBackends(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	pipe := pipeline.Random(rng, 3, 50, 500)
 	plat := platform.Random(rng, 8, 5, 25, 20, 200)
-	for _, backend := range []cycles.Backend{cycles.BackendAuto, cycles.BackendFloatScreen} {
+	for _, backend := range []cycles.Backend{cycles.BackendAuto, cycles.BackendHoward} {
 		b.Run(backend.String(), func(b *testing.B) {
 			var res ExactResult
 			for i := 0; i < b.N; i++ {
@@ -74,6 +74,37 @@ func BenchmarkExactSearchBackends(b *testing.B) {
 			}
 			b.ReportMetric(float64(res.Stats.Leaves), "leaves/op")
 			b.ReportMetric(float64(res.Stats.Screened), "screened/op")
+		})
+	}
+}
+
+// BenchmarkBatchHeuristics runs one cold greedy and one cold exhaustive
+// one-to-one search per op (a fresh one-worker engine each) on strict
+// problems drawn from seed 2 as cmd/mapsearch draws them: greedy on 5
+// stages and 12 processors, exhaustive on 4 stages and 10 processors
+// (5,040 assignments). Both pass their running best to the engine's exact
+// cutoff, so the time shows what it saves on the batch heuristics.
+func BenchmarkBatchHeuristics(b *testing.B) {
+	cases := []struct {
+		name          string
+		stages, procs int
+		run           func(context.Context, *engine.Engine, *pipeline.Pipeline, *platform.Platform, model.CommModel) (Result, error)
+	}{
+		{"greedy-strict-5x12", 5, 12, GreedyEngine},
+		{"exhaustive-strict-4x10", 4, 10, ExhaustiveOneToOneEngine},
+	}
+	for _, c := range cases {
+		rng := rand.New(rand.NewSource(2))
+		pipe := pipeline.Random(rng, c.stages, 50, 500)
+		plat := platform.Random(rng, c.procs, 5, 25, 20, 200)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				eng := engine.New(engine.Options{Workers: 1})
+				if _, err := c.run(context.Background(), eng, pipe, plat, model.Strict); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

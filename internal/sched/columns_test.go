@@ -87,7 +87,7 @@ func TestColumnEvaluatorMatchesFromMapped(t *testing.T) {
 		}
 		backend := cycles.BackendAuto
 		if seed%3 == 0 {
-			backend = cycles.BackendFloatScreen
+			backend = cycles.BackendHoward
 		}
 		e := newColumnEvaluator(backend, pipe, plat)
 		for k := 0; k < 30; k++ {

@@ -32,8 +32,8 @@ func TestPinnedExactSearches(t *testing.T) {
 		stats         bnb.Stats
 	}{
 		{"walker-4x10", 4, 10, model.Overlap, cycles.BackendAuto, "47/6", "[[2 5 8] [1] [4 6] [0 3 7 9]]",
-			bnb.Stats{Nodes: 3678, Leaves: 418, Pruned: 2297, Infeasible: 0, Screened: 0, Frontier: 173}},
-		{"leaves-3x8", 3, 8, model.Strict, cycles.BackendFloatScreen, "55769913/10291120", "[[7] [4 6] [1 2 3 5]]",
+			bnb.Stats{Nodes: 3678, Leaves: 418, Pruned: 2297, Infeasible: 0, Screened: 8, Frontier: 173}},
+		{"leaves-3x8", 3, 8, model.Strict, cycles.BackendAuto, "55769913/10291120", "[[7] [4 6] [1 2 3 5]]",
 			bnb.Stats{Nodes: 4350, Leaves: 157, Pruned: 3675, Infeasible: 0, Screened: 8, Frontier: 136}},
 	}
 	for _, c := range cases {

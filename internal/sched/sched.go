@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/cycles"
 	"repro/internal/engine"
 	"repro/internal/mapping"
 	"repro/internal/model"
@@ -78,34 +77,6 @@ func ExhaustiveOneToOne(pipe *pipeline.Pipeline, plat *platform.Platform, cm mod
 // before being flushed to the engine as one batch.
 const exhaustiveChunk = 1024
 
-// screenTasks is the float-screening pass shared by the batch heuristics:
-// when the engine runs cycles.BackendFloatScreen, it drops every task whose
-// enclosure proves its exact period is at least ref — such a task can never
-// strictly improve a running best that is already <= ref — and returns the
-// survivors (tasks and their parallel bookkeeping slice pos, compacted in
-// place). Candidates with poisoned or errored enclosures always survive to
-// the exact evaluation, so the caller's winner, tie-breaks and error
-// handling are bit-identical to an unscreened run.
-func screenTasks(ctx context.Context, eng *engine.Engine, tasks []engine.Task, pos []int, ref rat.Rat) ([]engine.Task, []int, error) {
-	if eng.Backend() != cycles.BackendFloatScreen || len(tasks) == 0 {
-		return tasks, pos, nil
-	}
-	aouts, err := eng.ApproxBatch(ctx, tasks)
-	if err != nil {
-		return nil, nil, err
-	}
-	kept := 0
-	for j := range tasks {
-		if aouts[j].Err == nil && aouts[j].Period.AtLeast(ref) {
-			continue
-		}
-		tasks[kept] = tasks[j]
-		pos[kept] = pos[j]
-		kept++
-	}
-	return tasks[:kept], pos[:kept], nil
-}
-
 // ExhaustiveOneToOneEngine enumerates injective assignments in
 // lexicographic order, evaluates them in engine batches, and keeps the
 // first assignment attaining the minimum period — the same winner the
@@ -137,18 +108,17 @@ func ExhaustiveOneToOneEngine(ctx context.Context, eng *engine.Engine, pipe *pip
 			idx = append(idx, k)
 			compact = append(compact, engine.Task{Inst: inst, Model: cm})
 		}
-		// With float screening on, assignments that provably cannot beat the
-		// running best skip their exact evaluation; the first-minimum winner
-		// is unchanged because a screened assignment's exact period is >= the
-		// best so far and the update below requires a strict improvement.
-		if best.Mapping != nil {
-			var err error
-			compact, idx, err = screenTasks(ctx, eng, compact, idx, best.Period)
-			if err != nil {
-				return err
-			}
+		// Once a best exists, assignments whose period is at least it are
+		// cut (their outcome carries core.ErrCutoff and is skipped below):
+		// the first-minimum winner is unchanged, since the update requires
+		// a strict improvement on a best that only decreases.
+		var outs []engine.Outcome
+		var err error
+		if best.Mapping == nil {
+			outs, err = eng.EvaluateBatch(ctx, compact)
+		} else {
+			outs, err = eng.EvaluateBatchBelow(ctx, compact, best.Period)
 		}
-		outs, err := eng.EvaluateBatch(ctx, compact)
 		if err != nil {
 			return err
 		}
@@ -275,22 +245,10 @@ func GreedyEngine(ctx context.Context, eng *engine.Engine, pipe *pipeline.Pipeli
 			stages = append(stages, i)
 			tasks = append(tasks, engine.Task{Inst: inst, Model: cm})
 		}
-		// With float screening on, enlargements that provably cannot improve
-		// the current period skip their exact evaluation. The round winner is
-		// unchanged: bestPeriod starts at current and only decreases, so a
-		// screened candidate (exact >= current) could never have won — and
-		// the first-stage tie-break sees the survivors in their original
-		// stage order.
-		tasks, stages, err = screenTasks(ctx, eng, tasks, stages, current)
-		if err != nil {
-			if ctx.Err() != nil {
-				if mapp, merr := mapping.New(cloneReplicas(replicas), p); merr == nil {
-					return Result{Mapping: mapp, Period: current}, nil
-				}
-			}
-			return Result{}, err
-		}
-		outs, err := eng.EvaluateBatch(ctx, tasks)
+		// Enlargements whose period is at least the current one are cut:
+		// bestPeriod starts at current and only decreases, so none of them
+		// could win the round.
+		outs, err := eng.EvaluateBatchBelow(ctx, tasks, current)
 		if err != nil {
 			// The partial greedy assignment is itself a feasible mapping
 			// (every stage got a processor in the seeding round); a
@@ -342,11 +300,7 @@ func RandomSearch(pipe *pipeline.Pipeline, plat *platform.Platform, cm model.Com
 // partitions match the serial path exactly. Overlap candidates are priced
 // by a column evaluator private to the search (see walkEval), strict ones by
 // the engine's memo, so partitions revisited across moves and restarts are
-// computed once. Float screening never applies here (or in the annealer):
-// the walk's trajectory is coupled to exact accept/reject decisions, so
-// skipping an exact evaluation would change which partitions are visited
-// next — screening is reserved for the batch heuristics, whose winners are
-// order-free.
+// computed once.
 func RandomSearchEngine(ctx context.Context, eng *engine.Engine, pipe *pipeline.Pipeline, plat *platform.Platform, cm model.CommModel, rng *rand.Rand, restarts, movesPerRestart int) (Result, error) {
 	return randomSearch(ctx, walkEval(eng, pipe, plat, cm), pipe, plat, rng, restarts, movesPerRestart)
 }

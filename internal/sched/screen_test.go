@@ -12,27 +12,38 @@ import (
 
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// The batch heuristics on a float-screen engine must return bit-identical
-// results to the exact backends: screening only skips exact evaluations
-// whose enclosure proves they cannot win, so the winner — including the
-// first-stage and first-in-enumeration tie-breaks — never moves.
+// The batch heuristics pass their running best to the engine's exact
+// cutoff, which the auto backend decides with potential checks and the
+// Howard backend by a full evaluation. An engine configured by the
+// deprecated "float-screen" alias of auto must return bit-identical results
+// to a Howard engine: the cutoff only rules out candidates that cannot win,
+// so the winner — including the first-stage and first-in-enumeration
+// tie-breaks — never moves.
+
+// floatScreenEngine builds an engine from the deprecated backend name.
+func floatScreenEngine(t *testing.T) *engine.Engine {
+	b, err := cycles.ParseBackend("float-screen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return engine.New(engine.Options{Workers: 2, Backend: b})
+}
 
 func TestGreedyEngineFloatScreenBitIdentical(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4} {
 		pipe, plat := testProblem(seed)
 		for _, cm := range model.Models() {
 			ref, refErr := GreedyEngine(context.Background(),
-				engine.New(engine.Options{Workers: 2}), pipe, plat, cm)
-			got, gotErr := GreedyEngine(context.Background(),
-				engine.New(engine.Options{Workers: 2, Backend: cycles.BackendFloatScreen}), pipe, plat, cm)
+				engine.New(engine.Options{Workers: 2, Backend: cycles.BackendHoward}), pipe, plat, cm)
+			got, gotErr := GreedyEngine(context.Background(), floatScreenEngine(t), pipe, plat, cm)
 			if (refErr == nil) != (gotErr == nil) {
-				t.Fatalf("seed %d %v: err %v vs screened %v", seed, cm, refErr, gotErr)
+				t.Fatalf("seed %d %v: err %v vs float-screen %v", seed, cm, refErr, gotErr)
 			}
 			if refErr != nil {
 				continue
 			}
 			if !got.Period.Equal(ref.Period) || got.Mapping.String() != ref.Mapping.String() {
-				t.Fatalf("seed %d %v: screened greedy %v/%v, exact %v/%v",
+				t.Fatalf("seed %d %v: float-screen greedy %v/%v, howard %v/%v",
 					seed, cm, got.Period, got.Mapping, ref.Period, ref.Mapping)
 			}
 		}
@@ -44,17 +55,16 @@ func TestExhaustiveEngineFloatScreenBitIdentical(t *testing.T) {
 		pipe, plat := testProblem(seed)
 		for _, cm := range model.Models() {
 			ref, refErr := ExhaustiveOneToOneEngine(context.Background(),
-				engine.New(engine.Options{Workers: 2}), pipe, plat, cm)
-			got, gotErr := ExhaustiveOneToOneEngine(context.Background(),
-				engine.New(engine.Options{Workers: 2, Backend: cycles.BackendFloatScreen}), pipe, plat, cm)
+				engine.New(engine.Options{Workers: 2, Backend: cycles.BackendHoward}), pipe, plat, cm)
+			got, gotErr := ExhaustiveOneToOneEngine(context.Background(), floatScreenEngine(t), pipe, plat, cm)
 			if (refErr == nil) != (gotErr == nil) {
-				t.Fatalf("seed %d %v: err %v vs screened %v", seed, cm, refErr, gotErr)
+				t.Fatalf("seed %d %v: err %v vs float-screen %v", seed, cm, refErr, gotErr)
 			}
 			if refErr != nil {
 				continue
 			}
 			if !got.Period.Equal(ref.Period) || got.Mapping.String() != ref.Mapping.String() {
-				t.Fatalf("seed %d %v: screened exhaustive %v/%v, exact %v/%v",
+				t.Fatalf("seed %d %v: float-screen exhaustive %v/%v, howard %v/%v",
 					seed, cm, got.Period, got.Mapping, ref.Period, ref.Mapping)
 			}
 		}
@@ -62,13 +72,12 @@ func TestExhaustiveEngineFloatScreenBitIdentical(t *testing.T) {
 }
 
 // TestSequentialWalksIgnoreFloatScreen: the rng-coupled walks (random
-// search, annealing) must visit the identical trajectory on a float-screen
-// engine — screening never applies to them, because skipping an exact
-// evaluation would shift the rng stream and change the result.
+// search, annealing) must visit the identical trajectory on an engine
+// configured by the deprecated "float-screen" name as on an auto engine.
 func TestSequentialWalksIgnoreFloatScreen(t *testing.T) {
 	pipe, plat := testProblem(7)
 	exact := engine.New(engine.Options{Workers: 2})
-	screened := engine.New(engine.Options{Workers: 2, Backend: cycles.BackendFloatScreen})
+	screened := floatScreenEngine(t)
 
 	refR, err := RandomSearchEngine(context.Background(), exact, pipe, plat, model.Overlap, newRng(3), 5, 20)
 	if err != nil {

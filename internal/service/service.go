@@ -878,11 +878,9 @@ type SearchResponse struct {
 	// present on every bnb response — zero included — and absent otherwise.
 	Nodes  *int64 `json:"nodes,omitempty"`
 	Pruned *int64 `json:"pruned,omitempty"`
-	// Screened (bnb only) counts leaves the float-screening tier ruled out
-	// without an exact evaluation; always zero unless the request selected
-	// the float-screen backend. Nodes, Pruned, the period and the proven
-	// flag are bit-identical either way — Screened only shows how much
-	// exact arithmetic the screen saved.
+	// Screened (bnb only) counts leaves whose exact period met the
+	// incumbent, ruled out by the exact cutoff rather than evaluated in
+	// full; they count among the search's leaves as well.
 	Screened *int64 `json:"screened,omitempty"`
 }
 

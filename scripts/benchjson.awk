@@ -10,10 +10,11 @@
 #   * allocation gate — the strict-model Evaluate benchmarks must stay at
 #     or below `gate` allocs/op (the PR-2 zero-allocation refactor brought
 #     them to single digits; see EXPERIMENTS.md);
-#   * leaf-rate gate — BenchmarkBnBLeafRate/screened must rule out leaves
-#     at >= `leafgate` times the rate of BenchmarkBnBLeafRate/exact
-#     (leaves/s custom metric), or the float-screening tier has regressed
-#     into pointless overhead;
+#   * leaf-rate gate — BenchmarkBnBLeafRate/screened (the walker's leaf
+#     path under the exact cutoff) must rule out leaves at >= `leafgate`
+#     times the rate of BenchmarkBnBLeafRate/exact (a full exact evaluation
+#     per leaf; leaves/s custom metric), or the cutoff has stopped paying
+#     for itself;
 #   * hit-path allocation gate — BenchmarkServeHitPath/by-id (the memoized
 #     by-ID /v1/evaluate request, end to end through the handler stack)
 #     must stay at or below `hitgate` allocs/op;
