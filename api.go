@@ -94,11 +94,11 @@ type (
 )
 
 // Cycle-ratio backends. BackendAuto (the zero value, and the default of
-// Solver and Engine) routes by token-edge share: Karp's contracted dynamic
-// program where token edges are sparse and contraction shrinks the graph,
-// Howard policy iteration where they are plentiful and contraction would
-// degenerate — deterministically, so batch results stay bit-identical at
-// any choice. Every backend serves the batch searches' exact cutoff (branch
+// Solver and Engine) routes by token-edge share: cycle iteration on the
+// compiled plan where token edges are sparse, Howard policy iteration where
+// they are plentiful — deterministically, so batch results stay
+// bit-identical at any choice. BackendKarp ("karp") selects the plan route;
+// it keeps the name of the Karp engine cycle iteration replaced. Every backend serves the batch searches' exact cutoff (branch
 // and bound, greedy, exhaustive rule out a candidate as soon as its period
 // is proven at least their incumbent).
 const (
@@ -179,7 +179,7 @@ func ThroughputTPN(inst *Instance, cm CommModel) (Result, error) {
 }
 
 // Solver is a reusable single-threaded period-computation context: it owns
-// the unfolded-net builder, the cycle-ratio system and the contraction/Karp
+// the unfolded-net builder, the cycle-ratio system and the cycle-iteration
 // workspace, so a loop evaluating many instances pays the allocations once.
 // Results are bit-identical to Throughput/ThroughputTPN. A Solver is not
 // safe for concurrent use — give each goroutine its own, or use Engine,

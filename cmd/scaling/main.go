@@ -11,9 +11,10 @@
 //
 //	scaling [-seed 2009] [-workers 1] [-backend auto]
 //
-// -backend selects the cycle-ratio engine (auto, karp, howard): the sweep's
-// periods are identical under every backend, but the unfolded-TPN wall-time
-// column directly exposes the Karp-vs-Howard cost gap on growing nets.
+// -backend selects the cycle-ratio engine (auto, karp, howard; "karp" is
+// cycle iteration on the compiled plan): the sweep's periods are identical
+// under every backend, but the unfolded-TPN wall-time column directly
+// exposes the cost gap between the two engines on growing nets.
 package main
 
 import (

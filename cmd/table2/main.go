@@ -7,8 +7,9 @@
 //	table2 [-scale 0.1] [-seed 1] [-par 0] [-backend auto]
 //
 // -scale shrinks per-row run counts (1 = the paper's full 5,152-run grid).
-// -backend selects the cycle-ratio engine (auto, karp, howard); every
-// backend produces the identical table, only the wall time moves.
+// -backend selects the cycle-ratio engine (auto, karp, howard; "karp" is
+// cycle iteration on the compiled plan); every backend produces the
+// identical table, only the wall time moves.
 package main
 
 import (

@@ -4,7 +4,8 @@
 //
 //  0. the production core.Solver path under the -backend flag's engine;
 //  1. Theorem 1 polynomial algorithm (overlap model only);
-//  2. unfolded-TPN critical cycle via token contraction + Karp;
+//  2. unfolded-TPN critical cycle via cycle iteration from 0 (check 0
+//     starts it at Mct·m);
 //  3. unfolded-TPN critical cycle via Howard policy iteration;
 //  4. max-plus spectral radius of the net's recurrence matrix;
 //  5. exact unrolling of the net (steady-state firing rate);
@@ -24,7 +25,8 @@
 //	validate [-runs 200] [-seed 1] [-maxrep 4] [-stages 4] [-quiet] [-workers 0] [-backend auto]
 //
 // -backend selects the cycle-ratio engine of the production solver path
-// (check 0 below); the Karp and Howard cross-checks always run regardless.
+// (check 0 below); the cycle-iteration and Howard cross-checks always run
+// regardless.
 package main
 
 import (
@@ -116,10 +118,10 @@ func check(inst *model.Instance, cm model.CommModel, backend cycles.Backend) err
 	}
 	m := inst.PathCount()
 
-	// 2. contraction + Karp.
+	// 2. cycle iteration from 0.
 	crit, err := net.MaxCycleRatio()
 	if err != nil {
-		return fmt.Errorf("contract: %w", err)
+		return fmt.Errorf("cycle iteration: %w", err)
 	}
 	period := crit.Ratio.DivInt(m)
 
@@ -152,7 +154,7 @@ func check(inst *model.Instance, cm model.CommModel, backend cycles.Backend) err
 		return fmt.Errorf("howard: %w", err)
 	}
 	if !how.Ratio.Equal(crit.Ratio) {
-		return fmt.Errorf("howard %v != karp %v", how.Ratio, crit.Ratio)
+		return fmt.Errorf("howard %v != cycle iteration %v", how.Ratio, crit.Ratio)
 	}
 
 	// 4. max-plus spectral radius.
@@ -161,7 +163,7 @@ func check(inst *model.Instance, cm model.CommModel, backend cycles.Backend) err
 		return fmt.Errorf("mpa: %w", err)
 	}
 	if !eig.Equal(crit.Ratio) {
-		return fmt.Errorf("mpa %v != karp %v", eig, crit.Ratio)
+		return fmt.Errorf("mpa %v != cycle iteration %v", eig, crit.Ratio)
 	}
 
 	// 5. unrolling.

@@ -25,9 +25,15 @@
 // Mct, i.e. whether the schedule has no critical resource — is decided
 // exactly rather than within floating-point noise. Three cycle-ratio
 // backends share that exact contract (BackendAuto, BackendKarp,
-// BackendHoward). The batch searches rule a candidate mapping out with an
-// exact cutoff against their incumbent — first the bound P ≥ Mct, then a
-// potential check on the unfolded net — so most candidates never get a
+// BackendHoward). The critical cycle comes from cycle iteration: a
+// potential check at a ratio λ either proves that no cycle exceeds λ or
+// hands back a cycle that does, whose ratio becomes the next λ. On an
+// unfolded net it starts at the lower bound Mct·m, so a net with a critical
+// resource costs one check. BackendKarp keeps its name from the Karp
+// engine that iteration replaced and is an alias of that route. The batch
+// searches rule a candidate mapping out with an exact cutoff against their
+// incumbent — first the bound P ≥ Mct, then cycle iteration stopped at the
+// first cycle that reaches the incumbent — so most candidates never get a
 // full critical-cycle computation, and every result stays exact.
 //
 // # Quick start

@@ -84,10 +84,12 @@ func Bitmap(roots map[int]bnb.Finished, frontier int) string {
 
 // Manager implements jobs.Persister over a Store, with interval-based
 // flushing of per-root progress: RootDone marks a root finished in memory
-// and writes the record through when Interval has elapsed since the last
-// write (Interval <= 0 flushes on every root). Submitted and Terminal
-// always write through — the boundaries of a job are never lost, only
-// up to Interval's worth of finished roots in between.
+// and writes the record when Interval has elapsed since the last write.
+// That write runs on a goroutine of its own, so the search that finished
+// the root never pays for encoding and saving the record; Interval <= 0
+// writes through on every root instead. Submitted and Terminal always
+// write through — the boundaries of a job are never lost, only up to
+// Interval's worth of finished roots in between.
 type Manager struct {
 	store    *Store
 	interval time.Duration
@@ -99,7 +101,27 @@ type Manager struct {
 type jobRecord struct {
 	rec       Record
 	lastFlush time.Time
-	dirty     int // finished roots not yet on disk
+	dirty     int  // finished roots not yet on disk
+	flushing  bool // a background flush is on its way
+	// seq numbers the snapshots taken for writing, under Manager.mu; save
+	// serializes the writes and saved is the newest snapshot written, so a
+	// snapshot that lost the race to a newer one (a background flush to the
+	// terminal record, say) is dropped, never written over it.
+	seq   uint64
+	save  sync.Mutex
+	saved uint64
+}
+
+// write saves the snapshot rec, numbered seq, unless a newer one is on
+// disk already.
+func (m *Manager) write(jr *jobRecord, seq uint64, rec Record) {
+	jr.save.Lock()
+	defer jr.save.Unlock()
+	if seq <= jr.saved {
+		return
+	}
+	jr.saved = seq
+	m.store.Save(rec.JobID, rec)
 }
 
 // NewManager builds a Persister persisting to dir every interval.
@@ -156,11 +178,16 @@ func (m *Manager) RootDone(jobID string, frontier int, done bnb.Finished) {
 		}
 	}
 	jr.dirty++
-	due := m.interval <= 0 || time.Since(jr.lastFlush) >= m.interval
-	m.mu.Unlock()
-	if due {
+	if m.interval <= 0 {
+		m.mu.Unlock()
 		m.flush(jobID, false)
+		return
 	}
+	if !jr.flushing && time.Since(jr.lastFlush) >= m.interval {
+		jr.flushing = true
+		go m.flush(jobID, false)
+	}
+	m.mu.Unlock()
 }
 
 // Terminal persists the final verdict: state, response body or failure.
@@ -192,16 +219,25 @@ func (m *Manager) Terminal(j *jobs.Job) {
 		PointsDone: p.PointsDone.Load(), PointsTotal: p.PointsTotal.Load(),
 	}
 	rec := jr.rec
+	jr.seq++
+	seq := jr.seq
 	m.mu.Unlock()
-	m.store.Save(rec.JobID, rec)
+	m.write(jr, seq, rec)
 }
 
 // Evicted drops the durable record when the in-memory registry recycles
 // the job — disk usage stays bounded by the same CLOCK policy as memory.
 func (m *Manager) Evicted(j *jobs.Job) {
 	m.mu.Lock()
+	jr := m.live[j.ID()]
 	delete(m.live, j.ID())
 	m.mu.Unlock()
+	if jr != nil {
+		// No background flush of the evicted record may write it back.
+		jr.save.Lock()
+		jr.saved = ^uint64(0)
+		jr.save.Unlock()
+	}
 	m.store.Delete(j.ID())
 }
 
@@ -261,7 +297,8 @@ func (m *Manager) Adopt(rec Record) {
 	m.mu.Unlock()
 }
 
-// flush writes a live record through. force ignores the interval.
+// flush writes a live record through. force writes it even when no root
+// finished since the last write.
 func (m *Manager) flush(jobID string, force bool) {
 	m.mu.Lock()
 	jr, ok := m.live[jobID]
@@ -269,6 +306,7 @@ func (m *Manager) flush(jobID string, force bool) {
 		m.mu.Unlock()
 		return
 	}
+	jr.flushing = false
 	if !force && jr.dirty == 0 {
 		m.mu.Unlock()
 		return
@@ -281,8 +319,10 @@ func (m *Manager) flush(jobID string, force bool) {
 	}
 	jr.dirty = 0
 	jr.lastFlush = time.Now()
+	jr.seq++
+	seq := jr.seq
 	m.mu.Unlock()
-	m.store.Save(rec.JobID, rec)
+	m.write(jr, seq, rec)
 }
 
 // lessPeriod compares two exact period strings; unparseable input never

@@ -259,3 +259,41 @@ func TestIntervalBatchesWrites(t *testing.T) {
 		t.Fatalf("terminal write missing: %+v", rec)
 	}
 }
+
+// TestBackgroundFlush: with an interval, a due flush runs off the caller's
+// goroutine and lands on disk; a background flush still on its way when the
+// job ends is dropped rather than written over the terminal record.
+func TestBackgroundFlush(t *testing.T) {
+	m, err := NewManager(t.TempDir(), time.Nanosecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jm := jobs.New(jobs.Options{Persister: m})
+	j, err := jm.Submit("search", "0123abcd0123abcd", []byte(`{}`), nil, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.RootDone(j.ID(), 2, bnb.Finished{Root: bnb.Root{Index: 1}, Result: bnb.SubResult{Complete: true}})
+	var rec Record
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		rec = Record{}
+		if err := m.Store().Load(j.ID(), &rec); err == nil && len(rec.Roots) == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("background flush never wrote the root: %+v", rec)
+		}
+	}
+	for k := 0; k < 50; k++ {
+		m.RootDone(j.ID(), 64, bnb.Finished{Root: bnb.Root{Index: k}, Result: bnb.SubResult{Complete: true}})
+	}
+	jm.Finish(j, []byte(`{"period":"1"}`), nil)
+	time.Sleep(20 * time.Millisecond) // let any flush still on its way finish
+	rec = Record{}
+	if err := m.Store().Load(j.ID(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.State != "done" || rec.Roots != nil {
+		t.Fatalf("a background flush overwrote the terminal record: %+v", rec)
+	}
+}

@@ -250,6 +250,32 @@ func (cp CommPattern) PatternGraphInto(g int, s *cycles.System) *cycles.System {
 	return s
 }
 
+// portBound returns the heaviest round-robin circuit of the pattern graph
+// s that PatternGraphInto built: one sender's transmissions (a grid row,
+// its sender edges) or one receiver's receptions (a grid column, its
+// receiver edges). Each is a cycle with one token, so its cost is a ratio
+// some cycle attains: a lower bound that cycle iteration may start from.
+func (cp CommPattern) portBound(s *cycles.System) rat.Rat {
+	u, v := cp.U, cp.V
+	best := rat.Zero()
+	// Cell (α, β) owns edges 2(αv+β) and 2(αv+β)+1, both of its cost.
+	for alpha := 0; alpha < u; alpha++ {
+		sum := rat.Zero()
+		for beta := 0; beta < v; beta++ {
+			sum = sum.Add(s.Cost[2*(alpha*v+beta)])
+		}
+		best = rat.Max(best, sum)
+	}
+	for beta := 0; beta < v; beta++ {
+		sum := rat.Zero()
+		for alpha := 0; alpha < u; alpha++ {
+			sum = sum.Add(s.Cost[2*(alpha*v+beta)])
+		}
+		best = rat.Max(best, sum)
+	}
+	return best
+}
+
 // ComponentPeriodCandidate returns the per-data-set period candidate of
 // component g: maxCycleRatio(PatternGraph(g)) / lcm(m_i, m_{i+1}).
 func (cp CommPattern) ComponentPeriodCandidate(g int) (rat.Rat, error) {

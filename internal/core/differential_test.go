@@ -69,6 +69,10 @@ func genInstance(rng *rand.Rand, maxStages, maxRep int) *model.Instance {
 func TestPeriodBackendsDifferential(t *testing.T) {
 	const families = 220
 	var karpWS, howardWS cycles.Workspace
+	calls, iters, maxIters := 0, 0, 0
+	defer func() {
+		t.Logf("cycle iteration from 0: %d calls, %.2f iterations per call, at most %d", calls, float64(iters)/float64(max(calls, 1)), maxIters)
+	}()
 	for seed := int64(0); seed < families; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		inst := genInstance(rng, 4, 4)
@@ -85,6 +89,7 @@ func TestPeriodBackendsDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %v: karp: %v", seed, cm, err)
 			}
+			calls, iters, maxIters = calls+1, iters+karpWS.Iterations(), max(maxIters, karpWS.Iterations())
 			if wr, err := sys.CycleRatio(karp.Cycle); err != nil || !wr.Equal(karp.Ratio) {
 				t.Fatalf("seed %d %v: karp witness ratio %v (err %v) != %v", seed, cm, wr, err, karp.Ratio)
 			}

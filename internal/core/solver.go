@@ -15,8 +15,8 @@ import (
 // Solver is a stateful period-computation context: it owns every piece of
 // scratch one evaluation thread needs — a tpn.Builder constructing unfolded
 // nets into reused label-free storage, a cycles.System rebuilt in place, a
-// cycles.Workspace holding the contraction and Karp tables, and a bounded
-// cache of contraction plans per net shape. The first evaluation pays the
+// cycles.Workspace holding the potential check's tables, and a bounded
+// cache of compiled plans per net shape. The first evaluation pays the
 // allocations; subsequent evaluations of similar size run with near-zero
 // allocation churn, which is what makes the batch engine's fan-out of
 // thousands of strict-model evaluations cheap.
@@ -39,20 +39,20 @@ type Solver struct {
 	// Backend selects the exact maximum-cycle-ratio engine for every
 	// critical-cycle computation this solver performs (the unfolded net and
 	// the Theorem 1 pattern graphs alike). The zero value is
-	// cycles.BackendAuto, which routes by token-edge share: Karp's
-	// contracted dynamic program where token edges are sparse (every
-	// unfolded TPN of this repository), Howard policy iteration where they
-	// are plentiful and contraction would degenerate. All backends are
-	// exact, so the Result never depends on the choice — only the running
-	// time does.
+	// cycles.BackendAuto, which routes by token-edge share: cycle iteration
+	// on the compiled plan where token edges are sparse (every unfolded TPN
+	// of this repository), Howard policy iteration where they are
+	// plentiful. cycles.BackendKarp ("karp") is the name the plan route
+	// keeps from the Karp engine it replaced. All backends are exact, so
+	// the Result never depends on the choice — only the running time does.
 	Backend cycles.Backend
 
 	builder tpn.Builder
 	ws      cycles.Workspace
 	sys     cycles.System
 
-	// Contraction plans per unfolded-net shape (see plan), read by the
-	// potential checks and the exact Karp sweep of PeriodTPN.
+	// Compiled plans per unfolded-net shape (see plan), read by the cycle
+	// iteration of PeriodTPN.
 	plans    map[string]*cycles.Plan
 	planSize int
 	planKey  []byte
@@ -79,8 +79,8 @@ var ErrCutoff = errors.New("core: period at or above the cutoff")
 // proven:
 //
 //   - Mct ≥ ref cuts before anything is built, since P ≥ Mct (Section 2);
-//   - on the unfolded net, a potential that holds at Mct·m proves P = Mct,
-//     and one that fails at ref·m proves P > ref without a Karp table;
+//   - on the unfolded net, cycle iteration from Mct·m stops at the first
+//     cycle it finds whose ratio reaches ref·m;
 //   - Theorem 1's column loop stops at the first column that reaches ref.
 //
 // An instance cut by Mct is cut even where Period would fail (on a net
@@ -127,9 +127,9 @@ func (s *Solver) period(inst *model.Instance, m model.CommModel, mct rat.Rat, c 
 }
 
 // PeriodTPN computes the period by building the full unfolded TPN into the
-// solver's reused storage and extracting its critical cycle. On the Karp
-// route a potential check first tries to prove the period equal to Mct,
-// which spares the cycle computation whenever a resource is critical.
+// solver's reused storage and extracting its critical cycle. On the plan
+// route, cycle iteration starts at Mct·m, so whenever a resource is
+// critical one potential check proves the period equal to Mct.
 // Works for both models; cost grows with m = lcm(m_i) and the builder
 // rejects instances beyond the solver's row cap.
 func (s *Solver) PeriodTPN(inst *model.Instance, m model.CommModel) (Result, error) {
@@ -149,24 +149,21 @@ func (s *Solver) periodTPN(inst *model.Instance, m model.CommModel, mct rat.Rat,
 		crit, err = s.ws.MaxRatioHoward(sys)
 		return c.apply(tpnResult(inst, m, mct, crit, err))
 	}
-	// Some resource cycle of the net reaches Mct, so λ* ≥ Mct·m always.
-	// A potential at λ = Mct·m proves λ* ≤ Mct·m as well: the period is
-	// Mct and no Karp table is built. Only a failed check (the check errs
-	// exactly where MaxRatioPlan does) goes on, to a check at the cutoff,
-	// whose failure proves λ* > ref·m, and then to the full sweep.
+	// Some resource cycle of the net reaches Mct, so λ* ≥ Mct·m always:
+	// cycle iteration starts there. When a resource is critical the first
+	// potential check holds and no cycle is sought; under a cutoff the
+	// iteration stops at the first cycle that reaches ref·m.
 	p := s.plan(inst, m, sys)
 	pc := inst.PathCount()
-	lambda := mct.MulInt(pc)
-	ok, err := s.ws.RatioAtMostPlan(p, sys, lambda)
-	if ok {
-		return c.apply(tpnResult(inst, m, mct, cycles.Result{Ratio: lambda}, nil))
-	}
-	if err == nil && c.on {
-		if ok, _ := s.ws.RatioAtMostPlan(p, sys, c.ref.MulInt(pc)); !ok {
+	lo := mct.MulInt(pc)
+	if c.on {
+		crit, err = s.ws.MaxRatioBelow(p, sys, lo, c.ref.MulInt(pc))
+		if errors.Is(err, cycles.ErrRatioReached) {
 			return Result{}, ErrCutoff
 		}
+	} else {
+		crit, err = s.ws.MaxRatioFrom(p, sys, lo)
 	}
-	crit, err = s.ws.MaxRatioPlan(p, sys)
 	return c.apply(tpnResult(inst, m, mct, crit, err))
 }
 
@@ -215,11 +212,19 @@ func (s *Solver) periodOverlap(inst *model.Instance, mct rat.Rat, c cutoff) (Res
 // ColumnPeriod is one communication column's term of Theorem 1: the largest
 // component candidate maxCycleRatio(G′_g)/lcm(m_i, m_{i+1}) over the
 // pattern's gcd components, each pattern graph built into the solver's
-// reused system storage.
+// reused system storage. On the plan route, cycle iteration starts at the
+// graph's heaviest port circuit (portBound).
 func (s *Solver) ColumnPeriod(cp CommPattern) (rat.Rat, error) {
 	period := rat.Zero()
 	for g := 0; g < cp.P; g++ {
-		res, err := s.ws.MaxRatioBackend(cp.PatternGraphInto(g, &s.sys), s.Backend)
+		sys := cp.PatternGraphInto(g, &s.sys)
+		var res cycles.Result
+		var err error
+		if s.Backend.Resolve(sys) == cycles.BackendHoward {
+			res, err = s.ws.MaxRatioHoward(sys)
+		} else {
+			res, err = s.ws.MaxRatioFrom(s.ws.Compile(sys), sys, cp.portBound(sys))
+		}
 		if err != nil {
 			return rat.Rat{}, fmt.Errorf("core: file F%d component %d: %w", cp.File, g, err)
 		}
@@ -233,20 +238,20 @@ func (s *Solver) ColumnPeriod(cp CommPattern) (rat.Rat, error) {
 // 1<<18 entries is 2 MB, room for every replication vector of a branch
 // and bound over a few stages and a dozen processors. planMax bounds one
 // cached plan: such a search's vectors stay below it ((3,4,5) takes about
-// 5,200 entries), while larger nets, Table 2's widest rows and the m = 2520
-// nets (over 200,000), cost several times more to evaluate than to compile
-// and seldom repeat, so caching them would only churn the cache.
+// 1,900 entries), while the largest nets, the m = 2520 ones (over 110,000),
+// seldom repeat, so caching them would only churn the cache. On one Table 2
+// grid pass 10 of the 597 compiles exceed planMax.
 const (
 	planBudget = 1 << 18
 	planMax    = planBudget / 32
 )
 
-// plan returns the contraction plan for sys, the unfolded net of inst under
-// m. The net's places, hence sys's edges, depend only on the model and the
+// plan returns the compiled plan for sys, the unfolded net of inst under m.
+// The net's places, hence sys's edges, depend only on the model and the
 // replication counts (tpn.Builder), so plans are cached under that key, and
 // the evaluations that share a replication vector pay the structural work
-// (liveness, SCCs, contraction scaffold, Karp SCCs) once. A plan larger
-// than planMax stays in the workspace's scratch.
+// (liveness, cyclicity, the zero-token DAG and its order) once. A plan
+// larger than planMax stays in the workspace's scratch.
 func (s *Solver) plan(inst *model.Instance, m model.CommModel, sys *cycles.System) *cycles.Plan {
 	key := append(s.planKey[:0], byte(m))
 	for i := 0; i < inst.NumStages(); i++ {

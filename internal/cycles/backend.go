@@ -5,19 +5,17 @@ import "fmt"
 // Backend selects the exact maximum-cycle-ratio engine.
 //
 // Both exact engines return the same ratio on every input (each is exact
-// rational arithmetic and each is cross-checked against the other in the
-// differential and fuzz harnesses); they differ in cost profile. Token
-// contraction + Karp is excellent when token edges are sparse — the
-// contracted graph then has one vertex per token edge and stays tiny no
-// matter how large the net is (a strict-model TPN carries one token per
-// processor, so a 624-transition net contracts to ~25 vertices). When token
-// edges are plentiful — the max-plus recurrence matrices of the mpa layer
-// put a token on EVERY edge — contraction degenerates to the identity and
-// Karp pays its full Θ(V·E) dynamic program with a Θ(V²) table, while
-// Howard's policy iteration still converges in a handful of sweeps: 2x
-// faster on the smallest scaling family's recurrence matrix, 20x on the
-// largest, against Karp on scaled int64 costs (see the Karp-vs-Howard
-// table in EXPERIMENTS.md).
+// rational arithmetic and each is cross-checked against the other, and
+// against a Karp reference kept in the tests, in the differential and fuzz
+// harnesses); they differ in cost profile. Cycle iteration on the compiled
+// Plan (MaxRatio) relaxes the token edges, then the zero-token DAG in one
+// ordered pass, per round of a potential check, and on the unfolded TPNs
+// of this repository one or two checks decide. Howard's policy iteration
+// evaluates and improves a policy over the whole graph. On the scaling
+// families cycle iteration measured 4.5-21x faster than Howard on the
+// strict nets and 2.3-5.7x faster on their max-plus recurrence matrices,
+// where every edge carries a token (EXPERIMENTS.md, "Cycle iteration
+// replaces Karp").
 type Backend uint8
 
 const (
@@ -26,7 +24,9 @@ const (
 	// edge structure, so it is deterministic and batch results stay
 	// bit-identical at any parallelism.
 	BackendAuto Backend = iota
-	// BackendKarp forces token contraction + Karp's maximum mean cycle.
+	// BackendKarp forces cycle iteration on the compiled plan. The name and
+	// its "karp" spelling stay from the token contraction + Karp engine
+	// that route ran before; they are an alias of the plan route now.
 	BackendKarp
 	// BackendHoward forces Howard policy iteration.
 	BackendHoward
@@ -47,13 +47,13 @@ const BackendFloatScreen = BackendAuto
 
 // AutoHowardTokenShareNum/Den is the auto-heuristic crossover as an exact
 // fraction: BackendAuto routes to Howard when at least Num/Den of the
-// system's edges carry tokens, to Karp below it. Benchmark-tuned on the
-// scaling families of bench_test.go (BenchmarkPeriodBackends /
-// BenchmarkSpectralBackends, table in EXPERIMENTS.md): unfolded TPNs sit
-// near a token share of 0.03 and Karp's contraction wins by 4-5x,
-// recurrence matrices sit at 1.0 and Howard wins by 2-20x; any cutoff
-// between those regimes behaves identically on this repository's
-// workloads, so the midpoint 1/2 is taken.
+// system's edges carry tokens, to the plan route below it. It was tuned on
+// the scaling families of bench_test.go (BenchmarkPeriodBackends /
+// BenchmarkSpectralBackends) against the Karp engine the plan route
+// replaced: unfolded TPNs sit near a token share of 0.03, where Karp won,
+// and recurrence matrices at 1.0, where Howard won by 2-20x. Against cycle
+// iteration Howard no longer wins on either family; the crossover stays
+// until it is re-tuned.
 const (
 	AutoHowardTokenShareNum = 1
 	AutoHowardTokenShareDen = 2
@@ -88,11 +88,11 @@ func ParseBackend(s string) (Backend, error) {
 	}
 }
 
-// Resolve returns the exact engine b runs on s, BackendKarp or
-// BackendHoward. BackendAuto routes to Howard when token edges make up at
-// least AutoHowardTokenShareNum/Den of all edges (integer
-// cross-multiplication, no float drift), to Karp otherwise; an empty system
-// goes to Karp for the historical error paths.
+// Resolve returns the exact engine b runs on s, BackendKarp (the plan
+// route) or BackendHoward. BackendAuto routes to Howard when token edges
+// make up at least AutoHowardTokenShareNum/Den of all edges (integer
+// cross-multiplication, no float drift), to the plan route otherwise; an
+// empty system goes to the plan route for the historical error paths.
 func (b Backend) Resolve(s *System) Backend {
 	if b != BackendAuto {
 		return b
@@ -110,7 +110,8 @@ func (b Backend) Resolve(s *System) Backend {
 }
 
 // MaxRatioBackend computes the maximum cycle ratio of s with the engine b
-// resolves to (Resolve) on the workspace's reused scratch.
+// resolves to (Resolve) on the workspace's reused scratch: MaxRatioHoward,
+// or MaxRatio, cycle iteration from 0.
 func (ws *Workspace) MaxRatioBackend(s *System, b Backend) (Result, error) {
 	if b.Resolve(s) == BackendHoward {
 		return ws.MaxRatioHoward(s)

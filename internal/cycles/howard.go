@@ -11,8 +11,10 @@ import (
 // (max,+)-algebra literature uses for timed event graphs: it maintains a
 // policy (one outgoing edge per vertex), computes the cycle ratio and bias
 // values of the induced functional graph, and switches edges until no
-// improvement exists. On large event graphs it converges in a handful of
-// iterations where Karp's dynamic program pays Θ(nm) unconditionally.
+// improvement exists. It shares no code with cycle iteration beyond the
+// compiler's SCC and liveness staging, so the differential harnesses keep
+// it as an independent reference, and BackendAuto routes dense-token
+// systems to it.
 //
 // MaxRatioHoward allocates a fresh Workspace per call; hot loops should hold
 // a Workspace (or a core.Solver, which owns one) and call
@@ -28,9 +30,9 @@ func (s *System) MaxRatioHoward() (Result, error) {
 // ratios (λ) and bias values, the functional-graph walk state and the
 // witness bookkeeping. Keeping the policy tables in one place — and resetting
 // every entry a run reads at the start of that run — is what guarantees a
-// Howard call followed by a Karp call (or vice versa) on the same Workspace
-// can never observe the other engine's leftovers: the two engines share only
-// the epoch-stamped localID table and the staging buffers that are rebuilt
+// Howard call followed by a plan evaluation (or vice versa) on the same
+// Workspace can never observe the other engine's leftovers: the two engines
+// share only the epoch-stamped localID table and the staging buffers that are rebuilt
 // from scratch inside every call.
 type howardScratch struct {
 	edges  []int // intra-SCC edge indices, ascending

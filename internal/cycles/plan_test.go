@@ -56,17 +56,26 @@ func tiedSystem(rng *rand.Rand, n int) *System {
 	return s
 }
 
-// TestIntPathMatchesRational checks the scaled int64 kernel against the
-// rational loops on random systems with fractional costs and multi-token
-// edges, and on tie-heavy ones: same ratio, same witness, and the int64
-// path actually taken.
-func TestIntPathMatchesRational(t *testing.T) {
+// intPathSystems are the systems TestIntPathMatchesRational draws: random
+// live systems with fractional costs and multi-token edges, alternating
+// with tie-heavy ones.
+func intPathSystems() []*System {
 	rng := rand.New(rand.NewSource(15))
-	for trial := 0; trial < 400; trial++ {
-		s := randomLiveSystem(rng, 2+rng.Intn(16))
+	out := make([]*System, 400)
+	for trial := range out {
+		out[trial] = randomLiveSystem(rng, 2+rng.Intn(16))
 		if trial%2 == 1 {
-			s = tiedSystem(rng, 1+rng.Intn(8))
+			out[trial] = tiedSystem(rng, 1+rng.Intn(8))
 		}
+	}
+	return out
+}
+
+// TestIntPathMatchesRational checks the scaled int64 kernel against the
+// rational loops on intPathSystems: same ratio, same witness, and the
+// int64 path actually taken.
+func TestIntPathMatchesRational(t *testing.T) {
+	for trial, s := range intPathSystems() {
 		r, usedInt := maxRatioBoth(t, s)
 		if r.Cycle == nil {
 			continue // acyclic draw: both arithmetics reported ErrNoCycle
@@ -94,32 +103,41 @@ func ringWithCosts(costs ...rat.Rat) *System {
 	return s
 }
 
-// TestIntPathBoundary pins where the int64 path stops: an lcm of the cost
-// denominators that just fits int64 and one just past it, a scaled cost sum
-// exactly at the bound and one just over, and big-rational costs. Every
-// case agrees with the rational loops and with Howard.
-func TestIntPathBoundary(t *testing.T) {
+// boundaryCase is a system on one side of the int64 path's bounds.
+type boundaryCase struct {
+	name    string
+	s       *System
+	wantInt bool
+}
+
+// intPathBoundaryCases are the systems TestIntPathBoundary pins: an lcm of
+// the cost denominators that just fits int64 and one just past it, a
+// scaled cost sum exactly at the bound and one just over, and big-rational
+// costs.
+func intPathBoundaryCases(t *testing.T) []boundaryCase {
 	const a = 3037000499 // a·(a+1) < 2^63 − 1 < a·(a+8); both pairs coprime
 	big30, _ := new(big.Int).SetString("1000000000000000000000000000000", 10)
 	bigCost, err := rat.Parse(new(big.Rat).SetFrac(big30, big.NewInt(7)).String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name    string
-		s       *System
-		wantInt bool
-	}{
+	return []boundaryCase{
 		{"lcm fits int64", ringWithCosts(rat.New(1, a), rat.New(1, a+1), rat.Zero()), true},
 		{"lcm past int64", ringWithCosts(rat.New(1, a), rat.New(1, a+8), rat.Zero()), false},
-		// One token edge, so N+1 = 2 and the bound is C ≤ 2^61.
+		// One token edge, so the guard (nt+1)·isum ≤ 2^62 reads C ≤ 2^61.
 		{"sum at bound", ringWithCosts(rat.FromInt(1<<61-5), rat.FromInt(2), rat.FromInt(3)), true},
 		{"sum over bound", ringWithCosts(rat.FromInt(1<<61-5), rat.FromInt(3), rat.FromInt(3)), false},
 		{"sum at bound fractional", ringWithCosts(rat.New(1<<61-1, 2), rat.New(1, 2)), true},
 		{"sum over bound fractional", ringWithCosts(rat.New(1<<61-1, 2), rat.New(3, 2)), false},
 		{"big rational", ringWithCosts(bigCost, rat.FromInt(1), rat.New(1, 3)), false},
 	}
-	for _, tc := range cases {
+}
+
+// TestIntPathBoundary pins where the int64 path stops on the systems of
+// intPathBoundaryCases. Every case agrees with the rational loops and with
+// Howard.
+func TestIntPathBoundary(t *testing.T) {
+	for _, tc := range intPathBoundaryCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			r, usedInt := maxRatioBoth(t, tc.s)
 			if usedInt != tc.wantInt {
@@ -130,27 +148,9 @@ func TestIntPathBoundary(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !how.Ratio.Equal(r.Ratio) {
-				t.Fatalf("karp %v != howard %v", r.Ratio, how.Ratio)
+				t.Fatalf("cycle iteration %v != howard %v", r.Ratio, how.Ratio)
 			}
 		})
-	}
-}
-
-// TestIntBoundCountsExpandedVertices checks that the bound charges a
-// multi-token edge for the fresh vertices its expansion adds: with two
-// token edges of three tokens each, N = 2 + 4·2 = 10, so a cost sum that
-// would pass a bound of Σ tokens + 1 = 7 must still take the rational path.
-func TestIntBoundCountsExpandedVertices(t *testing.T) {
-	s := NewSystem(2)
-	c := int64(1<<62) / 9 // C·7 ≤ 2^62 < C·11
-	s.AddEdge(0, 1, rat.FromInt(c), 3)
-	s.AddEdge(1, 0, rat.FromInt(0), 3)
-	r, usedInt := maxRatioBoth(t, s)
-	if usedInt {
-		t.Fatal("cost sum past the expanded-vertex bound took the int64 path")
-	}
-	if want := rat.New(c, 6); !r.Ratio.Equal(want) {
-		t.Fatalf("ratio %v, want %v", r.Ratio, want)
 	}
 }
 

@@ -21,20 +21,36 @@ func (s *System) VertexRates() ([]rat.Rat, error) {
 		return nil, err
 	}
 	comp, ncomp := s.G.SCC()
-	// Per-SCC max cycle ratio (zero when the SCC has no cycle): the plan's
-	// components carry the SCC ids graph.Digraph.SCC assigns.
-	var ws Workspace
-	p := ws.Compile(s)
-	if p.err != nil {
-		return nil, p.err
+	// Per-SCC max cycle ratio (zero when the SCC has no cycle): each
+	// component with an edge inside is a live, cyclic system of its own.
+	local := make([]int, s.G.N)
+	size := make([]int, ncomp)
+	for v, c := range comp {
+		local[v] = size[c]
+		size[c]++
 	}
-	ws.intMode = ws.scaleCosts(s)
-	sccRatio := make([]rat.Rat, ncomp)
-	for i := range p.comps {
-		pc := &p.comps[i]
-		if r, _, ok := ws.sweep(s, pc); ok {
-			sccRatio[pc.scc] = r
+	subs := make([]*System, ncomp)
+	for i, e := range s.G.Edges {
+		c := comp[e.From]
+		if c != comp[e.To] {
+			continue
 		}
+		if subs[c] == nil {
+			subs[c] = NewSystem(size[c])
+		}
+		subs[c].AddEdge(local[e.From], local[e.To], s.Cost[i], s.Tokens[i])
+	}
+	var ws Workspace
+	sccRatio := make([]rat.Rat, ncomp)
+	for c, sub := range subs {
+		if sub == nil {
+			continue
+		}
+		r, err := ws.MaxRatio(sub)
+		if err != nil {
+			return nil, err
+		}
+		sccRatio[c] = r.Ratio
 	}
 	// Propagate along the condensation: rate(C) = max(ratio(C),
 	// rate(predecessors)). Tarjan ids are reverse topological (sinks first),

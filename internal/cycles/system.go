@@ -8,34 +8,39 @@
 // the total firing time divided by the number of tokens (Baccelli et al.,
 // "Synchronization and Linearity").
 //
-// Four engines are provided and cross-checked against each other:
+// Three engines are provided and cross-checked against each other:
 //
-//   - MaxRatio (token contraction + Karp): exact, the small-graph default.
-//     All TPNs built in this repository have an acyclic zero-token subgraph,
-//     so token edges can be contracted via longest-path DAG sweeps, after
-//     which every edge carries exactly one token and Karp's maximum mean
-//     cycle applies. The structural half of that work is compiled once
-//     into a Plan (Workspace.Compile), which two sweeps evaluate: exact
-//     on scaled int64 costs and exact in rationals (MaxRatioPlan).
+//   - MaxRatio (cycle iteration on a compiled Plan): exact, the sparse-token
+//     default. All TPNs built in this repository have an acyclic zero-token
+//     subgraph, so a Plan (Workspace.Compile) holds the token edges and the
+//     zero-token DAG in topological order. A potential check at λ (RatioAtMostPlan) relaxes longest paths
+//     under the reduced weights cost − λ·tokens round by round and decides
+//     whether λ ≥ λ*; when it fails, the predecessor graph of its
+//     relaxation closes a cycle with a ratio above λ. Cycle iteration
+//     (MaxRatioFrom) sets λ to that ratio and checks again until a check
+//     holds, on scaled int64 costs where they fit and in rationals
+//     otherwise.
 //   - MaxRatioHoward (policy iteration): exact, handles arbitrary token
-//     counts, and converges in a handful of sweeps on large event graphs —
-//     the large-graph default.
-//   - Lawler binary search: float64, a test-only cross-check
-//     (lawler_test.go).
+//     counts; BackendAuto routes dense-token systems such as max-plus
+//     recurrence matrices to it.
 //   - MaxRatioBrute: exhaustive elementary-cycle enumeration
 //     (EnumerateElementaryCycles), a test-only ground truth
 //     (brute_test.go).
 //
-// Workspace.RatioAtMostPlan is a decision procedure, not an engine: for one
-// given λ it reports exactly whether λ ≥ λ*, by relaxing a potential over
-// the same Plan. core.Solver runs it at the lower bound Mct·m before Karp,
-// so the usual case, a net whose period is Mct, builds no Karp table, and
-// at a caller's cutoff, so a net whose period is above it builds none
-// either.
+// Tests also keep two references that production code no longer runs:
+// token contraction + Karp's maximum mean cycle (karp_test.go), the engine
+// cycle iteration replaced, and Lawler's float64 binary search
+// (lawler_test.go).
+//
+// core.Solver starts cycle iteration at the lower bound Mct·m on an
+// unfolded net, so the usual case, a net whose period is Mct, costs one
+// holding check, and under a search's cutoff (MaxRatioBelow) it stops at
+// the first cycle that reaches it. Theorem 1's pattern graphs start at
+// their heaviest port circuit.
 //
 // Workspace.MaxRatioBackend selects between the two exact engines (Backend
-// enum: auto, karp, howard); the auto heuristic routes by token-edge
-// share.
+// enum: auto, karp, howard; "karp" names the plan route); the auto
+// heuristic routes by token-edge share.
 package cycles
 
 import (

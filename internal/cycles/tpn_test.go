@@ -54,8 +54,8 @@ func heterogeneousInstance(rng *rand.Rand, reps []int) (*model.Instance, error) 
 
 // TestTPNIntPathMatchesRational runs strict-model TPN systems — integer
 // costs from the Table 2 generator and heterogeneous w/s costs — through
-// both arithmetics of the contraction engine: the int64 path must be taken
-// and give a bit-identical ratio and witness, and the ratio must match
+// both arithmetics of cycle iteration: the int64 path must be taken and
+// give a bit-identical ratio and witness, and the ratio must match
 // Howard's.
 func TestTPNIntPathMatchesRational(t *testing.T) {
 	rng := rand.New(rand.NewSource(2009))
@@ -98,10 +98,12 @@ func TestTPNIntPathMatchesRational(t *testing.T) {
 	}
 }
 
-// BenchmarkContraction times the contraction + Karp engine on its scaled
-// int64 path and with the rational loops forced, on a Table 2 grid-size
-// strict TPN ((10,20), comp and comm 5-15) and on the m = 2520 net of the
-// benchmark warm-up (4 stages replicated 5, 7, 8 and 9 times).
+// BenchmarkContraction times MaxRatio — plan compile and cycle iteration
+// from 0 — on its scaled int64 path and with the rational loops forced, on
+// a Table 2 grid-size strict TPN ((10,20), comp and comm 5-15) and on the
+// m = 2520 net of the benchmark warm-up (4 stages replicated 5, 7, 8 and 9
+// times). It keeps the name of the contraction + Karp engine it timed
+// before, so the records line up.
 func BenchmarkContraction(b *testing.B) {
 	gridInst, err := workload.Spec{Stages: 10, Procs: 20, CompLo: 5, CompHi: 15, CommLo: 5, CommHi: 15,
 		MaxPathCount: exper.DefaultMaxPathCount}.Instance(rand.New(rand.NewSource(3)))
@@ -157,17 +159,18 @@ func BenchmarkEngines(b *testing.B) {
 	})
 }
 
-// BenchmarkMctCheckGrid runs the potential check at λ = Mct·m (the one
-// core.Solver.PeriodTPN runs before Karp) and the full contraction + Karp
-// sweep on every strict instance of seed 1's Table 2 grid, drawn as
-// exper.RunAllEngine draws them. Net builds and plan compiles are not
-// timed. It reports how often the check holds, how many calls left the
-// int64 path, and per call its rounds, its time and the sweep's time,
-// split by whether the check held (P = Mct) or failed (P > Mct).
+// BenchmarkMctCheckGrid runs cycle iteration from λ = Mct·m, the one
+// core.Solver.PeriodTPN runs, on every strict instance of seed 1's Table 2
+// grid, drawn as exper.RunAllEngine draws them, and the Karp reference
+// (MaxRatioKarp) next to it. Net builds and plan compiles are not timed.
+// Per net it splits the calls by whether the first check held (P = Mct) or
+// found a cycle (P > Mct): how many of each, their rounds and their time,
+// and on the nets with P > Mct the iterations (mean and maximum) and the
+// Karp reference's time. It also counts the checks that ran in rationals.
 func BenchmarkMctCheckGrid(b *testing.B) {
 	var ws cycles.Workspace
-	var calls, hits, hitRounds, missRounds, ratCalls int
-	var checkHit, karpHit, checkMiss, karpMiss time.Duration
+	var calls, hits, hitRounds, missRounds, missIters, maxIters, ratChecks int
+	var iterHit, iterMiss, karpMiss time.Duration
 	for i := 0; i < b.N; i++ {
 		cm := model.Strict
 		for r, row := range exper.Table2Rows(cm, 1, exper.DefaultMaxPathCount) {
@@ -182,46 +185,44 @@ func BenchmarkMctCheckGrid(b *testing.B) {
 				p := ws.Compile(s)
 				lambda := inst.Mct(cm).MulInt(inst.PathCount())
 				t0 := time.Now()
-				ok, err := ws.RatioAtMostPlan(p, s, lambda)
+				crit, err := ws.MaxRatioFrom(p, s, lambda)
 				t1 := time.Now()
 				if err != nil {
 					b.Fatal(err)
 				}
 				calls++
-				rounds := ws.CheckRounds()
-				if !ws.UsedInt() {
-					ratCalls++
-				}
-				crit, err := ws.MaxRatioPlan(p, s)
-				t2 := time.Now()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if ok != crit.Ratio.Equal(lambda) {
-					b.Fatalf("row %d instance %d: check %v, Karp %v, Mct·m %v", r, k, ok, crit.Ratio, lambda)
-				}
-				if ok {
+				iters, rounds := ws.Iterations(), ws.CheckRounds()
+				ratChecks += ws.RatChecks()
+				if iters == 0 {
 					hits++
 					hitRounds += rounds
-					checkHit += t1.Sub(t0)
-					karpHit += t2.Sub(t1)
-				} else {
-					missRounds += rounds
-					checkMiss += t1.Sub(t0)
-					karpMiss += t2.Sub(t1)
+					iterHit += t1.Sub(t0)
+					continue
+				}
+				missIters += iters
+				maxIters = max(maxIters, iters)
+				missRounds += rounds
+				iterMiss += t1.Sub(t0)
+				t2 := time.Now()
+				karp, err := s.MaxRatioKarp()
+				karpMiss += time.Since(t2)
+				if err != nil || !karp.Equal(crit.Ratio) || !lambda.Less(crit.Ratio) {
+					b.Fatalf("row %d instance %d: iteration %v, Karp %v (%v), Mct·m %v", r, k, crit.Ratio, karp, err, lambda)
 				}
 			}
 		}
 	}
 	perCall := func(x float64, n int) float64 { return x / float64(max(n, 1)) }
+	misses := calls - hits
 	b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
-	b.ReportMetric(float64(calls)/float64(b.N), "calls/op")
+	b.ReportMetric(float64(misses)/float64(b.N), "misses/op")
 	b.ReportMetric(perCall(float64(hitRounds), hits), "rounds/hit")
-	b.ReportMetric(perCall(float64(missRounds), calls-hits), "rounds/miss")
-	b.ReportMetric(float64(ratCalls)/float64(b.N), "rat-calls/op")
+	b.ReportMetric(perCall(float64(missRounds), misses), "rounds/miss")
+	b.ReportMetric(perCall(float64(missIters), misses), "iters/miss")
+	b.ReportMetric(float64(maxIters), "max-iters")
+	b.ReportMetric(float64(ratChecks)/float64(b.N), "rat-checks/op")
 	us := func(d time.Duration) float64 { return float64(d.Microseconds()) }
-	b.ReportMetric(perCall(us(checkHit), hits), "check-us/hit")
-	b.ReportMetric(perCall(us(karpHit), hits), "karp-us/hit")
-	b.ReportMetric(perCall(us(checkMiss), calls-hits), "check-us/miss")
-	b.ReportMetric(perCall(us(karpMiss), calls-hits), "karp-us/miss")
+	b.ReportMetric(perCall(us(iterHit), hits), "iter-us/hit")
+	b.ReportMetric(perCall(us(iterMiss), misses), "iter-us/miss")
+	b.ReportMetric(perCall(us(karpMiss), misses), "karp-ref-us/miss")
 }

@@ -5,11 +5,11 @@ import (
 )
 
 // Workspace owns every piece of scratch memory the cycle-ratio engines
-// need. For the contraction engine that is the compiler's staging (SCC,
-// Kahn and CSR state, local numbering, the token expansion), a scratch Plan,
-// and the value tables its three readers fill: the scaled integer costs,
-// the per-token-edge longest-path tables, the contracted-edge costs, Karp's
-// dynamic-programming tables and the witness rebuild.
+// need. For the plan engine that is the compiler's staging (Kahn and CSR
+// state), a scratch Plan, and the tables the potential check fills: the
+// scaled integer costs, the reduced weights, the potentials with each
+// vertex's predecessor edge, and the cycles the predecessor walk finds.
+// Howard adds the SCC and local-numbering state and its policy tables.
 //
 // A Workspace amortizes those buffers across calls: the first MaxRatio on a
 // given net size pays the allocations, subsequent calls of similar size run
@@ -20,7 +20,7 @@ import (
 // MaxRatio compiles the system into the workspace's scratch plan (Compile)
 // and evaluates it; callers that meet one structure repeatedly keep a
 // compacted copy of that plan (Plan.Compact) and evaluate it (MaxRatioPlan,
-// RatioAtMostPlan). Either way the results are
+// MaxRatioFrom, MaxRatioBelow, RatioAtMostPlan). Either way the results are
 // bit-identical to a fresh Workspace's.
 type Workspace struct {
 	// epoch stamps the localID table so it never needs clearing: an entry is
@@ -28,11 +28,9 @@ type Workspace struct {
 	// calls and across systems.
 	epoch int
 
-	// Tarjan SCC scratch: one instance for the system graph (its comp array
-	// must survive the whole per-SCC loop) and one for the small contracted
-	// graphs Karp runs on.
-	sccSys  tarjanScratch
-	sccKarp tarjanScratch
+	// Tarjan SCC scratch for Howard's per-SCC loop over the system graph
+	// (its comp array must survive the whole loop).
+	sccSys tarjanScratch
 
 	// CSR cursor and key/value staging shared by all adjacency builds
 	// (never live across one).
@@ -40,8 +38,8 @@ type Workspace struct {
 	keyTmp []int
 	valTmp []int
 
-	// Successor CSR over the full system graph (SCC) and over the token-free
-	// subgraph (liveness validation).
+	// Successor CSR over the full system graph (SCC) and over the subgraph
+	// an acyclicity check runs on.
 	sysStart, sysSucc []int
 	zvStart, zvSucc   []int
 
@@ -50,67 +48,46 @@ type Workspace struct {
 	queue []int
 	order []int
 
-	// Compiler staging per SCC: token-free edge indices (ascending), the
-	// local numbering (shared with Howard), the token-edge tails per local
-	// vertex (positions into the token edges) with the tail vertices in
-	// ascending order and each one's rank among them (-1 = not a tail), the
-	// tails each vertex reaches as bitsets over those ranks, and the token
-	// expansion with its SCCs and the per-SCC vertex ids (-1 = absent).
-	zeroEdges                       []int
-	localID                         []int // global vertex -> local id, valid when stamp == epoch
-	localStamp                      []int
-	verts                           []int // local id -> global vertex
-	tailStart, tailItems, tailVerts []int
-	tailRank                        []int
-	reach                           []uint64
-	hops                            []hop
-	karpStart, karpSucc, karpID     []int
+	// Staging: token-free edge indices (ascending) for the compiler and the
+	// liveness check, and Howard's per-SCC local numbering.
+	zeroEdges  []int
+	localID    []int // global vertex -> local id, valid when stamp == epoch
+	localStamp []int
+	verts      []int // local id -> global vertex
 
 	// plan is the scratch plan Compile fills and returns.
 	plan Plan
 
-	// Arithmetic of the current exact evaluation (see scaleCosts): intMode
-	// selects the scaled int64 loops, whose costs are icost (per system
-	// edge, summing to isum) and zc (parallel to the zero CSR items), in
-	// units of 1/scale. forceRat is a test hook that disables the int64
-	// path.
+	// Arithmetic of the current check (see scaleCosts and potentialScale):
+	// intMode selects the scaled int64 loops, whose costs are icost (per
+	// system edge, summing to isum) and zc (parallel to the zero CSR items),
+	// in units of 1/scale. forceRat is a test hook that disables the int64
+	// path, and intRounds one that caps an int64 check of the iteration
+	// below its nt+2 rounds (0: no cap), so that it restarts in rationals.
 	intMode, forceRat bool
+	intRounds         int
 	scale, isum       int64
 	icost, zc         []int64
 
-	// Potential check (RatioAtMostPlan): the reduced weights of one
-	// component's token edges (tw or twRat by arithmetic) and the rounds the
-	// last check ran, summed over components. The potentials themselves
-	// live in idist or dist.
-	tw      []int64
-	twRat   []rat.Rat
-	pRounds int
-
-	// Longest-path DP over the zero-token DAG, reset per token edge: reached
-	// vertices, distances (dist or idist by arithmetic) and the CSR item of
-	// each vertex's best incoming zero edge.
-	has   []bool
-	dist  []rat.Rat
+	// Potential check: the reduced weights of the token edges
+	// (tw or twRat by arithmetic), the potentials (idist or dist), each
+	// vertex's predecessor edge (pred) and the walk stamps of the
+	// predecessor-cycle search (mark, below the monotonic stamp).
+	tw    []int64
+	twRat []rat.Rat
 	idist []int64
+	dist  []rat.Rat
 	pred  []int
+	mark  []int
+	stamp int
 
-	// Contracted-edge costs (ceInt or ceRat by arithmetic).
-	ceInt []int64
-	ceRat []rat.Rat
-
-	// Karp scratch: the flattened D/has/parent tables (D as kI or kD by
-	// arithmetic, kc the int hop costs), the witness walk, the cycle it
-	// found (kcyc, hop positions) and the contracted edges of the critical
-	// cycle kept for the witness rebuild (critCyc; witTmp stages its system
-	// edges).
-	kI, kc        []int64
-	kD            []rat.Rat
-	kHas          []bool
-	kParent       []int
-	pathV, pathE  []int
-	seenPos       []int
-	kcyc, critCyc []int
-	witTmp        []int
+	// Cycle iteration: the cycle the last check closed (cyc) with its ratio,
+	// and the last one the iteration took (wit, the witness; the two swap).
+	// pRounds counts the check rounds of the last call, iters the cycles
+	// its iteration took, and ratChecks its checks in rationals.
+	cyc, wit                  []int
+	cycRatio                  rat.Rat
+	pRounds, iters, ratChecks int
 
 	// Howard policy-iteration scratch. The policy tables live in their own
 	// struct and every entry a run reads is re-initialized at the start of

@@ -32,7 +32,7 @@
 //
 //   - Solver reuse. Every evaluation borrows a core.Solver from a pool
 //     owned by the engine: the unfolded net, the cycle-ratio system and the
-//     contraction/Karp workspace are reused across tasks instead of being
+//     cycle-iteration workspace are reused across tasks instead of being
 //     rebuilt per call, which removes the allocation churn that dominated
 //     strict-model batches.
 package engine
@@ -70,8 +70,9 @@ type Options struct {
 	MaxRows int
 	// Backend selects the exact maximum-cycle-ratio engine of every solver
 	// in the pool (cycles.BackendAuto, the zero value, routes by token-edge
-	// share: Karp where contraction shrinks the graph, Howard where it
-	// would degenerate). All backends are exact, so batch results are
+	// share: cycle iteration on the compiled plan where token edges are
+	// sparse, Howard where they are plentiful; "karp" names the plan
+	// route). All backends are exact, so batch results are
 	// bit-identical across backends — the choice only moves wall time.
 	Backend cycles.Backend
 }

@@ -2,6 +2,8 @@ package model
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/rat"
 )
@@ -131,7 +133,20 @@ func (in *Instance) ports(i, a int) (cin, ccomp, cout rat.Rat) {
 // cycle times, which makes it the first test of the exact cutoff
 // (core.Solver.PeriodBelow): most candidates of a search are ruled out by
 // it before any net is built.
+//
+// The pass runs on unreduced fractions of 64-bit integers (see frac) and
+// reduces only the winner; an operand that is negative or big, or a sum or
+// denominator past int64, sends it to the exact rational pass instead.
+// Both return the same value, so the same canonical Rat.
 func (in *Instance) Mct(m CommModel) rat.Rat {
+	if mct, ok := in.mctFrac(m); ok {
+		return mct
+	}
+	return in.mctRat(m)
+}
+
+// mctRat is Mct's exact rational pass.
+func (in *Instance) mctRat(m CommModel) rat.Rat {
 	mct := rat.Zero()
 	for i := 0; i < in.n; i++ {
 		for a := 0; a < in.m[i]; a++ {
@@ -145,6 +160,161 @@ func (in *Instance) Mct(m CommModel) rat.Rat {
 	}
 	return mct
 }
+
+// mctFrac is Mct on fractions; ok is false when some step leaves them.
+func (in *Instance) mctFrac(m CommModel) (rat.Rat, bool) {
+	var fa fracArith
+	best := frac{0, 1}
+	for i := 0; i < in.n; i++ {
+		// The input port's senders repeat every lIn data sets, the output
+		// port's receivers every lOut.
+		mi := uint64(in.m[i])
+		var mp, mn, lIn, lOut uint64
+		if i > 0 {
+			mp = uint64(in.m[i-1])
+			lIn = lcm(mi, mp)
+		}
+		if i < in.n-1 {
+			mn = uint64(in.m[i+1])
+			lOut = lcm(mi, mn)
+		}
+		for a := 0; a < in.m[i]; a++ {
+			c := fa.div(fa.of(in.comp[i][a]), mi)
+			if i > 0 {
+				c = fa.combine(c, fa.port(in.comm[i-1], a, mi, mp, lIn, false), m)
+			}
+			if i < in.n-1 {
+				c = fa.combine(c, fa.port(in.comm[i], a, mi, mn, lOut, true), m)
+			}
+			if fa.overflow {
+				return rat.Rat{}, false
+			}
+			if best.less(c) {
+				best = c
+			}
+		}
+	}
+	return rat.New(int64(best.n), int64(best.d)), true
+}
+
+// frac is a non-negative fraction n/d, d > 0, not necessarily in lowest
+// terms, with n and d at most MaxInt64.
+type frac struct{ n, d uint64 }
+
+// less reports x < y, by 128-bit cross products.
+func (x frac) less(y frac) bool {
+	h1, l1 := bits.Mul64(x.n, y.d)
+	h2, l2 := bits.Mul64(y.n, x.d)
+	return h1 < h2 || h1 == h2 && l1 < l2
+}
+
+// fracArith forms fracs and records, stickily, any step whose operand or
+// result leaves them; after an overflow its results are meaningless, and
+// add skips its arithmetic.
+type fracArith struct{ overflow bool }
+
+// of returns r as a frac.
+func (fa *fracArith) of(r rat.Rat) frac {
+	n, d, ok := r.Small()
+	if !ok || n < 0 {
+		fa.overflow = true
+		return frac{0, 1}
+	}
+	return frac{uint64(n), uint64(d)}
+}
+
+// port returns the per-data-set occupation of one port of replica a, which
+// handles the data sets j ≡ a (mod mi): the sum of its transfers over one
+// period l = lcm(mi, mo) of the round-robin over the mo replicas on the
+// other side, divided by l. times is the file's transfer table, indexed
+// [a][peer] for an output port (out) and [peer][a] for an input port.
+func (fa *fracArith) port(times [][]rat.Rat, a int, mi, mo, l uint64, out bool) frac {
+	// k = j mod mo, kept without dividing: j starts at a and steps by mi.
+	k := uint64(a)
+	for k >= mo {
+		k -= mo
+	}
+	step := mi
+	for step >= mo {
+		step -= mo
+	}
+	sum := frac{0, 1}
+	for j := uint64(a); j < l; j += mi {
+		var t frac
+		if out {
+			t = fa.of(times[a][k])
+		} else {
+			t = fa.of(times[k][a])
+		}
+		if t.d == sum.d {
+			sum.n += t.n // both at most MaxInt64: no wrap, and check catches the rest
+			fa.check(sum, 0)
+		} else {
+			sum = fa.add(sum, t)
+		}
+		if k += step; k >= mo {
+			k -= mo
+		}
+	}
+	return fa.div(sum, l)
+}
+
+// add returns x + y: over the common denominator when they share one, over
+// the product of the two when both are below 2^31, and over their lcm
+// otherwise.
+func (fa *fracArith) add(x, y frac) frac {
+	if fa.overflow {
+		return x
+	}
+	if x.d == y.d {
+		return fa.check(frac{x.n + y.n, x.d}, 0)
+	}
+	if x.n == 0 {
+		return y
+	}
+	ex, ey := x.d, y.d
+	if x.d|y.d >= 1<<31 {
+		g := uint64(rat.GCDInt(int64(x.d), int64(y.d)))
+		ex, ey = x.d/g, y.d/g
+	}
+	h1, n1 := bits.Mul64(x.n, ey)
+	h2, n2 := bits.Mul64(y.n, ex)
+	h3, d := bits.Mul64(x.d, ey)
+	if n1 > math.MaxInt64 || n2 > math.MaxInt64 {
+		fa.overflow = true
+	}
+	return fa.check(frac{n1 + n2, d}, h1|h2|h3)
+}
+
+// div returns x/k for k > 0.
+func (fa *fracArith) div(x frac, k uint64) frac {
+	hi, d := bits.Mul64(x.d, k)
+	return fa.check(frac{x.n, d}, hi)
+}
+
+// combine joins two of a resource's occupation times into its cycle time
+// under m: their maximum (overlap) or their sum (strict).
+func (fa *fracArith) combine(x, y frac, m CommModel) frac {
+	if m != Overlap {
+		return fa.add(x, y)
+	}
+	if x.less(y) {
+		return y
+	}
+	return x
+}
+
+// check returns x, recording an overflow when hi, the high word of the
+// product that formed it, is set or x leaves int64.
+func (fa *fracArith) check(x frac, hi uint64) frac {
+	if hi != 0 || x.n > math.MaxInt64 || x.d > math.MaxInt64 {
+		fa.overflow = true
+	}
+	return x
+}
+
+// lcm is rat.LCMInt on replica counts, which are small and positive.
+func lcm(a, b uint64) uint64 { return uint64(rat.LCMInt(int64(a), int64(b))) }
 
 // CriticalResources returns the resources whose cycle-time attains Mct.
 func (in *Instance) CriticalResources(m CommModel) []Resource {

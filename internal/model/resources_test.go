@@ -105,3 +105,118 @@ func TestResourcesMatchesMacroPeriod(t *testing.T) {
 		}
 	}
 }
+
+// randomTimesInstance draws an instance with replication counts m and
+// operation times from time.
+func randomTimesInstance(tb testing.TB, m []int, time func() rat.Rat) *Instance {
+	tb.Helper()
+	comp := make([][]rat.Rat, len(m))
+	for i := range m {
+		comp[i] = make([]rat.Rat, m[i])
+		for a := range comp[i] {
+			comp[i][a] = time()
+		}
+	}
+	comm := make([][][]rat.Rat, len(m)-1)
+	for i := range comm {
+		comm[i] = make([][]rat.Rat, m[i])
+		for a := range comm[i] {
+			comm[i][a] = make([]rat.Rat, m[i+1])
+			for b := range comm[i][a] {
+				comm[i][a][b] = time()
+			}
+		}
+	}
+	in, err := FromTimes(comp, comm)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return in
+}
+
+// TestMctFracMatchesRational checks Mct's fraction pass against its exact
+// rational pass, in representation, on integer and mixed-denominator
+// times, and pins where the fraction pass hands over: denominators whose
+// lcm passes int64, a sum past int64 and big operands take the rational
+// pass and still agree with it. Mct allocates nothing on
+// the fraction pass.
+func TestMctFracMatchesRational(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	times := map[string]func() rat.Rat{
+		"integer":    func() rat.Rat { return rat.FromInt(1 + rng.Int63n(1000)) },
+		"fractional": func() rat.Rat { return rat.New(1+rng.Int63n(500), 1+rng.Int63n(60)) },
+		"primes": func() rat.Rat {
+			primes := []int64{1_000_003, 1_000_033, 1_000_037, 1_000_039}
+			return rat.New(1+rng.Int63n(9), primes[rng.Intn(len(primes))])
+		},
+		"huge": func() rat.Rat { return rat.FromInt(1<<62 + rng.Int63n(1<<40)) },
+	}
+	wantFrac := map[string]bool{"integer": true, "fractional": true}
+	for name, time := range times {
+		for trial := 0; trial < 60; trial++ {
+			m := make([]int, 2+rng.Intn(4))
+			for i := range m {
+				m[i] = 1 + rng.Intn(6)
+			}
+			in := randomTimesInstance(t, m, time)
+			for _, cm := range []CommModel{Overlap, Strict} {
+				got, want := in.Mct(cm), in.mctRat(cm)
+				if got.String() != want.String() || got.IsBig() != want.IsBig() {
+					t.Fatalf("%s m=%v %v: Mct %v, rational pass %v", name, m, cm, got, want)
+				}
+				_, ok := in.mctFrac(cm)
+				if wantFrac[name] && !ok {
+					t.Fatalf("%s m=%v %v: fraction pass overflowed", name, m, cm)
+				}
+				if name == "huge" && cm == Strict && ok {
+					t.Fatalf("m=%v: a strict sum past int64 stayed on the fraction pass", m)
+				}
+			}
+		}
+	}
+	big, _ := rat.Parse("100000000000000000000000000000/7")
+	in := randomTimesInstance(t, []int{2, 3}, func() rat.Rat { return big })
+	for _, cm := range []CommModel{Overlap, Strict} {
+		if _, ok := in.mctFrac(cm); ok {
+			t.Fatal("big operands stayed on the fraction pass")
+		}
+		if got, want := in.Mct(cm), in.mctRat(cm); got.String() != want.String() || !got.IsBig() {
+			t.Fatalf("big %v: Mct %v, rational pass %v", cm, got, want)
+		}
+	}
+	in = randomTimesInstance(t, []int{3, 4, 5}, times["fractional"])
+	if allocs := testing.AllocsPerRun(20, func() { in.Mct(Strict) }); allocs != 0 {
+		t.Fatalf("Mct: %v allocs/op", allocs)
+	}
+}
+
+// BenchmarkMct times Mct on a four-stage instance replicated (3, 4, 5, 2),
+// on integer times (Table 2) and on speed/bandwidth fractions (a search
+// on a heterogeneous platform), next to the exact rational pass it
+// replaces.
+func BenchmarkMct(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	for _, tc := range []struct {
+		name string
+		time func() rat.Rat
+	}{
+		{"integer", func() rat.Rat { return rat.FromInt(5 + rng.Int63n(1000)) }},
+		{"fractional", func() rat.Rat { return rat.New(50+rng.Int63n(450), 5+rng.Int63n(20)) }},
+	} {
+		in := randomTimesInstance(b, []int{3, 4, 5, 2}, tc.time)
+		for _, pass := range []string{"frac", "rat"} {
+			b.Run(tc.name+"/"+pass, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for _, cm := range []CommModel{Overlap, Strict} {
+						if pass == "frac" {
+							in.Mct(cm)
+						} else {
+							in.mctRat(cm)
+						}
+					}
+				}
+			})
+		}
+	}
+}

@@ -262,8 +262,8 @@ func (m *Matrix) EigenvalueBackend(b cycles.Backend) (rat.Rat, []int, error) {
 // iteration — exact rational arithmetic throughout — and returns the
 // eigenvalue with a critical-cycle witness (vertex sequence of the
 // precedence graph). It is the fast path for the large recurrence matrices
-// of big scenario grids, where Karp's Θ(nm) dynamic program dominates; the
-// two engines are cross-checked in the differential and fuzz harnesses.
+// of big scenario grids, which put a token on every edge; the two engines
+// are cross-checked in the differential and fuzz harnesses.
 func Howard(m *Matrix) (rat.Rat, []int, error) {
 	return m.EigenvalueBackend(cycles.BackendHoward)
 }

@@ -35,6 +35,24 @@ func TestParseRoundTripsString(t *testing.T) {
 	}
 }
 
+// TestParseSmallAllocationFree: a value that fits int64, unreduced
+// operands included, parses without math/big.
+func TestParseSmallAllocationFree(t *testing.T) {
+	for _, s := range []string{"0", "-7/3", "44/14", "9223372036854775807/2"} {
+		want, ok := new(big.Rat).SetString(s)
+		if !ok {
+			t.Fatal(s)
+		}
+		var got Rat
+		if allocs := testing.AllocsPerRun(10, func() { got, _ = Parse(s) }); allocs != 0 {
+			t.Fatalf("Parse(%q): %v allocs/op", s, allocs)
+		}
+		if got.IsBig() || got.view().Cmp(want) != 0 {
+			t.Fatalf("Parse(%q) = %v, want %v", s, got, want)
+		}
+	}
+}
+
 func TestParseRejectsGarbage(t *testing.T) {
 	for _, s := range []string{"", "x", "1/", "/2", "1//2", "one half", "1/0",
 		// Outside the grammar, though big.Rat.SetString takes them.

@@ -89,6 +89,16 @@ func Parse(s string) (Rat, error) {
 	if !frac {
 		den = "1"
 	}
+	// Values that fit int64 parse without math/big: strconv's base-10
+	// grammar is big.Int's (an optional sign, then digits), and larger
+	// values, syntax errors and zero denominators take the path below.
+	if den != "" && den[0] >= '0' && den[0] <= '9' {
+		n, errN := strconv.ParseInt(num, 10, 64)
+		d, errD := strconv.ParseInt(den, 10, 64)
+		if errN == nil && errD == nil && d != 0 {
+			return New(n, d), nil
+		}
+	}
 	// Base 10 admits an optional sign and digits only; the denominator's
 	// sign is refused separately.
 	n, okN := new(big.Int).SetString(num, 10)
@@ -180,6 +190,11 @@ func (r Rat) den() int64 {
 // IsBig reports whether the value is carried by the arbitrary-precision
 // representation (exposed for tests and benchmarks).
 func (r Rat) IsBig() bool { return r.b != nil }
+
+// Small returns the numerator and the positive denominator of the int64
+// representation, in lowest terms; ok is false for a big value. Unlike
+// Num and Den it never panics, and it inlines into loops over many values.
+func (r Rat) Small() (n, d int64, ok bool) { return r.n, r.den(), r.b == nil }
 
 // Num returns the numerator. It panics if the value does not fit int64
 // (callers only use it on small inputs such as figure labels).

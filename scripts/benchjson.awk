@@ -14,7 +14,9 @@
 #     path under the exact cutoff) must rule out leaves at >= `leafgate`
 #     times the rate of BenchmarkBnBLeafRate/exact (a full exact evaluation
 #     per leaf; leaves/s custom metric), or the cutoff has stopped paying
-#     for itself;
+#     for itself. The k-th screened run pairs with the k-th exact run, and
+#     the gate reads the median of the pairs' ratios (the Makefile runs the
+#     pair five times);
 #   * hit-path allocation gate — BenchmarkServeHitPath/by-id (the memoized
 #     by-ID /v1/evaluate request, end to end through the handler stack)
 #     must stay at or below `hitgate` allocs/op;
@@ -37,7 +39,10 @@
 #     real on-disk store) must be at most `ckptgate` times its off-ns/op
 #     (the search without it), or the durability bookkeeping has grown onto
 #     the walker's hot path. The benchmark times both sides in every
-#     iteration, in alternating order.
+#     iteration, in alternating order; the gate reads the median ratio
+#     over its runs, like the leaf-rate gate.
+#
+# Both median gates print every run's ratio and the median to stderr.
 #
 # Exits non-zero after the report if any gate is broken.
 #
@@ -55,14 +60,24 @@ BEGIN {
     if (routergate == "") routergate = 2
     if (joballocgate == "") joballocgate = 32
     if (ckptgate == "") ckptgate = 1.05
-    exactLeafRate = ""
-    screenedLeafRate = ""
+    nExact = 0
+    nScreened = 0
     byIDNs = ""
     inlineNs = ""
     routedNs = ""
     directNs = ""
-    ckptOnNs = ""
-    ckptOffNs = ""
+    nCkpt = 0
+}
+
+# median sorts the k values of a[1..k] in place and returns their median
+# (the mean of the middle two for even k).
+function median(a, k,    i, j, x) {
+    for (i = 2; i <= k; i++) {
+        x = a[i]
+        for (j = i - 1; j >= 1 && a[j] > x; j--) a[j+1] = a[j]
+        a[j+1] = x
+    }
+    return (k % 2) ? a[(k+1)/2] : (a[k/2] + a[k/2+1]) / 2
 }
 
 /^Benchmark/ && / allocs\/op/ {
@@ -100,9 +115,9 @@ BEGIN {
         }
     }
 
-    # Collect the leaf-rate pair for the screening gate.
-    if (name == "BenchmarkBnBLeafRate/exact") { gated[n] = 1; exactLeafRate = leafrate }
-    if (name == "BenchmarkBnBLeafRate/screened") { gated[n] = 1; screenedLeafRate = leafrate }
+    # Collect the leaf-rate pairs for the screening gate, in run order.
+    if (name == "BenchmarkBnBLeafRate/exact") { gated[n] = 1; exactLeafRate[++nExact] = leafrate }
+    if (name == "BenchmarkBnBLeafRate/screened") { gated[n] = 1; screenedLeafRate[++nScreened] = leafrate }
 
     # The serving hit-path gates: allocation ceiling on the by-ID form, and
     # the by-ID/inline pair for the speedup ratio.
@@ -131,7 +146,15 @@ BEGIN {
 
     # The checkpoint overhead pair: the same search with persistence on/off,
     # timed side by side in one benchmark.
-    if (name == "BenchmarkCheckpointOverhead") { gated[n] = 1; ckptOnNs = onns; ckptOffNs = offns }
+    if (name == "BenchmarkCheckpointOverhead") {
+        gated[n] = 1
+        if (onns == "" || offns == "" || offns + 0 <= 0) {
+            print "GATE FAIL: BenchmarkCheckpointOverhead reported only one of on-ns/op and off-ns/op" > "/dev/stderr"
+            fail = 1
+        } else {
+            ckptRatio[++nCkpt] = onns / offns
+        }
+    }
 }
 
 END {
@@ -139,14 +162,21 @@ END {
         print "benchjson.awk: no benchmark lines found" > "/dev/stderr"
         exit 1
     }
-    if (exactLeafRate != "" || screenedLeafRate != "") {
-        if (exactLeafRate == "" || screenedLeafRate == "") {
-            print "GATE FAIL: BenchmarkBnBLeafRate ran only one of exact/screened" > "/dev/stderr"
+    if (nExact > 0 || nScreened > 0) {
+        if (nExact != nScreened) {
+            printf "GATE FAIL: BenchmarkBnBLeafRate ran exact %d and screened %d times\n", nExact, nScreened > "/dev/stderr"
             fail = 1
-        } else if (exactLeafRate + 0 <= 0 || screenedLeafRate + 0 < leafgate * (exactLeafRate + 0)) {
-            printf "GATE FAIL: screened leaf rate %s leaves/s is below %sx the exact rate %s leaves/s\n", \
-                screenedLeafRate, leafgate, exactLeafRate > "/dev/stderr"
-            fail = 1
+        } else {
+            for (k = 1; k <= nExact; k++) {
+                leafRatio[k] = (exactLeafRate[k] + 0 > 0) ? screenedLeafRate[k] / exactLeafRate[k] : 0
+                printf "leaf-rate run %d: screened %s / exact %s leaves/s = %.2fx\n", k, screenedLeafRate[k], exactLeafRate[k], leafRatio[k] > "/dev/stderr"
+            }
+            med = median(leafRatio, nExact)
+            printf "leaf-rate median over %d runs: %.2fx (gate %sx)\n", nExact, med, leafgate > "/dev/stderr"
+            if (med < leafgate + 0) {
+                printf "GATE FAIL: median screened/exact leaf rate %.2fx is below the gate of %sx\n", med, leafgate > "/dev/stderr"
+                fail = 1
+            }
         }
     }
     if (byIDNs != "" || inlineNs != "") {
@@ -169,13 +199,14 @@ END {
             fail = 1
         }
     }
-    if (ckptOnNs != "" || ckptOffNs != "") {
-        if (ckptOnNs == "" || ckptOffNs == "") {
-            print "GATE FAIL: BenchmarkCheckpointOverhead reported only one of on-ns/op and off-ns/op" > "/dev/stderr"
-            fail = 1
-        } else if (ckptOffNs + 0 <= 0 || ckptOnNs + 0 > ckptgate * (ckptOffNs + 0)) {
-            printf "GATE FAIL: checkpointed search at %s ns/op exceeds %sx the plain search at %s ns/op\n", \
-                ckptOnNs, ckptgate, ckptOffNs > "/dev/stderr"
+    if (nCkpt > 0) {
+        for (k = 1; k <= nCkpt; k++) {
+            printf "checkpoint run %d: on/off = %.3f\n", k, ckptRatio[k] > "/dev/stderr"
+        }
+        med = median(ckptRatio, nCkpt)
+        printf "checkpoint median over %d runs: %.3f (gate %s)\n", nCkpt, med, ckptgate > "/dev/stderr"
+        if (med > ckptgate + 0) {
+            printf "GATE FAIL: median checkpointed/plain search ratio %.3f exceeds the gate of %s\n", med, ckptgate > "/dev/stderr"
             fail = 1
         }
     }
