@@ -42,6 +42,10 @@ func TestRouterRequestValidation(t *testing.T) {
 	}{
 		{"evaluate bad JSON", "/v1/evaluate", "{", http.StatusBadRequest, "bad request body"},
 		{"evaluate trailing data", "/v1/evaluate", `{"model":"overlap"} trailing`, http.StatusBadRequest, "trailing data"},
+		{"evaluate trailing brace", "/v1/evaluate",
+			fmt.Sprintf(`{"model":"overlap","instance":%s}}`, okInst), http.StatusBadRequest, "trailing data"},
+		{"evaluate trailing bracket", "/v1/evaluate",
+			fmt.Sprintf(`{"model":"overlap","instance":%s}]`, okInst), http.StatusBadRequest, "trailing data"},
 		{"evaluate both forms", "/v1/evaluate",
 			fmt.Sprintf(`{"model":"overlap","instance":%s,"instanceId":"%s"}`, okInst, strings.Repeat("0", 64)),
 			http.StatusBadRequest, "mutually exclusive"},

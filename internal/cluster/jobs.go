@@ -48,7 +48,7 @@ func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req service.JobSubmitRequest
-	if err := unmarshalStrict(body, &req); err != nil {
+	if err := service.UnmarshalStrict(body, &req); err != nil {
 		rt.failErr(w, name, err)
 		return
 	}
@@ -139,7 +139,7 @@ func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var sub service.JobListResponse
-		if err := unmarshalStrict(sr.res.body, &sub); err != nil {
+		if err := service.UnmarshalStrict(sr.res.body, &sub); err != nil {
 			rt.fail(w, name, http.StatusBadGateway,
 				fmt.Sprintf("node %s answered a malformed job listing", alive[i]))
 			return

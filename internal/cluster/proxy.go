@@ -91,27 +91,10 @@ func encodeBody(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// readBody drains a capped request body.
+// readBody drains a capped request body, as a node does.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return nil, &service.HTTPError{Status: http.StatusRequestEntityTooLarge, Message: err.Error()}
-		}
-		return nil, &service.HTTPError{Status: http.StatusBadRequest, Message: fmt.Sprintf("reading request body: %v", err)}
-	}
-	return body, nil
-}
-
-// unmarshalStrict parses a request body with the node's own decoder, so the
-// router's parse verdicts read like a node's.
-func unmarshalStrict(body []byte, v any) error {
-	if err := service.DecodeStrict(bytes.NewReader(body), v); err != nil {
-		return &service.HTTPError{Status: http.StatusBadRequest, Message: err.Error()}
-	}
-	return nil
+	return service.ReadBody(r.Body)
 }
 
 // proxyResult is one upstream answer, fully drained.
@@ -280,7 +263,7 @@ func (rt *Router) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var req service.EvaluateRequest
-	if err := unmarshalStrict(body, &req); err != nil {
+	if err := service.UnmarshalStrict(body, &req); err != nil {
 		rt.failErr(w, name, err)
 		return
 	}
@@ -325,7 +308,7 @@ func (rt *Router) handleInstancePost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req service.InstanceRequest
-	if err := unmarshalStrict(body, &req); err != nil {
+	if err := service.UnmarshalStrict(body, &req); err != nil {
 		rt.failErr(w, name, err)
 		return
 	}
@@ -395,7 +378,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req service.SearchRequest
-	if err := unmarshalStrict(body, &req); err != nil {
+	if err := service.UnmarshalStrict(body, &req); err != nil {
 		rt.failErr(w, name, err)
 		return
 	}
@@ -449,7 +432,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req service.BatchRequest
-	if err := unmarshalStrict(body, &req); err != nil {
+	if err := service.UnmarshalStrict(body, &req); err != nil {
 		rt.failErr(w, name, err)
 		return
 	}
@@ -651,7 +634,7 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req service.SweepRequest
-	if err := unmarshalStrict(body, &req); err != nil {
+	if err := service.UnmarshalStrict(body, &req); err != nil {
 		rt.failErr(w, name, err)
 		return
 	}

@@ -101,47 +101,17 @@ func FromMapped(pipe *pipeline.Pipeline, plat *platform.Platform, mapp *mapping.
 		return nil, fmt.Errorf("model: mapping has %d stages, pipeline has %d", mapp.NumStages(), pipe.NumStages())
 	}
 	n := pipe.NumStages()
-	// The instance's slices are carved out of one backing array per element
-	// type: the exact search builds an instance per leaf, and the replica
-	// count would otherwise set its allocation count.
-	reps, links, senders := 0, 0, 0
-	for i, procs := range mapp.Replicas {
-		reps += len(procs)
-		if i < n-1 {
-			senders += len(procs)
-			links += len(procs) * len(mapp.Replicas[i+1])
-		}
-	}
-	times := make([]rat.Rat, reps+links)
-	ints := make([]int, n+reps)
-	rows := make([][]rat.Rat, n+senders)
-	inst := &Instance{
-		n:    n,
-		m:    ints[:n:n],
-		comp: rows[:n:n],
-		comm: make([][][]rat.Rat, n-1),
-		proc: make([][]int, n),
-	}
-	procBuf, rows := ints[n:], rows[n:]
+	inst := new(Instance)
+	*inst = carve(n, func(i int) int { return len(mapp.Replicas[i]) })
 	for i := 0; i < n; i++ {
-		procs := mapp.Replicas[i]
-		k := len(procs)
-		inst.m[i] = k
-		inst.comp[i], times = times[:k:k], times[k:]
-		inst.proc[i], procBuf = procBuf[:k:k], procBuf[k:]
-		copy(inst.proc[i], procs)
-		for a, u := range procs {
+		copy(inst.proc[i], mapp.Replicas[i])
+		for a, u := range mapp.Replicas[i] {
 			inst.comp[i][a] = plat.ComputeTime(pipe.Stages[i].Work, u)
 		}
 	}
 	for i := 0; i < n-1; i++ {
-		senders := mapp.Replicas[i]
-		receivers := mapp.Replicas[i+1]
-		inst.comm[i], rows = rows[:len(senders):len(senders)], rows[len(senders):]
-		for a, u := range senders {
-			k := len(receivers)
-			inst.comm[i][a], times = times[:k:k], times[k:]
-			for b, v := range receivers {
+		for a, u := range mapp.Replicas[i] {
+			for b, v := range mapp.Replicas[i+1] {
 				if !plat.HasLink(u, v) {
 					return nil, fmt.Errorf("model: mapping requires missing link P%d -> P%d for file F%d", u, v, i)
 				}
@@ -153,6 +123,50 @@ func FromMapped(pipe *pipeline.Pipeline, plat *platform.Platform, mapp *mapping.
 		return nil, err
 	}
 	return inst, nil
+}
+
+// carve allocates an instance whose stage i has k(i) replicas, with zero
+// times and processor ids in stage order, its rows carved out of one
+// backing array per element type with no spare capacity: the exact search
+// builds an instance per leaf and the service decodes one per request, and
+// the replica count would otherwise set their allocation count.
+func carve(n int, k func(i int) int) Instance {
+	reps, links, senders := 0, 0, 0
+	for i := 0; i < n; i++ {
+		reps += k(i)
+		if i < n-1 {
+			senders += k(i)
+			links += k(i) * k(i+1)
+		}
+	}
+	times := make([]rat.Rat, reps+links)
+	ints := make([]int, n+reps)
+	rows := make([][]rat.Rat, n+senders)
+	inst := Instance{
+		n:    n,
+		m:    ints[:n:n],
+		comp: rows[:n:n],
+		comm: make([][][]rat.Rat, n-1),
+		proc: make([][]int, n),
+	}
+	procBuf, rows := ints[n:], rows[n:]
+	for j := range procBuf {
+		procBuf[j] = j
+	}
+	for i := 0; i < n; i++ {
+		r := k(i)
+		inst.m[i] = r
+		inst.comp[i], times = times[:r:r], times[r:]
+		inst.proc[i], procBuf = procBuf[:r:r], procBuf[r:]
+	}
+	for i := 0; i < n-1; i++ {
+		inst.comm[i], rows = rows[:inst.m[i]:inst.m[i]], rows[inst.m[i]:]
+		for a := range inst.comm[i] {
+			r := inst.m[i+1]
+			inst.comm[i][a], times = times[:r:r], times[r:]
+		}
+	}
+	return inst
 }
 
 // FromTimes builds an instance directly from operation durations.

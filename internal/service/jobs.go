@@ -1,13 +1,11 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -300,18 +298,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	// The raw bytes are read once: they seed the deterministic job-ID
 	// prefix, then decode from memory.
-	body, err := io.ReadAll(r.Body)
+	body, err := ReadBody(r.Body)
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.failErr(w, name, &HTTPError{Status: http.StatusRequestEntityTooLarge, Message: err.Error()})
-			return
-		}
-		s.failErr(w, name, badRequest("bad request body: %v", err))
+		s.failErr(w, name, err)
 		return
 	}
 	var req JobSubmitRequest
-	if err := DecodeStrict(bytes.NewReader(body), &req); err != nil {
+	if err := UnmarshalStrict(body, &req); err != nil {
 		s.failErr(w, name, err)
 		return
 	}

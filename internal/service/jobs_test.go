@@ -375,6 +375,8 @@ func TestJobSubmitValidation(t *testing.T) {
 		{"missing payload", `{"kind":"sweep"}`, `missing "sweep" payload for kind "sweep"`},
 		{"invalid search", `{"kind":"search","search":{"model":"overlap"}}`, `missing "pipeline" or "platform"`},
 		{"trailing garbage", `{"kind":"sweep","sweep":{}} x`, "bad request body"},
+		{"trailing brace", `{"kind":"sweep","sweep":{}}}`, "trailing data"},
+		{"trailing bracket", `{"kind":"sweep","sweep":{}}]`, "trailing data"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

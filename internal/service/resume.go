@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 
 	"net/http"
@@ -103,7 +102,7 @@ func (s *Server) resumeRunning(rec checkpoint.Record) bool {
 // finished bnb roots as replay.
 func (s *Server) resumePlan(rec checkpoint.Record) (jobRunner, func(), error) {
 	var sub JobSubmitRequest
-	if err := DecodeStrict(bytes.NewReader(rec.Body), &sub); err != nil {
+	if err := UnmarshalStrict(rec.Body, &sub); err != nil {
 		return nil, nil, err
 	}
 	switch {

@@ -55,7 +55,6 @@ import (
 	"net"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
@@ -67,6 +66,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exper"
 	"repro/internal/jobs"
+	"repro/internal/jscan"
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/platform"
@@ -176,11 +176,11 @@ type Server struct {
 	sem     chan struct{}                // in-flight solve budget
 	met     *metrics
 	flights flightGroup
-	store   *store.Store                 // content-addressed documents (POST /v1/instances)
-	resp    *clock.Cache[string, []byte] // pre-encoded /v1/evaluate bodies; nil when disabled
-	jobs    *jobs.Manager                // the job registry every solve runs under
-	ckpt    *checkpoint.Manager          // durable job state; nil when CheckpointDir is empty
-	ckptErr error                        // deferred CheckpointDir failure; Serve refuses to start on it
+	store   *store.Store                  // content-addressed documents (POST /v1/instances)
+	resp    *clock.Cache[respKey, []byte] // pre-encoded /v1/evaluate bodies; nil when disabled
+	jobs    *jobs.Manager                 // the job registry every solve runs under
+	ckpt    *checkpoint.Manager           // durable job state; nil when CheckpointDir is empty
+	ckptErr error                         // deferred CheckpointDir failure; Serve refuses to start on it
 }
 
 // NewServer builds a server and its routes.
@@ -215,7 +215,7 @@ func NewServer(opts Options) *Server {
 		if n == 0 {
 			n = defaultRespEntries
 		}
-		s.resp = clock.New[string, []byte](n)
+		s.resp = clock.New[respKey, []byte](n)
 	}
 	for b := range s.engines {
 		s.engines[b] = engine.New(engine.Options{
@@ -330,8 +330,6 @@ func (s *Server) solveEndpoint(name string, h func(r *http.Request) (reply, erro
 			return
 		}
 		r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-		ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-		defer cancel()
 		start := time.Now()
 		rep, err := h(r)
 		if rep.cleanup != nil {
@@ -346,6 +344,9 @@ func (s *Server) solveEndpoint(name string, h func(r *http.Request) (reply, erro
 			writeRaw(w, http.StatusOK, rep.raw)
 			return
 		}
+		// Only a solve reads the deadline; a memo hit returns before it.
+		ctx, cancel := context.WithDeadline(r.Context(), start.Add(s.opts.RequestTimeout))
+		defer cancel()
 		// The worker budget: wait for a slot on the request's own clock. The
 		// wait is recorded in its own histogram — queueing time used to be
 		// invisible, folded into neither the solve nor the handler numbers,
@@ -491,22 +492,104 @@ func backendLabelOf(resp any) string {
 	return "auto"
 }
 
-// DecodeStrict parses exactly one JSON value from body into v; trailing data
-// after it is an error. Node and router parse every request body with it, so
+// DecodeStrict reads body and parses exactly one JSON value from it into v;
+// anything but whitespace after the value is an error. Node and router
+// parse every request body with it (the router through UnmarshalStrict), so
 // their verdicts on a malformed body read alike.
 func DecodeStrict(body io.Reader, v any) error {
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(v); err != nil {
+	data, err := ReadBody(body)
+	if err != nil {
+		return err
+	}
+	return UnmarshalStrict(data, v)
+}
+
+// ReadBody reads a whole request body; a read past the MaxBytesReader cap
+// is a 413.
+func ReadBody(body io.Reader) ([]byte, error) {
+	data, err := io.ReadAll(body)
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			return &HTTPError{Status: http.StatusRequestEntityTooLarge, Message: err.Error()}
+			return nil, &HTTPError{Status: http.StatusRequestEntityTooLarge, Message: err.Error()}
 		}
+		return nil, badRequest("bad request body: %v", err)
+	}
+	return data, nil
+}
+
+// UnmarshalStrict is DecodeStrict on a body already in memory; v keeps no
+// reference to it. Bodies decodeCanonical reads take one pass; the rest go
+// through encoding/json, which defines the accepted language and messages.
+func UnmarshalStrict(data []byte, v any) error {
+	if decodeCanonical(data, v) {
+		return nil
+	}
+	return decodeJSON(data, v)
+}
+
+// decodeJSON is UnmarshalStrict's encoding/json path.
+func decodeJSON(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if err := dec.Decode(v); err != nil {
 		return badRequest("bad request body: %v", err)
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
 		return badRequest("bad request body: trailing data after JSON value")
 	}
 	return nil
+}
+
+// decodeCanonical reads an *EvaluateRequest or *InstanceRequest body in
+// the subset json.Marshal writes — exact-case keys, jscan tokens and
+// model.Instance.ReadCanonical's instances — into v, or reports false with
+// v untouched. Each key may come once.
+func decodeCanonical(data []byte, v any) bool {
+	sc := jscan.New(data)
+	var seen uint
+	once := func(bit uint) bool { old := seen; seen |= bit; return old&bit == 0 }
+	str := func(dst *string) bool {
+		b, ok := sc.Str()
+		*dst = string(b)
+		return ok
+	}
+	inst := func(dst **model.Instance) bool {
+		*dst = new(model.Instance)
+		return (*dst).ReadCanonical(&sc)
+	}
+	switch req := v.(type) {
+	case *EvaluateRequest:
+		r := *req
+		if sc.Object(func(key []byte) bool {
+			switch string(key) {
+			case "instance":
+				return once(1) && inst(&r.Instance)
+			case "instanceId":
+				return once(2) && str(&r.InstanceID)
+			case "model":
+				return once(4) && str(&r.Model)
+			case "backend":
+				return once(8) && str(&r.Backend)
+			case "latencyPeriods":
+				n, ok := sc.Uint()
+				r.LatencyPeriods = int(n)
+				return once(16) && ok && int64(r.LatencyPeriods) == n
+			}
+			return false
+		}) && sc.End() {
+			*req = r
+			return true
+		}
+	case *InstanceRequest:
+		r := *req
+		if sc.Object(func(key []byte) bool {
+			return string(key) == "instance" && once(1) && inst(&r.Instance)
+		}) && sc.End() {
+			*req = r
+			return true
+		}
+	}
+	return false
 }
 
 // parseSelectors parses the shared "model"/"backend" request fields; an
@@ -554,6 +637,13 @@ type EvaluateRequest struct {
 // hours, immune to RequestTimeout. Steady-state statistics converge within
 // a handful of macro-periods.
 const maxLatencyDataSets = 1 << 17
+
+// respKey names a memoized /v1/evaluate body; a hit builds no string.
+type respKey struct {
+	backend        cycles.Backend
+	latencyPeriods int
+	task           string
+}
 
 // ResultJSON is the wire form of a core.Result: exact rationals as "n/d"
 // strings plus a float convenience rendering.
@@ -656,10 +746,9 @@ func (s *Server) handleEvaluate(r *http.Request) (rep reply, err error) {
 	// Response memo: a repeat of (backend, options, canonical task) serves
 	// the previously encoded bytes — no solver, simulator or encoder work,
 	// and no in-flight slot.
-	var respKey string
 	if s.resp != nil {
-		respKey = b.String() + "\x00" + strconv.Itoa(req.LatencyPeriods) + "\x00" + key
-		if body, ok := s.resp.Get(respKey); ok {
+		rk := respKey{b, req.LatencyPeriods, key}
+		if body, ok := s.resp.Get(rk); ok {
 			rep.raw, rep.backend = body, b.String()
 			return rep, nil
 		}
@@ -668,7 +757,7 @@ func (s *Server) handleEvaluate(r *http.Request) (rep reply, err error) {
 			// marker, which describes this request's scheduling, not the
 			// task's result.
 			if er, ok := resp.(EvaluateResponse); ok && !er.Coalesced {
-				s.resp.Put(respKey, bytes.Clone(body))
+				s.resp.Put(rk, bytes.Clone(body))
 			}
 		}
 	}

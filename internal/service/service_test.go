@@ -509,6 +509,11 @@ func TestBodyLimit(t *testing.T) {
 	if status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d body %s, want 413", status, body)
 	}
+	// The cap applies past the end of the value too.
+	body, status = postRaw(t, ts.URL+"/v1/evaluate", []byte(`{"model":"overlap"}`+strings.Repeat(" ", 256)))
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("padded body: status %d body %s, want 413", status, body)
+	}
 }
 
 // TestFlightGroupCoalesces pins the singleflight: concurrent callers of one
