@@ -7,7 +7,6 @@ import (
 	"net/http"
 
 	"repro/internal/core"
-	"repro/internal/cycles"
 	"repro/internal/dynamic"
 	"repro/internal/engine"
 	"repro/internal/examplesdata"
@@ -68,10 +67,6 @@ type (
 	EvalOutcome = engine.Outcome
 	// SweepPoint is one point of the runtime-vs-duplication sweep.
 	SweepPoint = exper.SweepPoint
-	// Backend selects the exact maximum-cycle-ratio engine (see the
-	// Backend* constants). All backends return identical exact results;
-	// they differ only in running time.
-	Backend = cycles.Backend
 	// ServerOptions configures the HTTP evaluation service (see Serve).
 	ServerOptions = service.Options
 	// Job is the wire status of one async job on the /v1/jobs surface:
@@ -92,31 +87,6 @@ type (
 	// every non-2xx response of the service and the cluster router uses it.
 	ErrorBody = service.ErrorBody
 )
-
-// Cycle-ratio backends. BackendAuto (the zero value, and the default of
-// Solver and Engine) routes by token-edge share: cycle iteration on the
-// compiled plan where token edges are sparse, Howard policy iteration where
-// they are plentiful — deterministically, so batch results stay
-// bit-identical at any choice. BackendKarp ("karp") selects the plan route;
-// it keeps the name of the Karp engine cycle iteration replaced. Every backend serves the batch searches' exact cutoff (branch
-// and bound, greedy, exhaustive rule out a candidate as soon as its period
-// is proven at least their incumbent).
-const (
-	BackendAuto   = cycles.BackendAuto
-	BackendKarp   = cycles.BackendKarp
-	BackendHoward = cycles.BackendHoward
-)
-
-// BackendFloatScreen named the float-screening tier, which the exact
-// cutoff replaced.
-//
-// Deprecated: it equals BackendAuto.
-const BackendFloatScreen = BackendAuto
-
-// ParseBackend parses "auto", "karp" or "howard" — the values the
-// commands' -backend flags accept; "float-screen" is a deprecated alias of
-// "auto".
-func ParseBackend(s string) (Backend, error) { return cycles.ParseBackend(s) }
 
 // Communication models.
 const (
@@ -189,20 +159,11 @@ type Solver struct {
 }
 
 // NewSolver returns a solver with the given row cap for the unfolded-TPN
-// method (0 = the default cap of 20000 rows) and the automatic cycle-ratio
-// backend; use SetBackend to force one.
+// method (0 = the default cap of 20000 rows).
 func NewSolver(maxRows int) *Solver {
 	s := core.NewSolver()
 	s.MaxRows = maxRows
 	return &Solver{s: s}
-}
-
-// SetBackend selects the solver's cycle-ratio backend (BackendAuto,
-// BackendKarp or BackendHoward) and returns the solver for chaining.
-// Results are identical across backends; only the running time changes.
-func (s *Solver) SetBackend(b Backend) *Solver {
-	s.s.Backend = b
-	return s
 }
 
 // Throughput computes the period on the solver's reused scratch.

@@ -220,44 +220,6 @@ func TestAnalyzeAPI(t *testing.T) {
 	}
 }
 
-func TestBackendAPI(t *testing.T) {
-	for _, name := range []string{"auto", "karp", "howard"} {
-		b, err := ParseBackend(name)
-		if err != nil {
-			t.Fatalf("ParseBackend(%q): %v", name, err)
-		}
-		if b.String() != name {
-			t.Fatalf("backend %q round-tripped to %q", name, b.String())
-		}
-	}
-	if _, err := ParseBackend("nope"); err == nil {
-		t.Fatal("bogus backend accepted")
-	}
-
-	inst := ExampleA()
-	want, err := Throughput(inst, Strict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range []Backend{BackendAuto, BackendKarp, BackendHoward} {
-		res, err := NewSolver(0).SetBackend(b).Throughput(inst, Strict)
-		if err != nil {
-			t.Fatalf("backend %v: %v", b, err)
-		}
-		if !res.Period.Equal(want.Period) {
-			t.Fatalf("backend %v: period %v != %v", b, res.Period, want.Period)
-		}
-		eng := NewEngine(EngineOptions{Backend: b, Workers: 2})
-		outs, err := eng.EvaluateBatch(context.Background(), []EvalTask{{Inst: inst, Model: Strict}})
-		if err != nil || outs[0].Err != nil {
-			t.Fatalf("backend %v engine: %v / %v", b, err, outs[0].Err)
-		}
-		if !outs[0].Result.Period.Equal(want.Period) {
-			t.Fatalf("backend %v engine: period %v != %v", b, outs[0].Result.Period, want.Period)
-		}
-	}
-}
-
 // TestServeAndHandler covers the public service surface: NewServerHandler
 // answers an ExampleA evaluation identically to Throughput, and Serve runs
 // a real listener with graceful shutdown.

@@ -10,7 +10,7 @@
 //
 //	loadgen -url http://localhost:8080 [-endpoint evaluate] [-via inline]
 //	        [-cluster] [-workers 4] [-rps 0] [-duration 10s] [-model strict]
-//	        [-backend auto] [-reps 2,3] [-instances 64] [-batch 16]
+//	        [-reps 2,3] [-instances 64] [-batch 16]
 //	        [-algo bnb] [-seed 1]
 //
 // -endpoint search drives /v1/search with randomly generated (pipeline,
@@ -66,7 +66,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cycles"
 	"repro/internal/exper"
 	"repro/internal/model"
 	"repro/internal/pipeline"
@@ -202,7 +201,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	rps := fs.Float64("rps", 0, "target aggregate requests/second (0 = unthrottled)")
 	duration := fs.Duration("duration", 10*time.Second, "measurement window")
 	modelName := fs.String("model", "strict", "communication model of the generated tasks")
-	backendName := fs.String("backend", "auto", "cycle-ratio backend requested: auto, karp or howard")
 	repsFlag := fs.String("reps", "2,3", "replication vector of the generated instances, e.g. 2,3")
 	instances := fs.Int("instances", 64, "distinct random instances rotated through")
 	batchSize := fs.Int("batch", 16, "tasks per request for -endpoint batch")
@@ -223,10 +221,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-instances must be >= 1 (got %d)", *instances)
 	}
 	cm, err := model.Parse(*modelName)
-	if err != nil {
-		return err
-	}
-	backend, err := cycles.ParseBackend(*backendName)
 	if err != nil {
 		return err
 	}
@@ -270,9 +264,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// Register the population once, outside the measurement window, then
 		// hammer by ID. Same seed, same generator: the tasks are identical to
 		// the inline form's, only the transport differs.
-		payloads, err = storePayloads(ctx, client, base, *endpoint, rand.New(rand.NewSource(*seed)), reps, *instances, *batchSize, cm, backend)
+		payloads, err = storePayloads(ctx, client, base, *endpoint, rand.New(rand.NewSource(*seed)), reps, *instances, *batchSize, cm)
 	} else {
-		payloads, err = buildPayloads(*endpoint, rand.New(rand.NewSource(*seed)), reps, *instances, *batchSize, *algo, cm, backend)
+		payloads, err = buildPayloads(*endpoint, rand.New(rand.NewSource(*seed)), reps, *instances, *batchSize, *algo, cm)
 	}
 	if err != nil {
 		return err
@@ -517,7 +511,7 @@ func parseReps(s string) ([]int, error) {
 
 // buildPayloads pre-marshals the request bodies so the measurement loop
 // does no JSON work of its own.
-func buildPayloads(endpoint string, rng *rand.Rand, reps []int, instances, batchSize int, algo string, cm model.CommModel, backend cycles.Backend) ([][]byte, error) {
+func buildPayloads(endpoint string, rng *rand.Rand, reps []int, instances, batchSize int, algo string, cm model.CommModel) ([][]byte, error) {
 	if endpoint == "search" || endpoint == "jobs" {
 		// The search population: small heterogeneous problems whose exact
 		// tree (a few thousand leaves) makes every request a real solve, not
@@ -533,7 +527,6 @@ func buildPayloads(endpoint string, rng *rand.Rand, reps []int, instances, batch
 				Platform: plat,
 				Model:    cm.String(),
 				Algo:     algo,
-				Backend:  backend.String(),
 				Seed:     int64(k),
 			}
 			var body any = sr
@@ -561,7 +554,7 @@ func buildPayloads(endpoint string, rng *rand.Rand, reps []int, instances, batch
 	var payloads [][]byte
 	if endpoint == "evaluate" {
 		for _, inst := range insts {
-			b, err := json.Marshal(service.EvaluateRequest{Instance: inst, Model: cm.String(), Backend: backend.String()})
+			b, err := json.Marshal(service.EvaluateRequest{Instance: inst, Model: cm.String()})
 			if err != nil {
 				return nil, err
 			}
@@ -577,7 +570,7 @@ func buildPayloads(endpoint string, rng *rand.Rand, reps []int, instances, batch
 		if end > len(insts) {
 			end = len(insts)
 		}
-		req := service.BatchRequest{Backend: backend.String()}
+		var req service.BatchRequest
 		for _, inst := range insts[at:end] {
 			req.Tasks = append(req.Tasks, service.BatchTask{Instance: inst, Model: cm.String()})
 		}
@@ -594,7 +587,7 @@ func buildPayloads(endpoint string, rng *rand.Rand, reps []int, instances, batch
 // instance population as the inline form (same seed, same generator), each
 // registered once via POST /v1/instances, with the request bodies carrying
 // only the returned content IDs.
-func storePayloads(ctx context.Context, client *http.Client, base, endpoint string, rng *rand.Rand, reps []int, instances, batchSize int, cm model.CommModel, backend cycles.Backend) ([][]byte, error) {
+func storePayloads(ctx context.Context, client *http.Client, base, endpoint string, rng *rand.Rand, reps []int, instances, batchSize int, cm model.CommModel) ([][]byte, error) {
 	ids := make([]string, instances)
 	for k := range ids {
 		inst, err := exper.RandomTimedInstance(rng, reps, 5, 15)
@@ -625,7 +618,7 @@ func storePayloads(ctx context.Context, client *http.Client, base, endpoint stri
 	var payloads [][]byte
 	if endpoint == "evaluate" {
 		for _, id := range ids {
-			b, err := json.Marshal(service.EvaluateRequest{InstanceID: id, Model: cm.String(), Backend: backend.String()})
+			b, err := json.Marshal(service.EvaluateRequest{InstanceID: id, Model: cm.String()})
 			if err != nil {
 				return nil, err
 			}
@@ -641,7 +634,7 @@ func storePayloads(ctx context.Context, client *http.Client, base, endpoint stri
 		if end > len(ids) {
 			end = len(ids)
 		}
-		req := service.BatchRequest{Backend: backend.String()}
+		var req service.BatchRequest
 		for _, id := range ids[at:end] {
 			req.Tasks = append(req.Tasks, service.BatchTask{InstanceID: id, Model: cm.String()})
 		}

@@ -24,7 +24,6 @@ func TestRunFlagErrors(t *testing.T) {
 		{"missing url", []string{}, "-url is required"},
 		{"bad endpoint", []string{"-url", "http://x", "-endpoint", "teleport"}, "unknown -endpoint"},
 		{"bad model", []string{"-url", "http://x", "-model", "psychic"}, "unknown communication model"},
-		{"bad backend", []string{"-url", "http://x", "-backend", "quantum"}, "unknown backend"},
 		{"bad reps", []string{"-url", "http://x", "-reps", "2,zero"}, "bad -reps"},
 		{"bad workers", []string{"-url", "http://x", "-workers", "0"}, "-workers must be"},
 	}
@@ -268,7 +267,7 @@ func TestLoadgenStoreMode(t *testing.T) {
 	if sum.Via != "store" {
 		t.Fatalf("summary via %q", sum.Via)
 	}
-	// A by-ID evaluate body is the 64-hex content ID plus model and backend,
+	// A by-ID evaluate body is the 64-hex content ID plus the model,
 	// independent of the instance size.
 	if sum.AvgRequestBytes <= 0 || sum.AvgRequestBytes > 200 {
 		t.Fatalf("by-ID avgRequestBytes = %.0f, want a small ID-sized body", sum.AvgRequestBytes)

@@ -17,7 +17,7 @@
 // Usage:
 //
 //	mapsearch [-stages 3] [-procs 8] [-seed 1] [-model overlap] [-method all]
-//	          [-restarts 20] [-workers 0] [-backend auto]
+//	          [-restarts 20] [-workers 0]
 //
 // -method selects one search (exhaustive, greedy, random, bnb) or "all".
 package main
@@ -30,7 +30,6 @@ import (
 	"os"
 	"os/signal"
 
-	"repro/internal/cycles"
 	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/pipeline"
@@ -46,15 +45,9 @@ func main() {
 	method := flag.String("method", "all", "search to run: all, exhaustive, greedy, random or bnb")
 	restarts := flag.Int("restarts", 20, "hill-climbing restarts")
 	workers := flag.Int("workers", 0, "engine worker-pool size (0 = GOMAXPROCS)")
-	backendName := flag.String("backend", "auto", "cycle-ratio backend: auto, karp or howard")
 	flag.Parse()
 
 	cm, err := model.Parse(*modelName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mapsearch:", err)
-		os.Exit(1)
-	}
-	backend, err := cycles.ParseBackend(*backendName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mapsearch:", err)
 		os.Exit(1)
@@ -68,7 +61,7 @@ func main() {
 	selected := func(name string) bool { return *method == "all" || *method == name }
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	eng := engine.New(engine.Options{Workers: *workers, Backend: backend})
+	eng := engine.New(engine.Options{Workers: *workers})
 
 	rng := rand.New(rand.NewSource(*seed))
 	pipe := pipeline.Random(rng, *stages, 50, 500)

@@ -9,12 +9,7 @@
 //
 // Usage:
 //
-//	scaling [-seed 2009] [-workers 1] [-backend auto]
-//
-// -backend selects the cycle-ratio engine (auto, karp, howard; "karp" is
-// cycle iteration on the compiled plan): the sweep's periods are identical
-// under every backend, but the unfolded-TPN wall-time column directly
-// exposes the cost gap between the two engines on growing nets.
+//	scaling [-seed 2009] [-workers 1]
 package main
 
 import (
@@ -24,7 +19,6 @@ import (
 	"os"
 	"os/signal"
 
-	"repro/internal/cycles"
 	"repro/internal/engine"
 	"repro/internal/exper"
 )
@@ -32,17 +26,11 @@ import (
 func main() {
 	seed := flag.Int64("seed", 2009, "random seed for the instance times")
 	workers := flag.Int("workers", 1, "engine worker-pool size (1 = faithful per-point timings)")
-	backendName := flag.String("backend", "auto", "cycle-ratio backend: auto, karp or howard")
 	flag.Parse()
 
-	backend, err := cycles.ParseBackend(*backendName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scaling:", err)
-		os.Exit(1)
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	eng := engine.New(engine.Options{Workers: *workers, Backend: backend})
+	eng := engine.New(engine.Options{Workers: *workers})
 
 	pts, err := exper.RuntimeSweepEngine(ctx, eng, *seed, exper.DefaultSweepPairs())
 	if err != nil {

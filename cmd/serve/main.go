@@ -7,16 +7,15 @@
 // Usage:
 //
 //	serve [-addr :8080] [-workers 0] [-cache-entries 0] [-inflight 0]
-//	      [-timeout 60s] [-maxrows 0] [-backend auto]
+//	      [-timeout 60s] [-maxrows 0]
 //	      [-store-entries 0] [-respmemo-entries 0]
 //	      [-job-entries 0] [-job-active 0] [-job-timeout 0]
 //	      [-checkpoint-dir DIR] [-checkpoint-interval 2s]
 //
-// -workers sizes each backend's engine pool (0 = GOMAXPROCS).
-// -cache-entries bounds each engine's memo cache (0 = default 32768,
+// -workers sizes the engine's worker pool (0 = GOMAXPROCS).
+// -cache-entries bounds the engine's memo cache (0 = default 32768,
 // negative disables memoization). -inflight caps concurrent solve requests
-// (0 = 2x workers). -backend sets the cycle-ratio engine used by requests
-// that do not name one; every backend returns identical exact results.
+// (0 = 2x workers).
 // -store-entries bounds the content-addressed instance store behind
 // POST /v1/instances (0 = default 4096). -respmemo-entries bounds the
 // encoded-response memo that serves repeat evaluate hits without touching
@@ -52,7 +51,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cycles"
 	"repro/internal/service"
 )
 
@@ -75,12 +73,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
-	workers := fs.Int("workers", 0, "engine worker-pool size per backend (0 = GOMAXPROCS)")
-	cacheEntries := fs.Int("cache-entries", 0, "memo-cache bound per backend engine (0 = default, negative disables)")
+	workers := fs.Int("workers", 0, "engine worker-pool size (0 = GOMAXPROCS)")
+	cacheEntries := fs.Int("cache-entries", 0, "engine memo-cache bound (0 = default, negative disables)")
 	inflight := fs.Int("inflight", 0, "max concurrent solve requests (0 = 2x workers)")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-request wall-clock ceiling")
 	maxRows := fs.Int("maxrows", 0, "unfolded-TPN row cap of the pooled solvers (0 = package default)")
-	backendName := fs.String("backend", "auto", "default cycle-ratio backend for requests that omit one: auto, karp or howard")
 	storeEntries := fs.Int("store-entries", 0, "instance-store bound for POST /v1/instances (0 = default 4096)")
 	respEntries := fs.Int("respmemo-entries", 0, "encoded-response memo bound (0 = default 8192, negative disables)")
 	jobEntries := fs.Int("job-entries", 0, "terminal-job retention bound for /v1/jobs (0 = default 1024)")
@@ -94,17 +91,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	backend, err := cycles.ParseBackend(*backendName)
-	if err != nil {
-		return err
-	}
 	opts := service.Options{
 		Workers:            *workers,
 		CacheEntries:       *cacheEntries,
 		MaxRows:            *maxRows,
 		MaxInFlight:        *inflight,
 		RequestTimeout:     *timeout,
-		DefaultBackend:     backend,
 		StoreEntries:       *storeEntries,
 		RespCacheEntries:   *respEntries,
 		JobEntries:         *jobEntries,

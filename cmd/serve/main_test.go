@@ -37,7 +37,6 @@ func TestRunFlagErrors(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"bad backend", []string{"-backend", "quantum"}, "unknown backend"},
 		{"positional args", []string{"-addr", ":0", "extra"}, "unexpected arguments"},
 		{"bad flag", []string{"-no-such-flag"}, "flag provided but not defined"},
 	}
@@ -67,7 +66,7 @@ func TestServeLifecycle(t *testing.T) {
 	stderr := &syncBuffer{}
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "2", "-cache-entries", "64", "-backend", "howard"}, &stdout, stderr)
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "2", "-cache-entries", "64"}, &stdout, stderr)
 	}()
 
 	var addr string
@@ -99,7 +98,7 @@ func TestServeLifecycle(t *testing.T) {
 		t.Fatalf("healthz = %+v", health)
 	}
 
-	// One real evaluation; the -backend default (howard) must serve it.
+	// One real evaluation, answered by the server's one engine.
 	body := `{"model":"overlap","instance":{"comp":[["4","4"],["3"]],"comm":[[["2"],["2"]]]}}`
 	resp, err = http.Post("http://"+addr+"/v1/evaluate", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -116,8 +115,8 @@ func TestServeLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || eval.Period == "" {
 		t.Fatalf("evaluate: status %d, %+v", resp.StatusCode, eval)
 	}
-	if eval.Backend != "howard" {
-		t.Fatalf("evaluate served by backend %q, want the -backend default howard", eval.Backend)
+	if eval.Backend != "auto" {
+		t.Fatalf("evaluate reports backend %q, want auto", eval.Backend)
 	}
 
 	cancel()

@@ -4,12 +4,9 @@
 //
 // Usage:
 //
-//	table2 [-scale 0.1] [-seed 1] [-par 0] [-backend auto]
+//	table2 [-scale 0.1] [-seed 1] [-par 0]
 //
 // -scale shrinks per-row run counts (1 = the paper's full 5,152-run grid).
-// -backend selects the cycle-ratio engine (auto, karp, howard; "karp" is
-// cycle iteration on the compiled plan); every backend produces the
-// identical table, only the wall time moves.
 package main
 
 import (
@@ -22,7 +19,6 @@ import (
 	"os/signal"
 	"time"
 
-	"repro/internal/cycles"
 	"repro/internal/engine"
 	"repro/internal/exper"
 )
@@ -39,28 +35,27 @@ func main() {
 	}
 }
 
-// run executes the campaign with the given arguments. The table itself is
-// the only output on stdout (progress and timing go to stderr), so the
-// bytes written to stdout are deterministic for a fixed scale, seed and
-// backend at any worker count — the property the golden-file test pins.
+// run executes the campaign with the given arguments.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("table2", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scale := fs.Float64("scale", 1.0, "fraction of the paper's run counts (0 < scale <= 1)")
 	seed := fs.Int64("seed", 1, "base random seed")
 	par := fs.Int("par", 0, "engine worker-pool size (0 = GOMAXPROCS)")
-	backendName := fs.String("backend", "auto", "cycle-ratio backend: auto, karp or howard")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	backend, err := cycles.ParseBackend(*backendName)
-	if err != nil {
-		return err
-	}
-	eng := engine.New(engine.Options{Workers: *par, Backend: backend})
+	return campaign(ctx, engine.New(engine.Options{Workers: *par}), *scale, *seed, stdout, stderr)
+}
 
+// campaign runs the Table 2 grid on eng. The table itself is the only
+// output on stdout (progress and timing go to stderr), so the bytes written
+// to stdout are deterministic for a fixed scale and seed at any worker
+// count and under any cycle-ratio backend of eng — the property the
+// golden-file test pins.
+func campaign(ctx context.Context, eng *engine.Engine, scale float64, seed int64, stdout, stderr io.Writer) error {
 	t0 := time.Now()
-	results, err := exper.RunAllEngine(ctx, eng, *scale, *seed, func(rr exper.RowResult) {
+	results, err := exper.RunAllEngine(ctx, eng, scale, seed, func(rr exper.RowResult) {
 		fmt.Fprintf(stderr, "done: %-8v %-45s %4d runs  nocrit=%d  (%v)\n",
 			rr.Model, rr.Label, rr.Total, rr.NoCritical, time.Since(t0).Round(time.Millisecond))
 	})

@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	throughput -example A|B|C [-model overlap|strict|both] [-backend auto]
-//	throughput -instance file.json [-model overlap|strict|both] [-backend auto]
+//	throughput -example A|B|C [-model overlap|strict|both]
+//	throughput -instance file.json [-model overlap|strict|both]
 //
 // The JSON instance format is:
 //
@@ -24,7 +24,6 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/core"
-	"repro/internal/cycles"
 	"repro/internal/engine"
 	"repro/internal/examplesdata"
 	"repro/internal/mapping"
@@ -45,14 +44,8 @@ func main() {
 	modelName := flag.String("model", "both", "communication model: overlap, strict or both")
 	analyze := flag.Bool("analyze", false, "full report: critical cycle, utilization, slack, stream periods (unfolds the TPN)")
 	workers := flag.Int("workers", 0, "engine worker-pool size (0 = GOMAXPROCS)")
-	backendName := flag.String("backend", "auto", "cycle-ratio backend: auto, karp or howard")
 	flag.Parse()
 
-	backend, err := cycles.ParseBackend(*backendName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "throughput:", err)
-		os.Exit(1)
-	}
 	inst, err := loadInstance(*example, *path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "throughput:", err)
@@ -78,7 +71,7 @@ func main() {
 	// engine batch (the analyze path needs the full report and stays serial).
 	var outs []engine.Outcome
 	if !*analyze {
-		eng := engine.New(engine.Options{Workers: *workers, Backend: backend})
+		eng := engine.New(engine.Options{Workers: *workers})
 		tasks := make([]engine.Task, len(models))
 		for k, cm := range models {
 			tasks[k] = engine.Task{Inst: inst, Model: cm}

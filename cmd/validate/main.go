@@ -2,7 +2,7 @@
 // computes the period in up to eight independent ways and verifies that
 // they agree exactly:
 //
-//  0. the production core.Solver path under the -backend flag's engine;
+//  0. the production core.Solver path;
 //  1. Theorem 1 polynomial algorithm (overlap model only);
 //  2. unfolded-TPN critical cycle via cycle iteration from 0 (check 0
 //     starts it at Mct·m);
@@ -22,11 +22,7 @@
 //
 // Usage:
 //
-//	validate [-runs 200] [-seed 1] [-maxrep 4] [-stages 4] [-quiet] [-workers 0] [-backend auto]
-//
-// -backend selects the cycle-ratio engine of the production solver path
-// (check 0 below); the cycle-iteration and Howard cross-checks always run
-// regardless.
+//	validate [-runs 200] [-seed 1] [-maxrep 4] [-stages 4] [-quiet] [-workers 0]
 package main
 
 import (
@@ -41,7 +37,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cycles"
 	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/mpa"
@@ -58,30 +53,24 @@ func main() {
 	maxStages := flag.Int("stages", 4, "maximum number of stages")
 	quiet := flag.Bool("quiet", false, "only print failures and the summary")
 	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-	backendName := flag.String("backend", "auto", "cycle-ratio backend of the production solver path: auto, karp or howard")
 	flag.Parse()
 
-	backend, err := cycles.ParseBackend(*backendName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "validate:", err)
-		os.Exit(1)
-	}
 	if *runs < 0 {
 		*runs = 0
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	eng := engine.New(engine.Options{Workers: *workers, CacheEntries: -1, Backend: backend})
+	eng := engine.New(engine.Options{Workers: *workers, CacheEntries: -1})
 
 	t0 := time.Now()
 	fails := make([]error, *runs) // per-run verdicts, reported in run order
 	var done atomic.Int64
-	err = eng.ForEach(ctx, *runs, func(k int) {
+	err := eng.ForEach(ctx, *runs, func(k int) {
 		rng := workload.Seeded(*seed + int64(k))
 		inst := randomInstance(rng, 2+rng.Intn(*maxStages-1), *maxRep)
 		workload.Release(rng)
 		for _, cm := range model.Models() {
-			if cerr := check(inst, cm, backend); cerr != nil {
+			if cerr := check(inst, cm); cerr != nil {
 				fails[k] = fmt.Errorf("(%v, reps %v): %w", cm, inst.ReplicationCounts(), cerr)
 				break
 			}
@@ -111,7 +100,7 @@ func main() {
 		*runs, eng.Workers(), time.Since(t0).Round(time.Millisecond))
 }
 
-func check(inst *model.Instance, cm model.CommModel, backend cycles.Backend) error {
+func check(inst *model.Instance, cm model.CommModel) error {
 	net, err := tpn.Build(inst, cm)
 	if err != nil {
 		return fmt.Errorf("build: %w", err)
@@ -125,16 +114,15 @@ func check(inst *model.Instance, cm model.CommModel, backend cycles.Backend) err
 	}
 	period := crit.Ratio.DivInt(m)
 
-	// 0. the production solver path under the selected backend: what the
-	// engine's workers actually run must agree with every reference engine.
+	// 0. the production solver path: what the engine's workers actually run
+	// must agree with every reference engine.
 	solver := core.NewSolver()
-	solver.Backend = backend
 	prod, err := solver.Period(inst, cm)
 	if err != nil {
-		return fmt.Errorf("solver(%v): %w", backend, err)
+		return fmt.Errorf("solver: %w", err)
 	}
 	if !prod.Period.Equal(period) {
-		return fmt.Errorf("solver(%v) %v != tpn %v", backend, prod.Period, period)
+		return fmt.Errorf("solver %v != tpn %v", prod.Period, period)
 	}
 
 	// 1. polynomial algorithm (overlap only).

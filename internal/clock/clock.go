@@ -73,8 +73,8 @@ type Stats struct {
 // capacity <= 0 holds nothing: every lookup misses and every Put fails.
 func New[K comparable, V any](capacity int) *Cache[K, V] {
 	// Slots are appended on first fill rather than allocated up front: an
-	// engine holds 64 shards of its memo per backend, and a service several
-	// engines, so preallocating every bound would hold tens of MB that most
+	// engine holds 64 shards of its memo, and a service several caches
+	// besides, so preallocating every bound would hold tens of MB that most
 	// caches never fill.
 	return &Cache[K, V]{capacity: capacity, index: make(map[K]int32)}
 }

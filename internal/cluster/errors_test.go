@@ -74,6 +74,8 @@ func TestRouterRequestValidation(t *testing.T) {
 			http.StatusBadRequest, `"instance", "pipeline" and "platform" are mutually exclusive`},
 		{"jobs bad JSON", "/v1/jobs", "{", http.StatusBadRequest, "bad request body"},
 		{"jobs trailing data", "/v1/jobs", `{"kind":"sweep","sweep":{}} x`, http.StatusBadRequest, "trailing data"},
+		{"healthz not GET", "/healthz", "", http.StatusMethodNotAllowed, "healthz requires GET"},
+		{"metrics not GET", "/metrics", "", http.StatusMethodNotAllowed, "metrics requires GET"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -92,6 +94,21 @@ func TestRouterRequestValidation(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("healthz and metrics errors counted", func(t *testing.T) {
+		var m struct {
+			Router struct {
+				Errors map[string]int64 `json:"errors"`
+			} `json:"router"`
+		}
+		body, _ := getRaw(t, base+"/metrics")
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatalf("metrics: %v\n%s", err, body)
+		}
+		if m.Router.Errors["healthz"] != 1 || m.Router.Errors["metrics"] != 1 {
+			t.Fatalf("router errors %v, want one healthz and one metrics", m.Router.Errors)
+		}
+	})
 
 	t.Run("method not allowed", func(t *testing.T) {
 		for _, path := range []string{"/v1/evaluate", "/v1/batch", "/v1/sweep", "/v1/search", "/v1/instances"} {

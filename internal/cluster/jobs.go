@@ -147,12 +147,7 @@ func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 		merged.Jobs = append(merged.Jobs, sub.Jobs...)
 	}
 	sort.Slice(merged.Jobs, func(i, k int) bool { return merged.Jobs[i].ID < merged.Jobs[k].ID })
-	out, err := encodeBody(merged)
-	if err != nil {
-		rt.fail(w, name, http.StatusInternalServerError, fmt.Sprintf("encoding response: %v", err))
-		return
-	}
-	writeRaw(w, http.StatusOK, out)
+	rt.answer(w, name, merged)
 }
 
 // handleJobByID routes the item routes — status poll, result fetch,

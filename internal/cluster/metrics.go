@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/service"
 )
 
 // routerMetrics is the router's own observability state — what the cluster
@@ -65,7 +67,7 @@ type HealthzResponse struct {
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "healthz requires GET"})
+		rt.fail(w, "healthz", http.StatusMethodNotAllowed, "healthz requires GET")
 		return
 	}
 	rt.mu.RLock()
@@ -97,7 +99,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	default:
 		resp.Status = "down"
 	}
-	writeJSON(w, http.StatusOK, resp)
+	service.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleMetrics serves the cluster-wide metrics object: the router's own
@@ -107,7 +109,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // did not answer — so one scrape sees the whole cluster.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "metrics requires GET"})
+		rt.fail(w, "metrics", http.StatusMethodNotAllowed, "metrics requires GET")
 		return
 	}
 	names := make([]string, 0, len(rt.nodes))

@@ -28,8 +28,9 @@ func (rt *Router) fail(w http.ResponseWriter, name string, status int, msg strin
 }
 
 // badBackend answers 400 and reports true when backend is not a name the
-// nodes' backend parser accepts (empty means the node's default), so the
-// router rejects such a request before routing it, as a node would.
+// nodes' backend parser accepts, so the router rejects such a request
+// before routing it, as a node would. Every accepted name is answered alike
+// (service.EngineLabel), so the router forwards none of them.
 func (rt *Router) badBackend(w http.ResponseWriter, name, backend string) bool {
 	if _, err := cycles.ParseBackend(backend); err != nil {
 		rt.fail(w, name, http.StatusBadRequest, err.Error())
@@ -44,7 +45,7 @@ func (rt *Router) badBackend(w http.ResponseWriter, name, backend string) bool {
 // router-fronted envelope matches the node's code for code.
 func (rt *Router) failCode(w http.ResponseWriter, name string, status int, code, msg string) {
 	rt.met.errors.Add(name, 1)
-	writeJSON(w, status, service.ErrorBody{Error: service.ErrorInfo{Code: code, Message: msg}})
+	service.WriteJSON(w, status, service.ErrorBody{Error: service.ErrorInfo{Code: code, Message: msg}})
 }
 
 // failErr maps an error to its status: service.HTTPError carries its own,
@@ -63,32 +64,16 @@ func (rt *Router) failErr(w http.ResponseWriter, name string, err error) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := encodeBody(v)
+// answer writes v, a response the router assembled itself, in the service's
+// wire encoding (service.EncodeJSON) — the property that makes a
+// router-merged answer byte-identical to a single node's.
+func (rt *Router) answer(w http.ResponseWriter, name string, v any) {
+	body, err := service.EncodeJSON(v)
 	if err != nil {
-		w.WriteHeader(http.StatusInternalServerError)
+		rt.fail(w, name, http.StatusInternalServerError, fmt.Sprintf("encoding response: %v", err))
 		return
 	}
-	writeRaw(w, status, body)
-}
-
-func writeRaw(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-}
-
-// encodeBody encodes v exactly the way the service encodes responses
-// (SetEscapeHTML(false), Encode's trailing newline) — the property that
-// makes a router-merged batch byte-identical to a single node's answer.
-func encodeBody(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	service.WriteRaw(w, http.StatusOK, body)
 }
 
 // readBody drains a capped request body, as a node does.
@@ -229,7 +214,7 @@ func (rt *Router) passthrough(w http.ResponseWriter, name string, res proxyResul
 	if res.status >= 400 {
 		rt.met.errors.Add(name, 1)
 	}
-	writeRaw(w, res.status, res.body)
+	service.WriteRaw(w, res.status, res.body)
 }
 
 // coalescedMarker flags responses that must never enter the response memo:
@@ -258,7 +243,7 @@ func (rt *Router) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	if rt.resp != nil {
 		if cached, ok := rt.resp.Get(string(body)); ok {
-			writeRaw(w, http.StatusOK, cached)
+			service.WriteRaw(w, http.StatusOK, cached)
 			return
 		}
 	}
@@ -497,7 +482,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			for j, i := range g.idxs {
 				subTasks[j] = req.Tasks[i]
 			}
-			subBody, err := json.Marshal(service.BatchRequest{Tasks: subTasks, Backend: req.Backend})
+			subBody, err := json.Marshal(service.BatchRequest{Tasks: subTasks})
 			if err != nil {
 				results[gi] = subResult{err: err}
 				return
@@ -511,8 +496,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Gather. A failing group's verdict is rewritten to global task indices
 	// and the failure at the smallest global index wins — the order a single
 	// node, validating sequentially, would have reported.
-	merged := service.BatchResponse{Outcomes: make([]service.BatchOutcome, len(req.Tasks))}
-	backendAt := len(req.Tasks)
+	merged := service.BatchResponse{Backend: service.EngineLabel, Outcomes: make([]service.BatchOutcome, len(req.Tasks))}
 	failAt := len(req.Tasks) + 1
 	var failStatus int
 	var failCode string
@@ -549,12 +533,6 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("node %s answered a malformed batch response", sr.res.node))
 			continue
 		}
-		// The merged backend label comes from the group holding the smallest
-		// global index, so the choice is deterministic even if nodes were
-		// (mis)configured with different defaults.
-		if g.idxs[0] < backendAt {
-			backendAt, merged.Backend = g.idxs[0], sub.Backend
-		}
 		for j, i := range g.idxs {
 			merged.Outcomes[i] = sub.Outcomes[j]
 		}
@@ -563,12 +541,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rt.failCode(w, name, failStatus, failCode, failMsg)
 		return
 	}
-	out, err := encodeBody(merged)
-	if err != nil {
-		rt.fail(w, name, http.StatusInternalServerError, fmt.Sprintf("encoding response: %v", err))
-		return
-	}
-	writeRaw(w, http.StatusOK, out)
+	rt.answer(w, name, merged)
 }
 
 // errorInfoOf extracts the error envelope of a node's failure body: the
@@ -701,7 +674,7 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		go func(gi int, owner string, only []int) {
 			defer wg.Done()
 			subBody, err := json.Marshal(service.SweepRequest{
-				Seed: req.Seed, Pairs: pairs, Backend: req.Backend, Only: only,
+				Seed: req.Seed, Pairs: pairs, Only: only,
 			})
 			if err != nil {
 				results[gi] = subResult{err: err}
@@ -717,8 +690,7 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 
-	merged := service.SweepResponse{Points: make([]service.SweepPointJSON, len(pairs))}
-	backendAt := len(pairs)
+	merged := service.SweepResponse{Backend: service.EngineLabel, Points: make([]service.SweepPointJSON, len(pairs))}
 	failAt := len(pairs) + 1
 	var failStatus int
 	var failCode string
@@ -754,9 +726,6 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("node %s answered a malformed sweep response", sr.res.node))
 			continue
 		}
-		if idxs[0] < backendAt {
-			backendAt, merged.Backend = idxs[0], sub.Backend
-		}
 		for j, i := range idxs {
 			merged.Points[i] = sub.Points[j]
 		}
@@ -765,10 +734,5 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		rt.failCode(w, name, failStatus, failCode, failMsg)
 		return
 	}
-	out, err := encodeBody(merged)
-	if err != nil {
-		rt.fail(w, name, http.StatusInternalServerError, fmt.Sprintf("encoding response: %v", err))
-		return
-	}
-	writeRaw(w, http.StatusOK, out)
+	rt.answer(w, name, merged)
 }

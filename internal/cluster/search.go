@@ -24,11 +24,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/bnb"
-	"repro/internal/cycles"
 	"repro/internal/mapping"
 	"repro/internal/model"
 	"repro/internal/pipeline"
@@ -75,14 +73,8 @@ func (rt *Router) distributedSearch(w http.ResponseWriter, r *http.Request, body
 		rt.fail(w, name, http.StatusBadRequest, err.Error())
 		return
 	}
-	backendLabel := ""
-	if req.Backend != "" {
-		b, err := cycles.ParseBackend(req.Backend)
-		if err != nil {
-			rt.fail(w, name, http.StatusBadRequest, err.Error())
-			return
-		}
-		backendLabel = b.String()
+	if rt.badBackend(w, name, req.Backend) {
+		return
 	}
 
 	ctx := r.Context()
@@ -101,7 +93,7 @@ func (rt *Router) distributedSearch(w http.ResponseWriter, r *http.Request, body
 	warmReq := *req
 	warmReq.Algo = "greedy"
 	warmReq.Distributed = ""
-	warmBody, err := encodeBody(&warmReq)
+	warmBody, err := service.EncodeJSON(&warmReq)
 	if err != nil {
 		rt.fail(w, name, http.StatusInternalServerError, fmt.Sprintf("encoding warm-start request: %v", err))
 		return
@@ -120,7 +112,6 @@ func (rt *Router) distributedSearch(w http.ResponseWriter, r *http.Request, body
 			if mp, merr := mapping.New(warm.Replicas, req.Platform.NumProcs()); merr == nil {
 				if p, perr := rat.Parse(warm.Period); perr == nil {
 					opts.Incumbent, opts.IncumbentPeriod = mp, p
-					backendLabel = warm.Backend
 				}
 			}
 		}
@@ -136,7 +127,6 @@ func (rt *Router) distributedSearch(w http.ResponseWriter, r *http.Request, body
 		pipe:    req.Pipeline,
 		plat:    req.Platform,
 		model:   req.Model,
-		backend: req.Backend,
 		keyBase: service.JobKeyPrefix(body),
 	}
 	opts.Executor = exec
@@ -157,19 +147,10 @@ func (rt *Router) distributedSearch(w http.ResponseWriter, r *http.Request, body
 		rt.fail(w, name, status, err.Error())
 		return
 	}
-	if backendLabel == "" {
-		backendLabel = exec.backendLabel()
-	}
-	if backendLabel == "" {
-		// No warm start, no default-backend request and no root round trip
-		// answered — nothing to label the response with.
-		rt.fail(w, name, http.StatusBadGateway, "no node reported a backend for the search")
-		return
-	}
 	proven, nodes, pruned, screened := res.Proven, res.Stats.Nodes, res.Stats.Pruned, res.Stats.Screened
 	resp := service.SearchResponse{
 		Algo:        "bnb",
-		Backend:     backendLabel,
+		Backend:     service.EngineLabel,
 		Model:       cm.String(),
 		Replicas:    res.Mapping.Replicas,
 		Period:      res.Period.String(),
@@ -180,12 +161,7 @@ func (rt *Router) distributedSearch(w http.ResponseWriter, r *http.Request, body
 		Pruned:      &pruned,
 		Screened:    &screened,
 	}
-	out, err := encodeBody(resp)
-	if err != nil {
-		rt.fail(w, name, http.StatusInternalServerError, fmt.Sprintf("encoding response: %v", err))
-		return
-	}
-	writeRaw(w, http.StatusOK, out)
+	rt.answer(w, name, resp)
 }
 
 // minRootsInFlight is the fewest subtree roots a distributed search keeps
@@ -212,19 +188,14 @@ type remoteExecutor struct {
 	pipe    *pipeline.Pipeline
 	plat    *platform.Platform
 	model   string
-	backend string
 	keyBase string
-
-	mu    sync.Mutex
-	label string // backend label from the first subtree answer
 }
 
 func (e *remoteExecutor) RunRoot(ctx context.Context, root bnb.Root, warm string) (bnb.SubResult, error) {
-	body, err := encodeBody(service.SubtreeRequest{
+	body, err := service.EncodeJSON(service.SubtreeRequest{
 		Pipeline:   e.pipe,
 		Platform:   e.plat,
 		Model:      e.model,
-		Backend:    e.backend,
 		Root:       root,
 		WarmPeriod: warm,
 	})
@@ -244,18 +215,7 @@ func (e *remoteExecutor) RunRoot(ctx context.Context, root bnb.Root, warm string
 	if err := json.Unmarshal(res.body, &sub); err != nil {
 		return bnb.SubResult{}, fmt.Errorf("node %s answered a malformed subtree response: %v", res.node, err)
 	}
-	e.mu.Lock()
-	if e.label == "" {
-		e.label = sub.Backend
-	}
-	e.mu.Unlock()
 	return sub.Result, nil
-}
-
-func (e *remoteExecutor) backendLabel() string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.label
 }
 
 var _ bnb.Executor = (*remoteExecutor)(nil)

@@ -31,9 +31,8 @@ const (
 	// BackendHoward forces Howard policy iteration.
 	BackendHoward
 
-	// NumBackends is the number of Backend values; callers sizing per-backend
-	// tables (the service keeps one engine per backend) use it so a new
-	// backend cannot silently overflow them.
+	// NumBackends is the number of Backend values, for callers that range
+	// over every backend.
 	NumBackends = iota
 )
 
@@ -73,8 +72,9 @@ func (b Backend) String() string {
 	}
 }
 
-// ParseBackend parses "auto", "karp" or "howard" (the -backend flag values
-// of the commands); "float-screen" is a deprecated alias of "auto".
+// ParseBackend parses "auto", "karp" or "howard", the names a service
+// request's "backend" field may carry; "float-screen" is a deprecated alias
+// of "auto".
 func ParseBackend(s string) (Backend, error) {
 	switch s {
 	case "auto", "", "float-screen":

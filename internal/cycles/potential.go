@@ -14,16 +14,17 @@ var ErrRatioReached = errors.New("cycles: a cycle reaches the cutoff ratio")
 
 // MaxRatioPlan evaluates p, compiled from a system with s's structure, on
 // s's costs: the maximum cycle ratio by cycle iteration from 0 (see
-// MaxRatioFrom), with a critical cycle as witness. When no cycle has a
-// positive cost, so that the check holds at 0 at once, the witness comes
-// from the tight subgraph at λ* = 0 instead.
+// MaxRatioFrom), with a critical cycle as witness. When the check holds at
+// 0 at once, no cycle has a positive cost; costs are never negative and
+// zero-token cycles are rejected first, so every cycle has ratio 0 and any
+// cycle is the witness.
 //
 // The witness aliases the workspace's scratch and stays valid until the
 // next evaluation on ws; Workspace.MaxRatio returns a copy.
 func (ws *Workspace) MaxRatioPlan(p *Plan, s *System) (Result, error) {
 	res, err := ws.MaxRatioFrom(p, s, rat.Zero())
 	if err == nil && res.Cycle == nil {
-		res.Cycle = s.tightCycleWitness(res.Ratio)
+		res.Cycle = s.anyCycle()
 	}
 	return res, err
 }

@@ -290,68 +290,32 @@ func (r *reduced) tightEdge(s *System, ei int) (u, v int, ok bool) {
 	return u, v, r.has[u] && r.has[v] && r.dist[u].Add(r.weight(s, ei)).Equal(r.dist[v])
 }
 
-// tightCycleWitness returns a cycle (edge indices in the full system) whose
-// reduced weight under λ is zero, assuming VerifyRatio(λ) holds.
-func (s *System) tightCycleWitness(lambda rat.Rat) []int {
-	comp, ncomp := s.G.SCC()
-	for c := 0; c < ncomp; c++ {
-		if w := s.sccTightWitness(comp, c, lambda); w != nil {
-			return w
+// anyCycle returns some cycle of s (edge indices, the first edge leaving
+// the cycle's first vertex), nil for an acyclic graph. It takes, per
+// vertex, one edge that stays inside the vertex's strongly connected
+// component, and follows those edges from a vertex that has one: every
+// vertex of that component has one too, so the walk stays in it and must
+// repeat a vertex.
+func (s *System) anyCycle() []int {
+	comp, _ := s.G.SCC()
+	next := make([]int, s.G.N)
+	for v := range next {
+		next[v] = -1
+	}
+	v := -1
+	for i, e := range s.G.Edges {
+		if comp[e.From] == comp[e.To] && next[e.From] < 0 {
+			next[e.From], v = i, e.From
 		}
 	}
-	return nil
-}
-
-func (s *System) sccTightWitness(comp []int, c int, lambda rat.Rat) []int {
-	r, ok := s.reducedLongest(comp, c, lambda)
-	if !ok {
+	if v < 0 {
 		return nil
 	}
-	n, idx := len(r.dist), r.idx
-	// Build tight subgraph, then walk it to find a cycle.
-	tightOut := make([][]int, n) // local vertex -> tight edge indices (global)
-	for _, ei := range r.edges {
-		if u, _, ok := r.tightEdge(s, ei); ok {
-			tightOut[u] = append(tightOut[u], ei)
-		}
+	at := make([]int, s.G.N) // 1 + position of the vertex's edge on the walk
+	var walk []int
+	for ; at[v] == 0; v = s.G.Edges[next[v]].To {
+		walk = append(walk, next[v])
+		at[v] = len(walk)
 	}
-	// DFS for a cycle in the tight subgraph.
-	state := make([]int, n) // 0 unvisited, 1 on stack, 2 done
-	parentEdge := make([]int, n)
-	for i := range parentEdge {
-		parentEdge[i] = -1
-	}
-	var walk func(u int) []int
-	walk = func(u int) []int {
-		state[u] = 1
-		for _, ei := range tightOut[u] {
-			v := idx[s.G.Edges[ei].To]
-			switch state[v] {
-			case 0:
-				parentEdge[v] = ei
-				if cyc := walk(v); cyc != nil {
-					return cyc
-				}
-			case 1:
-				// Found a cycle closing at v: unwind from u back to v.
-				cyc := []int{ei}
-				for x := u; x != v; {
-					pe := parentEdge[x]
-					cyc = append([]int{pe}, cyc...)
-					x = idx[s.G.Edges[pe].From]
-				}
-				return cyc
-			}
-		}
-		state[u] = 2
-		return nil
-	}
-	for u := 0; u < n; u++ {
-		if state[u] == 0 {
-			if cyc := walk(u); cyc != nil {
-				return cyc
-			}
-		}
-	}
-	return nil
+	return walk[at[v]-1:]
 }

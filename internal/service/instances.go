@@ -140,7 +140,7 @@ func (s *Server) handleInstancePost(w http.ResponseWriter, r *http.Request) {
 		resp.Stages = inst.NumStages()
 		resp.PathCount = inst.PathCount()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // overlapKeyPrefix is the model prefix engine.CanonicalKey prepends to the
@@ -185,7 +185,7 @@ func (s *Server) handleInstanceGet(w http.ResponseWriter, r *http.Request) {
 		resp.PathCount = inst.PathCount()
 		resp.Instance = inst
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // resolveInstance resolves a by-ID reference for a solve request: the entry

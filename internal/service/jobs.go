@@ -261,10 +261,8 @@ func (s *Server) runDetached(j *jobs.Job, run jobRunner, cleanup func()) {
 		s.jobs.Finish(j, nil, failureOf(err))
 		return
 	}
-	sc := encPool.Get().(*encScratch)
-	sc.buf.Reset()
-	if encErr := sc.enc.Encode(resp); encErr != nil {
-		encPool.Put(sc)
+	body, encErr := EncodeJSON(resp)
+	if encErr != nil {
 		s.met.errors.Add(name, 1)
 		s.jobs.Finish(j, nil, &jobs.Failure{
 			Status:  http.StatusInternalServerError,
@@ -273,9 +271,7 @@ func (s *Server) runDetached(j *jobs.Job, run jobRunner, cleanup func()) {
 		})
 		return
 	}
-	body := append([]byte(nil), sc.buf.Bytes()...)
-	encPool.Put(sc)
-	s.met.observe(name, backendLabelOf(resp), time.Since(start))
+	s.met.observe(name, time.Since(start))
 	s.jobs.Finish(j, body, nil)
 }
 
@@ -364,7 +360,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobs.Get(j.ID())
 	accepted := jobJSON(j)
 	go s.runDetached(j, run, cleanup)
-	writeJSON(w, http.StatusAccepted, accepted)
+	WriteJSON(w, http.StatusAccepted, accepted)
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -392,7 +388,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	for i, j := range list {
 		resp.Jobs[i] = jobJSON(j)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleJobByID serves the item routes: GET /v1/jobs/{id} (status),
@@ -431,7 +427,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request, id string)
 		s.failErr(w, name, unknownJob(id))
 		return
 	}
-	writeJSON(w, http.StatusOK, jobJSON(j))
+	WriteJSON(w, http.StatusOK, jobJSON(j))
 }
 
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request, id string) {
@@ -458,7 +454,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request, id stri
 		// The retained bytes came out of the shared encoder, so a repeat
 		// fetch — and the synchronous answer, for inline jobs — is
 		// byte-identical.
-		writeRaw(w, http.StatusOK, body)
+		WriteRaw(w, http.StatusOK, body)
 		return
 	}
 	if f := j.Failure(); f != nil {
@@ -479,5 +475,5 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request, id stri
 		s.failErr(w, name, unknownJob(id))
 		return
 	}
-	writeJSON(w, http.StatusOK, jobJSON(j))
+	WriteJSON(w, http.StatusOK, jobJSON(j))
 }

@@ -9,8 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/cycles"
 )
 
 // metrics is the server's observability state, exposed on /metrics as one
@@ -26,7 +24,7 @@ type metrics struct {
 	coalesced expvar.Int  // /v1/evaluate answers shared from another caller's in-flight computation
 
 	mu    sync.Mutex
-	hists map[string]*latencyHist // "endpoint/backend" -> total handler time
+	hists map[string]*latencyHist // endpoint -> total handler time
 	waits map[string]*latencyHist // endpoint -> in-flight queue wait
 }
 
@@ -42,14 +40,13 @@ func newMetrics() *metrics {
 
 // observe records one answered request's total handler time (parse + queue
 // wait + solve — the same measure whether the answer came from the response
-// memo or a fresh solve) in the per-endpoint, per-backend histogram.
-func (m *metrics) observe(endpoint, backend string, d time.Duration) {
-	key := endpoint + "/" + backend
+// memo or a fresh solve) in the endpoint's histogram.
+func (m *metrics) observe(endpoint string, d time.Duration) {
 	m.mu.Lock()
-	h, ok := m.hists[key]
+	h, ok := m.hists[endpoint]
 	if !ok {
 		h = newLatencyHist()
-		m.hists[key] = h
+		m.hists[endpoint] = h
 	}
 	m.mu.Unlock()
 	h.record(d)
@@ -57,8 +54,7 @@ func (m *metrics) observe(endpoint, backend string, d time.Duration) {
 
 // observeWait records the time one request spent queued for an in-flight
 // slot (including waits that end in a 503, which are exactly the ones worth
-// seeing). Keyed by endpoint only: the wait happens before any backend is
-// involved.
+// seeing).
 func (m *metrics) observeWait(endpoint string, d time.Duration) {
 	m.mu.Lock()
 	h, ok := m.waits[endpoint]
@@ -133,13 +129,14 @@ func (h *latencyHist) String() string {
 }
 
 // handleMetrics serves the full metrics object: request/error counters,
-// in-flight gauge, the memo-cache counters of every backend engine (hits,
-// misses, evictions, residency vs. capacity — the numbers that prove the
-// bounded cache holds), and the per-endpoint/backend latency histograms.
+// in-flight gauge, the engine's memo-cache counters (hits, misses,
+// evictions, residency vs. capacity — the numbers that prove the bounded
+// cache holds), and the per-endpoint latency histograms. The cache object
+// and the latency keys ("<endpoint>/auto") carry the engine's label, the
+// shape clients of /metrics (perfbench among them) parse.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorBody{Error: ErrorInfo{
-			Code: DefaultErrorCode(http.StatusMethodNotAllowed), Message: "metrics requires GET"}})
+		s.fail(w, "metrics", http.StatusMethodNotAllowed, "metrics requires GET")
 		return
 	}
 	var b strings.Builder
@@ -149,16 +146,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "\"coalesced\": %s,\n", s.met.coalesced.String())
 	fmt.Fprintf(&b, "\"requests\": %s,\n", s.met.requests.String())
 	fmt.Fprintf(&b, "\"errors\": %s,\n", s.met.errors.String())
-	b.WriteString("\"cache\": {")
-	for i, eng := range s.engines {
-		cm := eng.CacheMetrics()
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%q: {\"hits\":%d,\"misses\":%d,\"evictions\":%d,\"entries\":%d,\"capacity\":%d}",
-			cycles.Backend(i).String(), cm.Hits, cm.Misses, cm.Evictions, cm.Entries, cm.Capacity)
-	}
-	b.WriteString("},\n")
+	cm := s.eng.CacheMetrics()
+	fmt.Fprintf(&b, "\"cache\": {%q: {\"hits\":%d,\"misses\":%d,\"evictions\":%d,\"entries\":%d,\"capacity\":%d}},\n",
+		EngineLabel, cm.Hits, cm.Misses, cm.Evictions, cm.Entries, cm.Capacity)
 	sm := s.store.Metrics()
 	fmt.Fprintf(&b, "\"store\": {\"puts\":%d,\"dedups\":%d,\"resolves\":%d,\"misses\":%d,\"evictions\":%d,\"entries\":%d,\"pinned\":%d,\"capacity\":%d},\n",
 		sm.Puts, sm.Dedups, sm.Resolves, sm.Misses, sm.Evictions, sm.Entries, sm.Pinned, sm.Capacity)
@@ -175,18 +165,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.mu.Lock()
 	b.WriteString(",\n\"latency\": {")
-	writeHists(&b, s.met.hists)
+	writeHists(&b, s.met.hists, "/"+EngineLabel)
 	b.WriteString("},\n\"queueWait\": {")
-	writeHists(&b, s.met.waits)
+	writeHists(&b, s.met.waits, "")
 	s.met.mu.Unlock()
 	b.WriteString("}\n}\n")
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write([]byte(b.String()))
 }
 
-// writeHists renders a histogram map as sorted JSON members; the caller
-// holds the metrics mutex and writes the surrounding braces.
-func writeHists(b *strings.Builder, hists map[string]*latencyHist) {
+// writeHists renders a histogram map as sorted JSON members, each key
+// followed by suffix; the caller holds the metrics mutex and writes the
+// surrounding braces.
+func writeHists(b *strings.Builder, hists map[string]*latencyHist, suffix string) {
 	keys := make([]string, 0, len(hists))
 	for k := range hists {
 		keys = append(keys, k)
@@ -196,7 +187,7 @@ func writeHists(b *strings.Builder, hists map[string]*latencyHist) {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(b, "%q: %s", k, hists[k].String())
+		fmt.Fprintf(b, "%q: %s", k+suffix, hists[k].String())
 	}
 }
 
@@ -215,11 +206,10 @@ type HealthzResponse struct {
 // handleHealthz reports liveness plus the load numbers a balancer wants.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorBody{Error: ErrorInfo{
-			Code: DefaultErrorCode(http.StatusMethodNotAllowed), Message: "healthz requires GET"}})
+		s.fail(w, "healthz", http.StatusMethodNotAllowed, "healthz requires GET")
 		return
 	}
-	writeJSON(w, http.StatusOK, HealthzResponse{
+	WriteJSON(w, http.StatusOK, HealthzResponse{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.met.start).Seconds(),
 		InFlight:      s.met.inFlight.Value(),

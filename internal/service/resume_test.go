@@ -173,6 +173,28 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeBackendAlias: a job whose body names the deprecated
+// "howard" backend, as records written by older servers may, keeps the ID
+// its body hashes to and resumes from its checkpoint byte-identical to an
+// uninterrupted run.
+func TestCheckpointResumeBackendAlias(t *testing.T) {
+	search := resumableSearch(t)
+	search.Backend = "howard"
+	body := mustMarshal(t, JobSubmitRequest{Kind: "search", Search: &search})
+	want, jobID := uninterruptedResult(t, body)
+	captured, frontier := captureRoots(t, search, bnb.Options{})
+	done := map[int]bnb.Finished{}
+	for idx, d := range captured {
+		if idx%2 == 1 {
+			done[idx] = d
+		}
+	}
+	got, _ := resumeFrom(t, body, jobID, done, frontier)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed howard job differs from uninterrupted run:\nresumed: %s\nsolo:    %s", got, want)
+	}
+}
+
 // TestCheckpointResumeOfAnotherPlanReruns: a job checkpointed by a build
 // that planned a different frontier (other bounds expand other roots under
 // the same indices) is resumed by this build. Its recorded roots must not

@@ -79,12 +79,9 @@ import (
 // worker pool, the default bounded memo cache, a 60 s request ceiling and
 // an in-flight budget of twice the pool size.
 type Options struct {
-	// Workers is the engine worker-pool size (<= 0 means GOMAXPROCS). Each
-	// selectable backend gets its own engine of this size, built eagerly at
-	// NewServer (an idle engine is a few empty maps; its solver pools and
-	// cache fill only with use).
+	// Workers is the engine worker-pool size (<= 0 means GOMAXPROCS).
 	Workers int
-	// CacheEntries bounds each engine's memo cache (0 = the engine default,
+	// CacheEntries bounds the engine's memo cache (0 = the engine default,
 	// negative disables memoization). See engine.Options.CacheEntries.
 	CacheEntries int
 	// MaxRows caps the unfolded-TPN size of the pooled solvers (0 = package
@@ -100,9 +97,6 @@ type Options struct {
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps request bodies (0 = 8 MiB).
 	MaxBodyBytes int64
-	// DefaultBackend serves requests whose "backend" field is empty
-	// (cmd/serve's -backend flag; zero value is BackendAuto).
-	DefaultBackend cycles.Backend
 	// StoreEntries bounds the content-addressed instance store behind
 	// POST /v1/instances (0 = store.DefaultCapacity). The store cannot be
 	// disabled: it is pure capacity, holding nothing until a client
@@ -156,13 +150,9 @@ func (o *Options) defaults() {
 	}
 }
 
-// backendCount sizes the per-backend engine table from the enum itself, so
-// a backend added to internal/cycles cannot overflow it.
-const backendCount = cycles.NumBackends
-
 // defaultRespEntries bounds the response memo when Options leave it zero.
 // Bodies are a few hundred bytes each, so the default costs a couple of MiB
-// while covering far more distinct (instance, model, backend, options)
+// while covering far more distinct (instance, model, options)
 // combinations than a steady-state workload rotates through.
 const defaultRespEntries = 8192
 
@@ -172,8 +162,8 @@ const defaultRespEntries = 8192
 type Server struct {
 	opts    Options
 	mux     *http.ServeMux
-	engines [backendCount]*engine.Engine // built eagerly; index is cycles.Backend
-	sem     chan struct{}                // in-flight solve budget
+	eng     *engine.Engine // serves every request; routes cycles.BackendAuto
+	sem     chan struct{}  // in-flight solve budget
 	met     *metrics
 	flights flightGroup
 	store   *store.Store                  // content-addressed documents (POST /v1/instances)
@@ -192,6 +182,11 @@ func NewServer(opts Options) *Server {
 		sem:   make(chan struct{}, opts.MaxInFlight),
 		met:   newMetrics(),
 		store: store.New(opts.StoreEntries),
+		eng: engine.New(engine.Options{
+			Workers:      opts.Workers,
+			CacheEntries: opts.CacheEntries,
+			MaxRows:      opts.MaxRows,
+		}),
 	}
 	jo := jobs.Options{
 		TerminalEntries: opts.JobEntries,
@@ -217,14 +212,6 @@ func NewServer(opts Options) *Server {
 		}
 		s.resp = clock.New[respKey, []byte](n)
 	}
-	for b := range s.engines {
-		s.engines[b] = engine.New(engine.Options{
-			Workers:      opts.Workers,
-			CacheEntries: opts.CacheEntries,
-			MaxRows:      opts.MaxRows,
-			Backend:      cycles.Backend(b),
-		})
-	}
 	s.mux.HandleFunc("/v1/evaluate", s.solveEndpoint("evaluate", s.handleEvaluate))
 	s.mux.HandleFunc("/v1/batch", s.solveEndpoint("batch", s.handleBatch))
 	s.mux.HandleFunc("/v1/search", s.solveEndpoint("search", s.handleSearch))
@@ -242,11 +229,8 @@ func NewServer(opts Options) *Server {
 // Handler returns the root handler (all routes).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Workers returns the per-engine pool size actually in use.
+// Workers returns the engine's pool size actually in use.
 func (s *Server) Workers() int { return s.opts.Workers }
-
-// engine returns the engine serving the given backend.
-func (s *Server) engine(b cycles.Backend) *engine.Engine { return s.engines[b] }
 
 // Store exposes the content-addressed instance store (tests pin entries
 // through it; cmd/serve reports its capacity).
@@ -301,10 +285,8 @@ type solveFunc func(ctx context.Context) (any, error)
 // the in-flight budget.
 type reply struct {
 	solve solveFunc
-	// raw, when non-nil, is a complete pre-encoded response body; backend
-	// labels its latency-histogram bucket.
-	raw     []byte
-	backend string
+	// raw, when non-nil, is a complete pre-encoded response body.
+	raw []byte
 	// cache, when set, is offered the encoded body after a successful solve
 	// so the handler can memoize it (the slice is pooled scratch — the
 	// callee must copy).
@@ -340,8 +322,8 @@ func (s *Server) solveEndpoint(name string, h func(r *http.Request) (reply, erro
 			return
 		}
 		if rep.raw != nil {
-			s.met.observe(name, rep.backend, time.Since(start))
-			writeRaw(w, http.StatusOK, rep.raw)
+			s.met.observe(name, time.Since(start))
+			WriteRaw(w, http.StatusOK, rep.raw)
 			return
 		}
 		// Only a solve reads the deadline; a memo hit returns before it.
@@ -390,7 +372,7 @@ func (s *Server) solveEndpoint(name string, h func(r *http.Request) (reply, erro
 		// two different quantities — solve-only here, total time on memo hits
 		// — so the router's load reports compared incomparable numbers; the
 		// queue-wait histogram above isolates the scheduling component.
-		s.met.observe(name, backendLabelOf(resp), time.Since(start))
+		s.met.observe(name, time.Since(start))
 		sc := encPool.Get().(*encScratch)
 		sc.buf.Reset()
 		if err := sc.enc.Encode(resp); err != nil {
@@ -401,7 +383,7 @@ func (s *Server) solveEndpoint(name string, h func(r *http.Request) (reply, erro
 		if rep.cache != nil {
 			rep.cache(resp, sc.buf.Bytes())
 		}
-		writeRaw(w, http.StatusOK, sc.buf.Bytes())
+		WriteRaw(w, http.StatusOK, sc.buf.Bytes())
 		encPool.Put(sc)
 	}
 }
@@ -443,13 +425,13 @@ func (s *Server) fail(w http.ResponseWriter, name string, status int, msg string
 // every /v1/* failure uses — and counts the error against the endpoint.
 func (s *Server) failCode(w http.ResponseWriter, name string, status int, code, msg string) {
 	s.met.errors.Add(name, 1)
-	writeJSON(w, status, ErrorBody{Error: ErrorInfo{Code: code, Message: msg}})
+	WriteJSON(w, status, ErrorBody{Error: ErrorInfo{Code: code, Message: msg}})
 }
 
 // encScratch is a pooled JSON encoder bound to its scratch buffer: every
-// response body in the process is produced by this one encode path
-// (SetEscapeHTML(false), Encode's trailing newline), which is what makes
-// memoized bytes byte-identical to fresh ones.
+// response body in the process, the router's included, is produced by this
+// one encode path (SetEscapeHTML(false), Encode's trailing newline), which is
+// what makes memoized and router-merged bytes byte-identical to fresh ones.
 type encScratch struct {
 	buf bytes.Buffer
 	enc *json.Encoder
@@ -462,34 +444,36 @@ var encPool = sync.Pool{New: func() any {
 	return sc
 }}
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// EncodeJSON returns v in the wire encoding of every response, in a slice
+// the caller owns.
+func EncodeJSON(v any) ([]byte, error) {
 	sc := encPool.Get().(*encScratch)
+	defer encPool.Put(sc)
+	sc.buf.Reset()
+	if err := sc.enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(sc.buf.Bytes()), nil
+}
+
+// WriteJSON writes v with status in the wire encoding of every response.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	sc := encPool.Get().(*encScratch)
+	defer encPool.Put(sc)
 	sc.buf.Reset()
 	if err := sc.enc.Encode(v); err != nil {
 		// Nothing useful left to send; surface a bare 500.
-		encPool.Put(sc)
 		w.WriteHeader(http.StatusInternalServerError)
 		return
 	}
-	writeRaw(w, status, sc.buf.Bytes())
-	encPool.Put(sc)
+	WriteRaw(w, status, sc.buf.Bytes())
 }
 
-func writeRaw(w http.ResponseWriter, status int, body []byte) {
+// WriteRaw writes a body already in the wire encoding with status.
+func WriteRaw(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(body) // the status line is gone; nothing useful left on error
-}
-
-// backendLabeled lets responses report which backend served them so the
-// latency histogram can be split per backend.
-type backendLabeled interface{ backendLabel() string }
-
-func backendLabelOf(resp any) string {
-	if bl, ok := resp.(backendLabeled); ok {
-		return bl.backendLabel()
-	}
-	return "auto"
 }
 
 // DecodeStrict reads body and parses exactly one JSON value from it into v;
@@ -592,27 +576,31 @@ func decodeCanonical(data []byte, v any) bool {
 	return false
 }
 
-// parseSelectors parses the shared "model"/"backend" request fields; an
-// empty backend falls back to the server's DefaultBackend.
-func (s *Server) parseSelectors(modelName, backendName string) (model.CommModel, cycles.Backend, error) {
+// EngineLabel is the "backend" every response reports: one engine, routing
+// as cycles.BackendAuto, serves every request.
+const EngineLabel = "auto"
+
+// parseSelectors parses the shared "model"/"backend" request fields. Every
+// period is an exact rational, the same under every cycle-ratio backend, so
+// the backend names ParseBackend accepts besides "auto" ("karp", "howard",
+// "float-screen") are deprecated aliases the one engine answers; they stay
+// accepted because job IDs and checkpoint records hash the original body.
+// An unknown name is still a 400.
+func parseSelectors(modelName, backendName string) (model.CommModel, error) {
 	cm, err := model.Parse(modelName)
 	if err != nil {
-		return 0, 0, badRequest("%v", err)
+		return 0, badRequest("%v", err)
 	}
-	if backendName == "" {
-		return cm, s.opts.DefaultBackend, nil
+	if _, err := cycles.ParseBackend(backendName); err != nil {
+		return 0, badRequest("%v", err)
 	}
-	b, err := cycles.ParseBackend(backendName)
-	if err != nil {
-		return 0, 0, badRequest("%v", err)
-	}
-	return cm, b, nil
+	return cm, nil
 }
 
 // ---- /v1/evaluate ----
 
 // EvaluateRequest asks for the period (and optionally the steady-state
-// latency distribution) of one instance under one model and backend. The
+// latency distribution) of one instance under one model. The
 // instance arrives either inline (Instance) or by reference (InstanceID — a
 // content ID from POST /v1/instances), never both; the by-ID form cuts the
 // request body from multi-KB JSON to a 64-byte ID and skips all instance
@@ -640,7 +628,6 @@ const maxLatencyDataSets = 1 << 17
 
 // respKey names a memoized /v1/evaluate body; a hit builds no string.
 type respKey struct {
-	backend        cycles.Backend
 	latencyPeriods int
 	task           string
 }
@@ -690,8 +677,6 @@ type EvaluateResponse struct {
 	Latency   *LatencyJSON `json:"latency,omitempty"`
 }
 
-func (r EvaluateResponse) backendLabel() string { return r.Backend }
-
 // Validate checks that the request names its instance exactly once: inline
 // or by ID.
 func (req *EvaluateRequest) Validate() error {
@@ -709,7 +694,7 @@ func (s *Server) handleEvaluate(r *http.Request) (rep reply, err error) {
 	if err := DecodeStrict(r.Body, &req); err != nil {
 		return rep, err
 	}
-	cm, b, err := s.parseSelectors(req.Model, req.Backend)
+	cm, err := parseSelectors(req.Model, req.Backend)
 	if err != nil {
 		return rep, err
 	}
@@ -743,13 +728,13 @@ func (s *Server) handleEvaluate(r *http.Request) (rep reply, err error) {
 				req.LatencyPeriods, inst.PathCount(), ds, int64(maxLatencyDataSets))
 		}
 	}
-	// Response memo: a repeat of (backend, options, canonical task) serves
-	// the previously encoded bytes — no solver, simulator or encoder work,
-	// and no in-flight slot.
+	// Response memo: a repeat of (options, canonical task) serves the
+	// previously encoded bytes — no solver, simulator or encoder work, and
+	// no in-flight slot.
 	if s.resp != nil {
-		rk := respKey{b, req.LatencyPeriods, key}
+		rk := respKey{req.LatencyPeriods, key}
 		if body, ok := s.resp.Get(rk); ok {
-			rep.raw, rep.backend = body, b.String()
+			rep.raw = body
 			return rep, nil
 		}
 		rep.cache = func(resp any, body []byte) {
@@ -764,15 +749,12 @@ func (s *Server) handleEvaluate(r *http.Request) (rep reply, err error) {
 	latencyPeriods := req.LatencyPeriods
 	rep.solve = func(ctx context.Context) (any, error) {
 		task := engine.Task{Inst: inst, Model: cm}
-		eng := s.engine(b)
 		// Coalesce concurrent identical requests: one computation, every
-		// caller gets its result. The flight key includes the backend
-		// because each backend solves on its own engine (results are
-		// identical; cost is not), and the hash+key pair is handed to the
-		// engine so the multi-KB canonical serialization from the parse
-		// phase is reused, not recomputed.
-		res, shared, err := s.flights.do(ctx, b.String()+"\x00"+key, func() (core.Result, error) {
-			return eng.EvaluateKeyed(h, key, task)
+		// caller gets its result. The hash+key pair is handed to the engine
+		// so the multi-KB canonical serialization from the parse phase is
+		// reused, not recomputed.
+		res, shared, err := s.flights.do(ctx, key, func() (core.Result, error) {
+			return s.eng.EvaluateKeyed(h, key, task)
 		})
 		if err != nil {
 			return nil, err
@@ -780,7 +762,7 @@ func (s *Server) handleEvaluate(r *http.Request) (rep reply, err error) {
 		if shared {
 			s.met.coalesced.Add(1)
 		}
-		resp := EvaluateResponse{ResultJSON: resultJSON(res), Backend: b.String(), Coalesced: shared}
+		resp := EvaluateResponse{ResultJSON: resultJSON(res), Backend: EngineLabel, Coalesced: shared}
 		if latencyPeriods > 0 {
 			stats, err := sim.Latency(inst, cm, latencyPeriods)
 			if err != nil {
@@ -828,8 +810,6 @@ type BatchResponse struct {
 	Outcomes []BatchOutcome `json:"outcomes"`
 }
 
-func (r BatchResponse) backendLabel() string { return r.Backend }
-
 // Validate checks task i of a batch — its model, and that it names its
 // instance exactly once — and returns the parsed model. Messages carry the
 // "task i:" prefix.
@@ -855,8 +835,7 @@ func (s *Server) handleBatch(r *http.Request) (rep reply, err error) {
 	if len(req.Tasks) == 0 {
 		return rep, badRequest("empty \"tasks\"")
 	}
-	_, b, err := s.parseSelectors("overlap", req.Backend) // model is per task
-	if err != nil {
+	if _, err := parseSelectors("overlap", req.Backend); err != nil { // model is per task
 		return rep, err
 	}
 	// Every by-ID entry stays pinned until the whole batch is answered; the
@@ -887,11 +866,11 @@ func (s *Server) handleBatch(r *http.Request) (rep reply, err error) {
 		tasks[i] = engine.Task{Inst: inst, Model: cm}
 	}
 	rep.solve = func(ctx context.Context) (any, error) {
-		outs, err := s.engine(b).EvaluateBatch(ctx, tasks)
+		outs, err := s.eng.EvaluateBatch(ctx, tasks)
 		if err != nil {
 			return nil, err
 		}
-		resp := BatchResponse{Backend: b.String(), Outcomes: make([]BatchOutcome, len(outs))}
+		resp := BatchResponse{Backend: EngineLabel, Outcomes: make([]BatchOutcome, len(outs))}
 		for i, o := range outs {
 			if o.Err != nil {
 				resp.Outcomes[i] = BatchOutcome{Error: o.Err.Error()}
@@ -973,8 +952,6 @@ type SearchResponse struct {
 	Screened *int64 `json:"screened,omitempty"`
 }
 
-func (r SearchResponse) backendLabel() string { return r.Backend }
-
 func (s *Server) handleSearch(r *http.Request) (reply, error) {
 	var req SearchRequest
 	if err := DecodeStrict(r.Body, &req); err != nil {
@@ -1039,7 +1016,7 @@ func (s *Server) searchPlanReplay(req *SearchRequest, replay map[int]bnb.Finishe
 		pinned = append(pinned, ent)
 		plat = ent.Platform()
 	}
-	cm, b, err := s.parseSelectors(req.Model, req.Backend)
+	cm, err := parseSelectors(req.Model, req.Backend)
 	if err != nil {
 		return fail(err)
 	}
@@ -1081,7 +1058,7 @@ func (s *Server) searchPlanReplay(req *SearchRequest, replay map[int]bnb.Finishe
 			ctx, cancel = context.WithTimeout(outer, time.Duration(budgetMs)*time.Millisecond)
 			defer cancel()
 		}
-		eng := s.engine(b)
+		eng := s.eng
 		rng := rand.New(rand.NewSource(seed))
 		var res sched.Result
 		var exact *sched.ExactResult
@@ -1142,7 +1119,7 @@ func (s *Server) searchPlanReplay(req *SearchRequest, replay map[int]bnb.Finishe
 		}
 		resp := SearchResponse{
 			Algo:        algo,
-			Backend:     b.String(),
+			Backend:     EngineLabel,
 			Model:       cm.String(),
 			Replicas:    res.Mapping.Replicas,
 			Period:      res.Period.String(),
@@ -1173,7 +1150,6 @@ type SubtreeRequest struct {
 	Pipeline *pipeline.Pipeline `json:"pipeline"`
 	Platform *platform.Platform `json:"platform"`
 	Model    string             `json:"model"`
-	Backend  string             `json:"backend,omitempty"`
 	// Root is the subtree to explore, exactly as bnb.Frontier planned it.
 	Root bnb.Root `json:"root"`
 	// WarmPeriod is the pruning reference the root starts from ("" = none):
@@ -1188,8 +1164,6 @@ type SubtreeResponse struct {
 	Result  bnb.SubResult `json:"result"`
 }
 
-func (r SubtreeResponse) backendLabel() string { return r.Backend }
-
 func (s *Server) handleSubtree(r *http.Request) (rep reply, err error) {
 	var req SubtreeRequest
 	if err := DecodeStrict(r.Body, &req); err != nil {
@@ -1198,11 +1172,11 @@ func (s *Server) handleSubtree(r *http.Request) (rep reply, err error) {
 	if req.Pipeline == nil || req.Platform == nil {
 		return rep, badRequest("missing \"pipeline\" or \"platform\"")
 	}
-	cm, b, err := s.parseSelectors(req.Model, req.Backend)
+	cm, err := model.Parse(req.Model)
 	if err != nil {
-		return rep, err
+		return rep, badRequest("%v", err)
 	}
-	exec, err := bnb.NewLocalExecutor(s.engine(b), req.Pipeline, req.Platform, cm, bnb.Options{})
+	exec, err := bnb.NewLocalExecutor(s.eng, req.Pipeline, req.Platform, cm, bnb.Options{})
 	if err != nil {
 		return rep, badRequest("%v", err)
 	}
@@ -1214,7 +1188,7 @@ func (s *Server) handleSubtree(r *http.Request) (rep reply, err error) {
 			// string) — a caller problem, not a solver one.
 			return nil, badRequest("%v", err)
 		}
-		return SubtreeResponse{Backend: b.String(), Result: res}, nil
+		return SubtreeResponse{Backend: EngineLabel, Result: res}, nil
 	}
 	return rep, nil
 }
@@ -1270,8 +1244,6 @@ type SweepResponse struct {
 	Points  []SweepPointJSON `json:"points"`
 }
 
-func (r SweepResponse) backendLabel() string { return r.Backend }
-
 func (s *Server) handleSweep(r *http.Request) (reply, error) {
 	var req SweepRequest
 	if err := DecodeStrict(r.Body, &req); err != nil {
@@ -1299,8 +1271,7 @@ func (s *Server) sweepPlan(req *SweepRequest) (jobRunner, func(), error) {
 		cleanup()
 		return nil, nil, err
 	}
-	_, b, err := s.parseSelectors("overlap", req.Backend)
-	if err != nil {
+	if _, err := parseSelectors("overlap", req.Backend); err != nil {
 		return fail(err)
 	}
 	if len(req.Instances) > 0 && len(req.InstanceIDs) > 0 {
@@ -1335,12 +1306,12 @@ func (s *Server) sweepPlan(req *SweepRequest) (jobRunner, func(), error) {
 		run := func(ctx context.Context, j *jobs.Job) (any, error) {
 			prog := j.Progress()
 			prog.PointsTotal.Store(int64(total))
-			pts, err := exper.RuntimeSweepInstances(ctx, s.engine(b), insts, only,
+			pts, err := exper.RuntimeSweepInstances(ctx, s.eng, insts, only,
 				func() { prog.PointsDone.Add(1) })
 			if err != nil {
 				return nil, err
 			}
-			return sweepResponse(b, pts), nil
+			return sweepResponse(pts), nil
 		}
 		return run, cleanup, nil
 	}
@@ -1394,20 +1365,20 @@ func (s *Server) sweepPlan(req *SweepRequest) (jobRunner, func(), error) {
 	run := func(ctx context.Context, j *jobs.Job) (any, error) {
 		prog := j.Progress()
 		prog.PointsTotal.Store(int64(total))
-		pts, err := exper.RuntimeSweepEngineSubsetProgress(ctx, s.engine(b), seed, pairs, only,
+		pts, err := exper.RuntimeSweepEngineSubsetProgress(ctx, s.eng, seed, pairs, only,
 			func() { prog.PointsDone.Add(1) })
 		if err != nil {
 			return nil, err
 		}
-		return sweepResponse(b, pts), nil
+		return sweepResponse(pts), nil
 	}
 	return run, cleanup, nil
 }
 
 // sweepResponse renders sweep points in wire form; shared by both
 // population sources so their encodings cannot drift.
-func sweepResponse(b cycles.Backend, pts []exper.SweepPoint) SweepResponse {
-	resp := SweepResponse{Backend: b.String(), Points: make([]SweepPointJSON, len(pts))}
+func sweepResponse(pts []exper.SweepPoint) SweepResponse {
+	resp := SweepResponse{Backend: EngineLabel, Points: make([]SweepPointJSON, len(pts))}
 	for i, p := range pts {
 		resp.Points[i] = SweepPointJSON{
 			Reps:       p.Reps,

@@ -204,13 +204,13 @@ func TestServerCacheNeverExceedsConfiguredEntries(t *testing.T) {
 			var resp BatchResponse
 			postJSON(t, ts.URL+"/v1/batch", batch, &resp)
 			batch.Tasks = batch.Tasks[:0]
-			m := s.engine(0).CacheMetrics()
+			m := s.eng.CacheMetrics()
 			if m.Entries > bound {
 				t.Fatalf("after %d tasks: cache holds %d entries, bound %d", i+1, m.Entries, bound)
 			}
 		}
 	}
-	m := s.engine(0).CacheMetrics()
+	m := s.eng.CacheMetrics()
 	if m.Evictions == 0 {
 		t.Fatalf("10x oversized workload produced no evictions (entries=%d)", m.Entries)
 	}
@@ -496,6 +496,13 @@ func TestRequestValidationErrors(t *testing.T) {
 	if status != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /healthz: status %d body %s, want 405", status, postBody)
 	}
+	var m struct {
+		Errors map[string]int64 `json:"errors"`
+	}
+	metricsBody, _ := do(t, http.MethodGet, ts.URL+"/metrics")
+	if err := json.Unmarshal(metricsBody, &m); err != nil || m.Errors["healthz"] != 1 {
+		t.Fatalf("errors %v (decode err %v): want the POST /healthz counted", m.Errors, err)
+	}
 }
 
 func TestBodyLimit(t *testing.T) {
@@ -751,6 +758,58 @@ func TestPanickingSolveDoesNotLeakCapacity(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/evaluate", EvaluateRequest{Instance: inst, Model: "overlap"}, &got)
 	if got.Period == "" {
 		t.Fatalf("post-panic evaluate returned no period: %+v", got)
+	}
+}
+
+// backendAliases are the backend names a request may carry besides the
+// default: "auto" and the deprecated aliases the one engine answers.
+var backendAliases = []string{"auto", "karp", "howard", "float-screen"}
+
+// TestBackendAliasesShareOneEngine: every backend name ParseBackend accepts
+// gets the bytes of the request that names none, on evaluate (inline and by
+// ID), batch and search; the evaluate repeats share one response-memo
+// entry, and /metrics reports a single engine cache.
+func TestBackendAliasesShareOneEngine(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	rng := rand.New(rand.NewSource(5))
+	inst := randomTimedInstance(t, rng, []int{2, 3})
+	id := registerInstance(t, ts.URL, inst).ID
+	pipe := mustPipeline(t, []int64{100, 200, 100}, []int64{50, 50})
+	plat := mustPlatform(t)
+	post := func(what string, req any) []byte {
+		t.Helper()
+		body, code := postJSONStatus(t, ts.URL+"/v1/"+what, req)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", what, code, body)
+		}
+		return body
+	}
+	evaluate := post("evaluate", EvaluateRequest{Instance: inst, Model: "strict"})
+	batch := post("batch", BatchRequest{Tasks: []BatchTask{{Instance: inst, Model: "strict"}}})
+	search := post("search", SearchRequest{Pipeline: pipe, Platform: plat, Model: "strict", Algo: "greedy"})
+	for _, name := range backendAliases {
+		for _, got := range [][]byte{
+			post("evaluate", EvaluateRequest{Instance: inst, Model: "strict", Backend: name}),
+			post("evaluate", EvaluateRequest{InstanceID: id, Model: "strict", Backend: name}),
+		} {
+			if !bytes.Equal(got, evaluate) {
+				t.Fatalf("evaluate with backend %q:\n%s\nwant\n%s", name, got, evaluate)
+			}
+		}
+		if got := post("batch", BatchRequest{Tasks: []BatchTask{{Instance: inst, Model: "strict"}}, Backend: name}); !bytes.Equal(got, batch) {
+			t.Fatalf("batch with backend %q:\n%s\nwant\n%s", name, got, batch)
+		}
+		got := post("search", SearchRequest{Pipeline: pipe, Platform: plat, Model: "strict", Algo: "greedy", Backend: name})
+		if !bytes.Equal(got, search) {
+			t.Fatalf("search with backend %q:\n%s\nwant\n%s", name, got, search)
+		}
+	}
+	m := scrapeMetrics(t, ts.URL)
+	if len(m.Cache) != 1 {
+		t.Fatalf("metrics cache members %v, want only auto", m.Cache)
+	}
+	if m.RespMemo == nil || m.RespMemo.Entries != 1 || m.RespMemo.Misses != 1 {
+		t.Fatalf("respMemo %+v: want the evaluate repeats on one entry", m.RespMemo)
 	}
 }
 
